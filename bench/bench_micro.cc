@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -163,6 +164,50 @@ BENCHMARK(BM_TiFullRun)
     ->ArgsProduct({{100, 1000}, {1, 2, 4, 8}})
     ->ArgNames({"n", "threads"})
     ->Unit(benchmark::kMillisecond);
+
+// Full iterative TI on the answer matrix a QA-4000 campaign reaches (n =
+// 4000, m = 26, l = 2): 20 golden tasks with 60 answers each plus ~2200
+// answers scattered over the other tasks, so most tasks have no answer and
+// most answered ones have exactly one. BM_TiFullRun (10 answers on every
+// task) shows only the log-table gain of the step-1 kernel; this case adds
+// its copied rows for 0/1-answer tasks. One thread, 20 iterations.
+void BM_TiFullRunCampaignShape(benchmark::State& state) {
+  const size_t n = 4000;
+  const size_t m = 26;
+  const size_t num_workers = 112;
+  const size_t golden = 20;
+  Rng rng(17);
+  std::vector<core::Task> tasks(n);
+  for (auto& task : tasks) {
+    task.domain_vector = rng.Dirichlet(m, 0.5);
+    task.num_choices = 2;
+  }
+  std::vector<core::Answer> answers;
+  for (size_t i = 0; i < golden; ++i) {
+    for (size_t w = 0; w < 60; ++w) {
+      answers.push_back({i, (w * 7 + i) % num_workers, rng.UniformInt(2)});
+    }
+  }
+  std::vector<std::vector<size_t>> workers_of_task(n);
+  for (size_t a = 0; a < 2200; ++a) {
+    const size_t i = golden + rng.UniformInt(n - golden);
+    const size_t w = rng.UniformInt(num_workers);
+    auto& seen = workers_of_task[i];
+    if (std::find(seen.begin(), seen.end(), w) != seen.end()) continue;
+    seen.push_back(w);
+    answers.push_back({i, w, rng.UniformInt(2)});
+  }
+  core::TruthInferenceOptions options;
+  options.max_iterations = 20;
+  options.tolerance = 0.0;
+  options.num_threads = 1;
+  core::TruthInference engine(options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Run(tasks, num_workers, answers));
+  }
+  state.counters["answers"] = static_cast<double>(answers.size());
+}
+BENCHMARK(BM_TiFullRunCampaignShape)->Unit(benchmark::kMillisecond);
 
 // OTA top-k selection over n candidate tasks, m = 26, scored on `threads`
 // threads (the SelectTopK benefit loop).

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
-# CI entry point, six stages (fails on the first broken one):
+# CI entry point, seven stages (fails on the first broken one):
 #   1. lint      — scripts/lint.py always; clang-tidy when installed.
 #   2. thread-safety — clang -Wthread-safety -Werror build over the DOCS_*
 #                  capability annotations (DESIGN.md §14); skipped with a
 #                  notice when clang is not installed.
 #   3. release   — Release build, full test suite.
-#   4. strict    — -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON: curated -Werror
+#   4. perfbench — standalone build of the benchmark (perfbench/: the
+#                  driver compiled against src/) and its own ctest
+#                  (bench_math_test, the driver's arithmetic).
+#   5. strict    — -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON: curated -Werror
 #                  set plus every DOCS_DCHECK* contract compiled in, run over
 #                  the contract-heavy suites.
-#   5. sanitize  — ASan+UBSan full suite, then a gateway smoke run (real TCP
+#   6. sanitize  — ASan+UBSan full suite, then a gateway smoke run (real TCP
 #                  server + clients under ASan), then TSan scoped to the
 #                  tests that exercise cross-thread execution.
-#   6. bench     — scripts/bench.sh --quick from the release build: short
+#   7. bench     — scripts/bench.sh --quick from the release build: short
 #                  micro + wire runs that gate on the warm serving path
 #                  keeping its allocation/wall-time win (DESIGN.md §11),
 #                  plus the §13 reactor/connection scaling sweeps (the
@@ -67,6 +70,15 @@ else
 fi
 
 run_config release "" -DCMAKE_BUILD_TYPE=Release
+# The benchmark builds src/ through its own CMake project, so a src/ change
+# can break the driver without breaking the main tree. --no-tests=error
+# fails the stage if bench_math_test stops being registered.
+echo "=== [perfbench] configure ==="
+cmake -S "$ROOT/perfbench" -B "$ROOT/build-perfbench" -DCMAKE_BUILD_TYPE=Release
+echo "=== [perfbench] build ==="
+cmake --build "$ROOT/build-perfbench" -j"$JOBS"
+echo "=== [perfbench] ctest ==="
+ctest --test-dir "$ROOT/build-perfbench" --output-on-failure --no-tests=error
 # Strict config: warnings are errors and the DCHECK-tier contracts are live.
 # Scoped to the suites that hit the contract-instrumented paths hardest;
 # check_test runs here with DOCS_DEBUG_CHECKS on (it also runs in every

@@ -212,48 +212,6 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
   return OkStatus();
 }
 
-void IncrementalTruthInference::RecomputeTask(size_t task) {
-  DOCS_CHECK_LT(task, tasks_.size()) << "RecomputeTask on unknown task";
-  const Task& t = tasks_[task];
-  const size_t m = t.domain_vector.size();
-  const size_t l = t.num_choices;
-  Matrix& log_numer = log_numerators_[task];
-  log_numer.Fill(0.0);
-  for (size_t k = 0; k < m; ++k) {
-    for (const Answer& answer : answers_of_task_[task]) {
-      const double q = Clamp(workers_[answer.worker].stats.quality[k],
-                             options_.quality_clamp);
-      const double log_correct = std::log(q);
-      const double log_wrong =
-          std::log((1.0 - q) / static_cast<double>(l > 1 ? l - 1 : 1));
-      for (size_t j = 0; j < l; ++j) {
-        log_numer(k, j) += (j == answer.choice) ? log_correct : log_wrong;
-      }
-    }
-  }
-  Matrix& truth_matrix = truth_matrices_[task];
-  // Per-thread scratch: RecomputeTask runs inside the RunFullInference
-  // ParallelFor fan-out, so a member buffer would race; the row only carries
-  // intermediates within one (task, domain) step, so reuse cannot affect the
-  // result.
-  thread_local std::vector<double> row;
-  row.assign(l, 0.0);
-  for (size_t k = 0; k < m; ++k) {
-    for (size_t j = 0; j < l; ++j) row[j] = log_numer(k, j);
-    const double lse = LogSumExp(row);
-    for (size_t j = 0; j < l; ++j) {
-      truth_matrix(k, j) = std::exp(row[j] - lse);
-    }
-  }
-  truth_matrix.LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
-  NormalizeInPlace(task_truth_[task]);
-  // No epoch bump here: RecomputeTask only runs inside the RunFullInference
-  // fan-out, whose single generation bump already invalidates every cached
-  // score in O(1) — walking the epoch array again would defeat that.
-  DOCS_DCHECK_SIMPLEX(task_truth_[task], 1e-6,
-                      "recomputed task truth (Eq. 4)");
-}
-
 void IncrementalTruthInference::RunFullInference() {
   const size_t threads = EffectiveThreadCount(options_.num_threads);
   if (threads > 1 &&
@@ -284,10 +242,13 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   ++generation_;
   mutation_log_begin_ += mutation_log_.size();
   mutation_log_.clear();
-  // Rebuild the incremental caches so later OnAnswer calls continue from the
-  // converged state. Every task owns its cache slots, so the fan-out is
-  // bit-identical to the sequential loop for any thread count.
-  ParallelFor(pool, tasks_.size(), [&](size_t i) { RecomputeTask(i); });
+  // Rebuild M̂, M and s of every task from the converged qualities so later
+  // OnAnswer calls continue from that state: one more step-1 pass of the
+  // shared kernel. No epoch bump: the generation bump above already stales
+  // every cached score in O(1).
+  TruthStepKernel step1(tasks_, answers_of_task_, workers_.size());
+  step1.Run(result.worker_quality, options_.quality_clamp, pool,
+            &truth_matrices_, &task_truth_, &log_numerators_);
 }
 
 std::vector<size_t> IncrementalTruthInference::InferredChoices() const {

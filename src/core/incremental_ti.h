@@ -66,6 +66,10 @@ class IncrementalTruthInference {
   const Matrix& truth_matrix(size_t task) const {
     return truth_matrices_[task];
   }
+  /// M̂^(i): the log numerators of Eq. 3 that OnAnswer extends.
+  const Matrix& log_numerator(size_t task) const {
+    return log_numerators_[task];
+  }
   const WorkerQuality& worker_quality(size_t worker) const {
     return workers_[worker].stats;
   }
@@ -143,9 +147,6 @@ class IncrementalTruthInference {
     uint64_t epoch = 1;
   };
 
-  /// Rebuilds M̂, M and s of `task` from scratch given current qualities.
-  void RecomputeTask(size_t task);
-
   std::vector<Task> tasks_;
   TruthInferenceOptions options_;
   std::vector<Matrix> log_numerators_;  // M̂^(i), in log space
@@ -166,9 +167,9 @@ class IncrementalTruthInference {
   /// Reused across calls so the per-answer update is allocation-free.
   std::vector<double> old_truth_scratch_;
   std::vector<double> row_scratch_;
-  /// Pool for RunFullInference (the batch EM plus the per-task recompute
-  /// fan-out), built lazily from options_.num_threads and reused across the
-  /// periodic re-runs.
+  /// Pool for RunFullInference (the batch EM plus the step-1 refresh of the
+  /// incremental caches), built lazily from options_.num_threads and reused
+  /// across the periodic re-runs.
   std::unique_ptr<ThreadPool> pool_;
 };
 

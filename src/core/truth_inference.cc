@@ -25,36 +25,39 @@ bool AnswerInBounds(const Answer& answer,
          qualities[answer.worker].quality.size() == m && answer.choice < l;
 }
 
+/// Writes the stable softmax (Eq. 3's row normalization) of the log row
+/// into row k of `out`.
+void SoftmaxRowInto(const std::vector<double>& log_row, size_t k,
+                    Matrix* out) {
+  const double lse = LogSumExp(log_row);
+  for (size_t j = 0; j < log_row.size(); ++j) {
+    (*out)(k, j) = std::exp(log_row[j] - lse);
+  }
+}
+
+/// Index of `value` in `values`, appending it when absent.
+size_t IndexOrAppend(std::vector<size_t>* values, size_t value) {
+  const auto it = std::find(values->begin(), values->end(), value);
+  if (it != values->end()) return static_cast<size_t>(it - values->begin());
+  values->push_back(value);
+  return values->size() - 1;
+}
+
+constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
 }  // namespace
 
 Matrix ComputeTruthMatrix(const Task& task,
                           const std::vector<Answer>& task_answers,
                           const std::vector<WorkerQuality>& qualities,
                           double quality_clamp, size_t* skipped_answers) {
-  Matrix truth_matrix;
-  ComputeTruthMatrixInto(task, task_answers, qualities, quality_clamp,
-                         &truth_matrix, skipped_answers);
-  return truth_matrix;
-}
-
-void ComputeTruthMatrixInto(const Task& task,
-                            const std::vector<Answer>& task_answers,
-                            const std::vector<WorkerQuality>& qualities,
-                            double quality_clamp, Matrix* out,
-                            size_t* skipped_answers) {
   const size_t m = task.domain_vector.size();
   const size_t l = task.num_choices;
-  Matrix& truth_matrix = *out;
-  truth_matrix.Resize(m, l);
-  // Per-thread scratch: this runs inside the EM ParallelFor fan-out. The
-  // buffers carry no state across calls (valid is rebuilt, log_row zeroed
-  // per domain), so reuse cannot affect the result.
-  thread_local std::vector<const Answer*> valid;
-  thread_local std::vector<double> log_row;
+  Matrix truth_matrix(m, l);
   // Stray answers (worker unknown to `qualities`, mismatched quality
   // dimension, out-of-range choice) are dropped up front: the baselines feed
   // this function caller-supplied answer lists.
-  valid.clear();
+  std::vector<const Answer*> valid;
   valid.reserve(task_answers.size());
   size_t skipped = 0;
   for (const Answer& answer : task_answers) {
@@ -66,7 +69,7 @@ void ComputeTruthMatrixInto(const Task& task,
   }
   if (skipped_answers != nullptr) *skipped_answers = skipped;
 
-  log_row.assign(l, 0.0);
+  std::vector<double> log_row(l, 0.0);
   for (size_t k = 0; k < m; ++k) {
     std::fill(log_row.begin(), log_row.end(), 0.0);
     for (const Answer* answer : valid) {
@@ -80,12 +83,196 @@ void ComputeTruthMatrixInto(const Task& task,
       }
     }
     // Row-normalize (Eq. 3) via a stable softmax over the log numerators.
-    const double lse = LogSumExp(log_row);
-    for (size_t j = 0; j < l; ++j) {
-      truth_matrix(k, j) = std::exp(log_row[j] - lse);
-    }
+    SoftmaxRowInto(log_row, k, &truth_matrix);
   }
   DOCS_DCHECK_FINITE(truth_matrix, "truth matrix (Eq. 3)");
+  return truth_matrix;
+}
+
+TruthStepKernel::TruthStepKernel(
+    const std::vector<Task>& tasks,
+    const std::vector<std::vector<Answer>>& answers_of_task,
+    size_t num_workers)
+    : tasks_(&tasks) {
+  const size_t n = tasks.size();
+  DOCS_CHECK_EQ(answers_of_task.size(), n);
+  // Pass 1: the workers with answers (one correct slot each, in order of
+  // first answer) and the distinct choice counts each of them answered.
+  std::vector<size_t> slot_of_worker(num_workers, kNoSlot);
+  std::vector<std::vector<size_t>> choice_counts;
+  for (size_t i = 0; i < n; ++i) {
+    for (const Answer& answer : answers_of_task[i]) {
+      DOCS_CHECK_LT(answer.worker, num_workers);
+      DOCS_CHECK_LT(answer.choice, tasks[i].num_choices);
+      size_t& slot = slot_of_worker[answer.worker];
+      if (slot == kNoSlot) {
+        slot = workers_.size();
+        workers_.push_back(answer.worker);
+        choice_counts.emplace_back();
+      }
+      IndexOrAppend(&choice_counts[slot], tasks[i].num_choices);
+    }
+  }
+  // Each worker's wrong-answer rows sit next to each other.
+  wrong_begin_.reserve(workers_.size() + 1);
+  wrong_begin_.push_back(0);
+  for (const std::vector<size_t>& counts : choice_counts) {
+    wrong_choices_.insert(wrong_choices_.end(), counts.begin(), counts.end());
+    wrong_begin_.push_back(wrong_choices_.size());
+  }
+
+  // Pass 2: the per-task entries, the uniform rows of unanswered tasks (they
+  // do not depend on qualities, so they are computed here, once) and the
+  // memo keys of single-answer tasks. A memo is keyed by choice, not just
+  // by l: for l > 2 the position of the correct term changes the softmax's
+  // summation order.
+  std::vector<size_t> uniform_choice_counts;
+  std::vector<std::vector<size_t>> memos_of_slot(workers_.size());
+  std::vector<double> zeros;
+  entry_begin_.reserve(n + 1);
+  entry_begin_.push_back(0);
+  row_source_.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t l = tasks[i].num_choices;
+    for (const Answer& answer : answers_of_task[i]) {
+      const size_t slot = slot_of_worker[answer.worker];
+      // Pass 1 recorded l for this worker, so this only looks it up.
+      const size_t wrong = wrong_begin_[slot] +
+                           IndexOrAppend(&choice_counts[slot], l);
+      entries_.push_back({answer.choice, slot, wrong});
+    }
+    entry_begin_.push_back(entries_.size());
+    if (answers_of_task[i].empty()) {
+      const size_t index = IndexOrAppend(&uniform_choice_counts, l);
+      if (index == uniform_rows_.size()) {
+        uniform_rows_.emplace_back(1, l);
+        zeros.assign(l, 0.0);
+        SoftmaxRowInto(zeros, 0, &uniform_rows_.back());
+      }
+      row_source_[i] = index;
+    } else if (answers_of_task[i].size() == 1) {
+      const Entry& entry = entries_.back();
+      std::vector<size_t>& memos = memos_of_slot[entry.correct_slot];
+      size_t found = kNoSlot;
+      for (size_t index : memos) {
+        if (memos_[index].wrong_slot == entry.wrong_slot &&
+            memos_[index].choice == entry.choice) {
+          found = index;
+          break;
+        }
+      }
+      if (found == kNoSlot) {
+        found = memos_.size();
+        memos.push_back(found);
+        memos_.push_back(entry);
+      }
+      row_source_[i] = found;
+    }
+  }
+}
+
+void TruthStepKernel::AccumulateRow(const Entry* begin, const Entry* end,
+                                    size_t k, size_t l,
+                                    std::vector<double>* row) const {
+  row->assign(l, 0.0);
+  for (const Entry* entry = begin; entry != end; ++entry) {
+    const double log_correct = log_correct_[entry->correct_slot * m_ + k];
+    const double log_wrong = log_wrong_[entry->wrong_slot * m_ + k];
+    for (size_t j = 0; j < l; ++j) {
+      (*row)[j] += (entry->choice == j) ? log_correct : log_wrong;
+    }
+  }
+}
+
+void TruthStepKernel::Run(const std::vector<WorkerQuality>& qualities,
+                          double quality_clamp, ThreadPool* pool,
+                          std::vector<Matrix>* truth_matrices,
+                          std::vector<std::vector<double>>* task_truth,
+                          std::vector<Matrix>* log_numerators) {
+  const std::vector<Task>& tasks = *tasks_;
+  const size_t n = tasks.size();
+  DOCS_CHECK_EQ(truth_matrices->size(), n);
+  DOCS_CHECK_EQ(task_truth->size(), n);
+  if (log_numerators != nullptr) DOCS_CHECK_EQ(log_numerators->size(), n);
+  m_ = workers_.empty() ? 0 : qualities[workers_[0]].quality.size();
+
+  // (1) Log tables, one row per (worker, domain): worker-owned slots.
+  log_correct_.resize(workers_.size() * m_);
+  log_wrong_.resize(wrong_choices_.size() * m_);
+  ParallelFor(pool, workers_.size(), [&](size_t slot) {
+    DOCS_DCHECK_LT(workers_[slot], qualities.size());
+    const std::vector<double>& quality = qualities[workers_[slot]].quality;
+    DOCS_DCHECK_EQ(quality.size(), m_);
+    for (size_t k = 0; k < m_; ++k) {
+      const double q = Clamp(quality[k], quality_clamp);
+      log_correct_[slot * m_ + k] = std::log(q);
+      for (size_t wrong = wrong_begin_[slot]; wrong < wrong_begin_[slot + 1];
+           ++wrong) {
+        const size_t l = wrong_choices_[wrong];
+        log_wrong_[wrong * m_ + k] =
+            std::log((1.0 - q) / static_cast<double>(l - 1 == 0 ? 1 : l - 1));
+      }
+    }
+  });
+
+  // (2) Softmax blocks of the single-answer tasks: memo-owned slots.
+  memo_blocks_.resize(memos_.size());
+  ParallelFor(pool, memos_.size(), [&](size_t index) {
+    thread_local std::vector<double> log_row;
+    const Entry& memo = memos_[index];
+    const size_t l = wrong_choices_[memo.wrong_slot];
+    Matrix& block = memo_blocks_[index];
+    block.Resize(m_, l);
+    for (size_t k = 0; k < m_; ++k) {
+      AccumulateRow(&memo, &memo + 1, k, l, &log_row);
+      SoftmaxRowInto(log_row, k, &block);
+    }
+  });
+
+  // (3) Per-task M^(i) and s_i: task-owned slots.
+  ParallelFor(pool, n, [&](size_t i) {
+    // Per-thread scratch; it carries nothing across (task, domain) steps.
+    thread_local std::vector<double> log_row;
+    const Task& task = tasks[i];
+    const size_t m = task.domain_vector.size();
+    const size_t l = task.num_choices;
+    const Entry* begin = entries_.data() + entry_begin_[i];
+    const Entry* end = entries_.data() + entry_begin_[i + 1];
+    const size_t count = static_cast<size_t>(end - begin);
+    DOCS_DCHECK(count == 0 || m <= m_);
+    Matrix& truth_matrix = (*truth_matrices)[i];
+    truth_matrix.Resize(m, l);
+    Matrix* log_numer =
+        log_numerators == nullptr ? nullptr : &(*log_numerators)[i];
+    if (count <= 1) {
+      // Rows that do not depend on this task: copy them. An unanswered
+      // task's rows are all the same uniform row.
+      const bool answered = count == 1;
+      const Matrix& source = answered ? memo_blocks_[row_source_[i]]
+                                      : uniform_rows_[row_source_[i]];
+      for (size_t k = 0; k < m; ++k) {
+        for (size_t j = 0; j < l; ++j) {
+          truth_matrix(k, j) = source(answered ? k : 0, j);
+        }
+      }
+      if (!answered && log_numer != nullptr) log_numer->Fill(0.0);
+    }
+    if (count >= 2 || (count == 1 && log_numer != nullptr)) {
+      for (size_t k = 0; k < m; ++k) {
+        AccumulateRow(begin, end, k, l, &log_row);
+        if (log_numer != nullptr) {
+          for (size_t j = 0; j < l; ++j) (*log_numer)(k, j) = log_row[j];
+        }
+        if (count >= 2) SoftmaxRowInto(log_row, k, &truth_matrix);
+      }
+    }
+    DOCS_DCHECK_FINITE(truth_matrix, "truth matrix (Eq. 3)");
+    truth_matrix.LeftMultiplyInto(task.domain_vector, &(*task_truth)[i]);
+    // The domain vector always sums to 1 for the wrapper-produced tasks,
+    // but guard against callers passing sub-normalized vectors.
+    NormalizeInPlace((*task_truth)[i]);
+    DOCS_DCHECK_SIMPLEX((*task_truth)[i], 1e-6, "inferred task truth (Eq. 4)");
+  });
 }
 
 std::vector<WorkerQuality> InitializeQualityFromGolden(
@@ -246,6 +433,10 @@ TruthInferenceResult TruthInference::Run(
   std::vector<std::vector<double>> prev_truth(n);
   std::vector<WorkerQuality> prev_quality = result.worker_quality;
 
+  // Step 1's answer layout is fixed across iterations; only its log tables
+  // are rebuilt from the qualities each time.
+  TruthStepKernel step1(tasks, answers_of_task, num_workers);
+
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
     // Rotate: prev_truth takes the last iteration's truth, and step 1 below
     // refills result.task_truth (through buffers recycled from two
@@ -253,20 +444,8 @@ TruthInferenceResult TruthInference::Run(
     std::swap(prev_truth, result.task_truth);
 
     // --- Step 1: infer the truth from qualities (Eq. 2-4). ----------------
-    // Each task owns its result slots, so the parallel loop commutes with
-    // the sequential one bit for bit.
-    ParallelFor(pool, n, [&](size_t i) {
-      ComputeTruthMatrixInto(tasks[i], answers_of_task[i],
-                             result.worker_quality, options_.quality_clamp,
-                             &result.truth_matrices[i]);
-      result.truth_matrices[i].LeftMultiplyInto(tasks[i].domain_vector,
-                                                &result.task_truth[i]);
-      // The domain vector always sums to 1 for the wrapper-produced tasks,
-      // but guard against callers passing sub-normalized vectors.
-      NormalizeInPlace(result.task_truth[i]);
-      DOCS_DCHECK_SIMPLEX(result.task_truth[i], 1e-6,
-                          "inferred task truth (Eq. 4)");
-    });
+    step1.Run(result.worker_quality, options_.quality_clamp, pool,
+              &result.truth_matrices, &result.task_truth);
 
     // --- Step 2: estimate worker qualities from the truth (Eq. 5). --------
     // Parallel over workers: the Eq. 5 numerator/denominator of worker w sum

@@ -32,8 +32,9 @@ struct TruthInferenceOptions {
   /// Threads applied to the EM sweep (step 1 per-task matrices, step 2
   /// per-worker quality estimation). 0 = hardware concurrency, 1 = the
   /// sequential loops. Results are bit-identical for every value: step 1
-  /// writes only task-owned slots and step 2 accumulates each worker's
-  /// evidence in the same global answer order the sequential sweep used.
+  /// writes only worker-, memo- and task-owned slots (TruthStepKernel) and
+  /// step 2 accumulates each worker's evidence in the same global answer
+  /// order the sequential sweep used.
   size_t num_threads = 0;
 };
 
@@ -53,7 +54,9 @@ struct TruthInferenceResult {
 
 /// Computes M^(i) for one task from the answers it received and the current
 /// worker qualities (Equations 3-4), in log space. `task_answers` must all
-/// refer to this task. With no answers every row is uniform.
+/// refer to this task. With no answers every row is uniform. This is the
+/// per-task reference form of TruthStepKernel (the baselines, tests and
+/// micro benchmarks call it); the two agree bit for bit.
 ///
 /// Stray answers — a worker index with no quality vector of the task's
 /// dimension, or a choice outside [0, l) — are skipped instead of indexing
@@ -65,17 +68,73 @@ Matrix ComputeTruthMatrix(const Task& task,
                           double quality_clamp = 0.01,
                           size_t* skipped_answers = nullptr);
 
-/// As above but writes into caller-owned storage: `*out` is reshaped to
-/// (m, l_ti) and every cell overwritten, so EM sweeps can reuse one Matrix
-/// per task across iterations instead of allocating a fresh one each time.
-/// The answer filter and softmax row live in thread_local scratch (the
-/// function runs inside ParallelFor bodies). Bit-identical to
-/// ComputeTruthMatrix, which forwards here.
-void ComputeTruthMatrixInto(const Task& task,
-                            const std::vector<Answer>& task_answers,
-                            const std::vector<WorkerQuality>& qualities,
-                            double quality_clamp, Matrix* out,
-                            size_t* skipped_answers = nullptr);
+/// Step 1 of Section 4.1 (Eq. 3-4) over every task of a fixed answer set:
+/// the one kernel behind each EM iteration of TruthInference::Run and the
+/// post-EM refresh of IncrementalTruthInference. The constructor lays out
+/// the answer set once; each Run() then
+///   1. builds log(clamp(q_wk)) and log((1 - clamp(q_wk)) / (l - 1)) once
+///      per (worker, domain) for every worker with answers and every choice
+///      count l that worker answered, instead of twice per (answer, domain);
+///   2. copies a precomputed uniform row (per l) into unanswered tasks;
+///   3. copies a softmax block memoized per (worker, l, choice) into tasks
+///      with exactly one answer;
+///   4. sums table lookups and takes the softmax for the other tasks.
+/// Every value comes from the same expression, accumulated from 0.0 in the
+/// same answer order, as ComputeTruthMatrix — the output is bit-identical
+/// to it, and (all writes are worker-, memo- or task-owned slots) for any
+/// thread count. No step does more log/exp work than the per-task form.
+class TruthStepKernel {
+ public:
+  /// `answers_of_task[i]` lists task i's answers in the order they are to
+  /// be summed. Every answer must be in bounds: worker < num_workers,
+  /// choice < tasks[i].num_choices. `tasks` must outlive the kernel.
+  TruthStepKernel(const std::vector<Task>& tasks,
+                  const std::vector<std::vector<Answer>>& answers_of_task,
+                  size_t num_workers);
+
+  /// Recomputes M^(i) into (*truth_matrices)[i] (reshaped to m_i x l_i) and
+  /// s_i = normalize(r_i M^(i)) into (*task_truth)[i] for every task, from
+  /// `qualities` (indexed by worker; every answering worker's vector has the
+  /// same dimension, at least that of the tasks the worker answered). When
+  /// `log_numerators` is non-null its matrices (already m_i x l_i) receive
+  /// the log numerators M̂^(i) as well.
+  void Run(const std::vector<WorkerQuality>& qualities, double quality_clamp,
+           ThreadPool* pool, std::vector<Matrix>* truth_matrices,
+           std::vector<std::vector<double>>* task_truth,
+           std::vector<Matrix>* log_numerators = nullptr);
+
+ private:
+  /// One answer as the kernel reads it: its choice and the table slots of
+  /// its worker's log(q) row and log((1-q)/(l-1)) row.
+  struct Entry {
+    size_t choice;
+    size_t correct_slot;
+    size_t wrong_slot;
+  };
+  /// Sums the log terms of domain k over [begin, end) into `row` (size l),
+  /// starting from 0.0.
+  void AccumulateRow(const Entry* begin, const Entry* end, size_t k,
+                     size_t l, std::vector<double>* row) const;
+
+  const std::vector<Task>* tasks_;
+  std::vector<size_t> entry_begin_;  // CSR over entries_, n + 1 offsets
+  std::vector<Entry> entries_;
+  /// Per task: index into uniform_rows_ (no answers) or memos_ (one).
+  std::vector<size_t> row_source_;
+  std::vector<Matrix> uniform_rows_;  // 1 x l softmax of zeros, per l
+  std::vector<size_t> workers_;       // correct slot -> worker id
+  std::vector<size_t> wrong_begin_;   // correct slot -> its wrong slots
+  std::vector<size_t> wrong_choices_;  // wrong slot -> l
+  /// The (worker, l, choice) keys of single-answer tasks; a wrong slot
+  /// names both the worker and l.
+  std::vector<Entry> memos_;
+  /// Per-Run state: the tables (m_ entries per slot) and the m_ x l softmax
+  /// block of each memo.
+  size_t m_ = 0;
+  std::vector<double> log_correct_;
+  std::vector<double> log_wrong_;
+  std::vector<Matrix> memo_blocks_;
+};
 
 /// Initializes worker qualities from their answers to golden tasks
 /// (Section 5.2): per domain, the r-weighted fraction of correct golden

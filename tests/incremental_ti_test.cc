@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
@@ -441,6 +442,141 @@ TEST(IncrementalTiTest, QualitySeedBumpsEpochAndFullInferenceBumpsGeneration) {
   // The mutation log (the index's repair feed) is truncated at the bump:
   // every pre-generation entry is obsolete, so the window advances past them.
   EXPECT_EQ(engine.mutation_log_begin(), engine.mutation_log_end());
+}
+
+// --- Continuity across RunFullInference ------------------------------------
+
+/// Bitwise equality (memcmp), stricter than operator== on doubles.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Adds one answer's Eq. 3 log terms to `log_numer` the way the per-answer
+/// loop did before the hoisted step-1 kernel (and as OnAnswer still does).
+void AddAnswerTerms(const std::vector<double>& quality, size_t choice,
+                    double quality_clamp, Matrix* log_numer) {
+  const size_t l = log_numer->cols();
+  for (size_t k = 0; k < log_numer->rows(); ++k) {
+    const double q =
+        std::min(1.0 - quality_clamp, std::max(quality_clamp, quality[k]));
+    const double log_correct = std::log(q);
+    const double log_wrong =
+        std::log((1.0 - q) / static_cast<double>(l > 1 ? l - 1 : 1));
+    for (size_t j = 0; j < l; ++j) {
+      (*log_numer)(k, j) += (j == choice) ? log_correct : log_wrong;
+    }
+  }
+}
+
+Matrix SoftmaxRows(const Matrix& log_numer) {
+  Matrix truth_matrix(log_numer.rows(), log_numer.cols());
+  for (size_t k = 0; k < log_numer.rows(); ++k) {
+    const std::vector<double> row = log_numer.Row(k);
+    const double lse = LogSumExp(row);
+    for (size_t j = 0; j < row.size(); ++j) {
+      truth_matrix(k, j) = std::exp(row[j] - lse);
+    }
+  }
+  return truth_matrix;
+}
+
+/// Campaign-shaped task set: mixed l, most tasks left unanswered.
+std::vector<Task> MixedTasks(size_t n, size_t m, Rng& rng) {
+  std::vector<Task> tasks(n);
+  for (size_t i = 0; i < n; ++i) {
+    tasks[i].domain_vector = rng.Dirichlet(m, 0.5);
+    tasks[i].num_choices = i % 5 == 0 ? 3 : 2;
+  }
+  return tasks;
+}
+
+/// After RunFullInference every task's M̂, M and s must equal a per-task
+/// recompute (the pre-kernel loop) on the converged qualities, bit for bit.
+void ExpectStateMatchesRecompute(const IncrementalTruthInference& engine) {
+  const double clamp = engine.options().quality_clamp;
+  std::vector<WorkerQuality> qualities;
+  for (size_t w = 0; w < engine.num_workers(); ++w) {
+    qualities.push_back(engine.worker_quality(w));
+  }
+  std::vector<std::vector<Answer>> answers_of_task(engine.num_tasks());
+  for (const Answer& answer : engine.answers()) {
+    answers_of_task[answer.task].push_back(answer);
+  }
+  for (size_t i = 0; i < engine.num_tasks(); ++i) {
+    const Task& task = engine.tasks()[i];
+    Matrix log_numer(task.domain_vector.size(), task.num_choices, 0.0);
+    for (const Answer& answer : answers_of_task[i]) {
+      AddAnswerTerms(qualities[answer.worker].quality, answer.choice, clamp,
+                     &log_numer);
+    }
+    const Matrix truth_matrix =
+        ComputeTruthMatrix(task, answers_of_task[i], qualities, clamp);
+    std::vector<double> truth = truth_matrix.LeftMultiply(task.domain_vector);
+    NormalizeInPlace(truth);
+    EXPECT_TRUE(SameBits(engine.log_numerator(i).data(), log_numer.data()))
+        << "task " << i;
+    EXPECT_TRUE(SameBits(engine.truth_matrix(i).data(), truth_matrix.data()))
+        << "task " << i;
+    EXPECT_TRUE(SameBits(engine.task_truth(i), truth)) << "task " << i;
+  }
+}
+
+TEST(IncrementalTiTest, FullInferenceStateContinuesBitwiseIntoOnAnswer) {
+  const size_t n = 240, m = 4, num_workers = 50;
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    Rng rng(31);
+    TruthInferenceOptions options;
+    options.num_threads = threads;
+    IncrementalTruthInference engine(MixedTasks(n, m, rng), options);
+    WorkerQuality seed;
+    seed.quality = {0.9, 0.6, 0.8, 0.7};
+    seed.weight = {3.0, 1.0, 2.0, 0.5};
+    ASSERT_TRUE(engine.SetWorkerQuality(2, seed).ok());
+    auto answer = [&](size_t w, size_t i) {
+      if (engine.HasAnswered(w, i)) return;
+      const size_t choice = rng.UniformInt(engine.tasks()[i].num_choices);
+      ASSERT_TRUE(engine.OnAnswer(w, i, choice).ok());
+    };
+    // Golden-like tasks with many answers, then scattered single answers.
+    for (size_t i = 0; i < 4; ++i) {
+      for (size_t w = 0; w < 30; ++w) answer((w * 3 + i) % num_workers, i);
+    }
+    for (size_t a = 0; a < 150; ++a) {
+      answer(rng.UniformInt(num_workers), 4 + rng.UniformInt(n - 4));
+    }
+    engine.RunFullInference();
+    ExpectStateMatchesRecompute(engine);
+
+    // Further answers extend M̂ from the refreshed state exactly as the
+    // pre-kernel path did: one answer's log terms on top, then a softmax.
+    std::vector<Matrix> expected;
+    for (size_t i = 0; i < n; ++i) expected.push_back(engine.log_numerator(i));
+    for (size_t a = 0; a < 120; ++a) {
+      const size_t w = rng.UniformInt(num_workers + 5);  // some new workers
+      const size_t i = rng.UniformInt(n);
+      if (engine.HasAnswered(w, i)) continue;
+      const std::vector<double> quality =
+          w < engine.num_workers()
+              ? engine.worker_quality(w).quality
+              : std::vector<double>(m, engine.options().default_quality);
+      const size_t choice = rng.UniformInt(engine.tasks()[i].num_choices);
+      ASSERT_TRUE(engine.OnAnswer(w, i, choice).ok());
+      AddAnswerTerms(quality, choice, engine.options().quality_clamp,
+                     &expected[i]);
+      EXPECT_TRUE(
+          SameBits(engine.log_numerator(i).data(), expected[i].data()))
+          << "task " << i << " after answer " << a;
+      EXPECT_TRUE(SameBits(engine.truth_matrix(i).data(),
+                           SoftmaxRows(expected[i]).data()))
+          << "task " << i << " after answer " << a;
+    }
+    // And a second periodic re-run lands on the recompute again.
+    engine.RunFullInference();
+    ExpectStateMatchesRecompute(engine);
+  }
 }
 
 }  // namespace

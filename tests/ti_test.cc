@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <utility>
 
 #include "common/math_utils.h"
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "core/truth_inference.h"
 #include "crowd/campaign.h"
 #include "crowd/worker_pool.h"
@@ -382,6 +388,430 @@ TEST(GoldenInitTest, ZeroSmoothingWithoutGoldenAnswersStaysFinite) {
   // Worker 1 never answered a golden task: default, not NaN.
   EXPECT_DOUBLE_EQ(seeds[1].quality[0], 0.7);
   EXPECT_TRUE(std::isfinite(seeds[1].quality[0]));
+}
+
+// --- The step-1 kernel against the per-task reference ----------------------
+
+constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
+
+/// Bitwise equality (memcmp): -0.0 vs 0.0 and NaN payloads count as
+/// differences, which operator== would hide.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// The Eq. 3 log numerators as the per-answer loop computed them before the
+/// hoisted kernel: two logs per (answer, domain), summed from 0.0 in answer
+/// order. Answers must be in bounds.
+Matrix ReferenceLogNumerator(const Task& task,
+                             const std::vector<Answer>& task_answers,
+                             const std::vector<WorkerQuality>& qualities,
+                             double quality_clamp) {
+  const size_t m = task.domain_vector.size();
+  const size_t l = task.num_choices;
+  Matrix log_numer(m, l, 0.0);
+  for (size_t k = 0; k < m; ++k) {
+    for (const Answer& answer : task_answers) {
+      const double q =
+          std::min(1.0 - quality_clamp,
+                   std::max(quality_clamp,
+                            qualities[answer.worker].quality[k]));
+      const double log_correct = std::log(q);
+      const double log_wrong =
+          std::log((1.0 - q) / static_cast<double>(l - 1 == 0 ? 1 : l - 1));
+      for (size_t j = 0; j < l; ++j) {
+        log_numer(k, j) += (answer.choice == j) ? log_correct : log_wrong;
+      }
+    }
+  }
+  return log_numer;
+}
+
+/// M^(i) from the reference log numerators: a stable softmax per row.
+Matrix ReferenceTruthMatrix(const Task& task,
+                            const std::vector<Answer>& task_answers,
+                            const std::vector<WorkerQuality>& qualities,
+                            double quality_clamp) {
+  const Matrix log_numer =
+      ReferenceLogNumerator(task, task_answers, qualities, quality_clamp);
+  Matrix truth_matrix(log_numer.rows(), log_numer.cols());
+  for (size_t k = 0; k < log_numer.rows(); ++k) {
+    const std::vector<double> row = log_numer.Row(k);
+    const double lse = LogSumExp(row);
+    for (size_t j = 0; j < row.size(); ++j) {
+      truth_matrix(k, j) = std::exp(row[j] - lse);
+    }
+  }
+  return truth_matrix;
+}
+
+std::vector<double> TruthOf(const Task& task, const Matrix& truth_matrix) {
+  std::vector<double> s = truth_matrix.LeftMultiply(task.domain_vector);
+  NormalizeInPlace(s);
+  return s;
+}
+
+/// Tasks covering every kernel branch: l in {1, 2, 3, 5} crossed with 0, 1,
+/// 2 and 60 answers from distinct workers, plus single-answer tasks that
+/// share a (worker, l, choice) memo or differ from one only in the choice.
+struct KernelInstance {
+  std::vector<Task> tasks;
+  std::vector<std::vector<Answer>> answers_of_task;
+  std::vector<WorkerQuality> qualities;
+};
+
+KernelInstance MakeKernelInstance(size_t m, uint64_t seed) {
+  constexpr size_t kChoiceCounts[] = {1, 2, 3, 5};
+  constexpr size_t kAnswerCounts[] = {0, 1, 2, 60};
+  constexpr size_t kWorkers = 80;
+  KernelInstance instance;
+  Rng rng(seed);
+  auto add_task = [&](size_t l) {
+    Task task;
+    task.domain_vector = rng.Dirichlet(m, 0.5);
+    task.num_choices = l;
+    instance.tasks.push_back(task);
+    instance.answers_of_task.emplace_back();
+    return instance.tasks.size() - 1;
+  };
+  for (size_t repeat = 0; repeat < 2; ++repeat) {
+    for (size_t count : kAnswerCounts) {
+      for (size_t l : kChoiceCounts) {
+        const size_t i = add_task(l);
+        std::vector<size_t> order(kWorkers);
+        for (size_t w = 0; w < kWorkers; ++w) order[w] = w;
+        rng.Shuffle(order);
+        for (size_t a = 0; a < count; ++a) {
+          instance.answers_of_task[i].push_back(
+              {i, order[a], rng.UniformInt(l)});
+        }
+      }
+    }
+  }
+  // Worker 3 answers choice 1 of two l = 3 tasks (one shared memo) and
+  // choice 2 of a third (its own memo); worker 4 answers l = 5 and l = 2.
+  for (size_t choice : {1, 1, 2}) {
+    const size_t i = add_task(3);
+    instance.answers_of_task[i].push_back({i, 3, choice});
+  }
+  for (size_t l : {5, 2}) {
+    const size_t i = add_task(l);
+    instance.answers_of_task[i].push_back({i, 4, l - 1});
+  }
+  instance.qualities.resize(kWorkers);
+  for (auto& q : instance.qualities) {
+    q.quality.resize(m);
+    // Some qualities fall outside [clamp, 1 - clamp] so the clamp matters.
+    for (auto& v : q.quality) v = rng.UniformDoubleRange(0.001, 0.999);
+    q.weight.assign(m, 1.0);
+  }
+  return instance;
+}
+
+struct KernelOutput {
+  std::vector<Matrix> truth_matrices;
+  std::vector<std::vector<double>> task_truth;
+  std::vector<Matrix> log_numerators;
+};
+
+/// Runs `kernel` once on `qualities` into fresh buffers (log numerators
+/// pre-shaped as the incremental engine keeps them).
+KernelOutput RunKernel(TruthStepKernel& kernel, const KernelInstance& instance,
+                       const std::vector<WorkerQuality>& qualities,
+                       double clamp, ThreadPool* pool) {
+  KernelOutput out;
+  const size_t n = instance.tasks.size();
+  out.truth_matrices.resize(n);
+  out.task_truth.resize(n);
+  for (const Task& task : instance.tasks) {
+    out.log_numerators.emplace_back(task.domain_vector.size(),
+                                    task.num_choices, 0.0);
+  }
+  kernel.Run(qualities, clamp, pool, &out.truth_matrices, &out.task_truth,
+             &out.log_numerators);
+  return out;
+}
+
+void ExpectKernelMatchesReference(const KernelInstance& instance,
+                                  const std::vector<WorkerQuality>& qualities,
+                                  double clamp, const KernelOutput& out) {
+  for (size_t i = 0; i < instance.tasks.size(); ++i) {
+    const Task& task = instance.tasks[i];
+    const auto& answers = instance.answers_of_task[i];
+    const Matrix expected =
+        ComputeTruthMatrix(task, answers, qualities, clamp);
+    EXPECT_TRUE(SameBits(out.truth_matrices[i].data(), expected.data()))
+        << "task " << i << " (l=" << task.num_choices << ", "
+        << answers.size() << " answers)";
+    EXPECT_TRUE(SameBits(
+        expected.data(),
+        ReferenceTruthMatrix(task, answers, qualities, clamp).data()))
+        << "task " << i;
+    EXPECT_TRUE(SameBits(out.task_truth[i], TruthOf(task, expected)))
+        << "task " << i;
+    EXPECT_TRUE(SameBits(
+        out.log_numerators[i].data(),
+        ReferenceLogNumerator(task, answers, qualities, clamp).data()))
+        << "task " << i;
+  }
+}
+
+TEST(TruthStepKernelTest, MatchesPerTaskReferenceBitwise) {
+  const KernelInstance instance = MakeKernelInstance(6, 101);
+  // A second quality set checks that reusing the kernel (as every EM
+  // iteration does) rebuilds its tables instead of serving stale ones.
+  std::vector<WorkerQuality> second = instance.qualities;
+  Rng rng(102);
+  for (auto& q : second) {
+    for (auto& v : q.quality) v = rng.UniformDoubleRange(0.2, 0.95);
+  }
+  for (size_t threads : kThreadSweep) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<ThreadPool> pool =
+        threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+    TruthStepKernel kernel(instance.tasks, instance.answers_of_task,
+                           instance.qualities.size());
+    ExpectKernelMatchesReference(
+        instance, instance.qualities, 0.01,
+        RunKernel(kernel, instance, instance.qualities, 0.01, pool.get()));
+    ExpectKernelMatchesReference(
+        instance, second, 0.01,
+        RunKernel(kernel, instance, second, 0.01, pool.get()));
+  }
+}
+
+TEST(TruthStepKernelTest, ZeroClampWithExtremeQualitiesMatchesBitwise) {
+  // quality_clamp = 0 lets log(0) = -inf into the tables. Worker 0 is
+  // perfect, worker 1 always wrong, workers 2-3 middling; no task pairs the
+  // perfect and the always-wrong worker (that row could be all -inf, whose
+  // softmax is NaN).
+  const size_t m = 3;
+  KernelInstance instance;
+  Rng rng(103);
+  const std::vector<std::vector<size_t>> workers_of_task = {
+      {}, {0}, {1}, {0, 2}, {1, 3}, {2, 3}, {0, 2, 3}, {1, 2, 3}, {0}, {1}};
+  for (size_t i = 0; i < workers_of_task.size(); ++i) {
+    Task task;
+    task.domain_vector = rng.Dirichlet(m, 1.0);
+    task.num_choices = i % 2 == 0 ? 2 : 3;
+    instance.tasks.push_back(task);
+    instance.answers_of_task.emplace_back();
+    for (size_t w : workers_of_task[i]) {
+      instance.answers_of_task[i].push_back(
+          {i, w, rng.UniformInt(task.num_choices)});
+    }
+  }
+  instance.qualities.resize(4);
+  instance.qualities[0].quality.assign(m, 1.0);
+  instance.qualities[1].quality.assign(m, 0.0);
+  instance.qualities[2].quality = {0.6, 0.3, 0.9};
+  instance.qualities[3].quality = {0.8, 0.7, 0.9};
+  for (auto& q : instance.qualities) q.weight.assign(m, 1.0);
+
+  TruthStepKernel kernel(instance.tasks, instance.answers_of_task, 4);
+  const KernelOutput out =
+      RunKernel(kernel, instance, instance.qualities, 0.0, nullptr);
+  ExpectKernelMatchesReference(instance, instance.qualities, 0.0, out);
+  for (const Matrix& truth_matrix : out.truth_matrices) {
+    for (double v : truth_matrix.data()) EXPECT_TRUE(std::isfinite(v));
+  }
+  // The perfect worker's lone answer is certain in every domain.
+  const size_t choice = instance.answers_of_task[1][0].choice;
+  for (size_t k = 0; k < m; ++k) {
+    EXPECT_EQ(out.truth_matrices[1](k, choice), 1.0);
+  }
+}
+
+/// TruthInference::Run with step 1 done the pre-kernel way (one
+/// ReferenceTruthMatrix per task per iteration); everything else copies Run.
+TruthInferenceResult ReferenceRun(const TruthInferenceOptions& options,
+                                  const std::vector<Task>& tasks,
+                                  size_t num_workers,
+                                  const std::vector<Answer>& answers,
+                                  const std::vector<WorkerQuality>* seeds) {
+  const size_t n = tasks.size();
+  const size_t m = n == 0 ? 0 : tasks[0].domain_vector.size();
+  TruthInferenceResult result;
+  result.task_truth.resize(n);
+  result.truth_matrices.resize(n);
+  result.inferred_choice.assign(n, 0);
+  std::vector<std::vector<Answer>> answers_of_task(n);
+  for (const Answer& answer : answers) {
+    if (answer.task >= n || answer.worker >= num_workers ||
+        answer.choice >= tasks[answer.task].num_choices ||
+        tasks[answer.task].domain_vector.size() != m) {
+      continue;
+    }
+    answers_of_task[answer.task].push_back(answer);
+  }
+  std::vector<std::vector<std::pair<size_t, size_t>>> answers_of_worker(
+      num_workers);
+  for (size_t i = 0; i < n; ++i) {
+    for (const Answer& answer : answers_of_task[i]) {
+      answers_of_worker[answer.worker].push_back({i, answer.choice});
+    }
+  }
+  result.worker_quality.resize(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
+    if (seeds != nullptr && w < seeds->size() &&
+        (*seeds)[w].quality.size() == m) {
+      result.worker_quality[w] = (*seeds)[w];
+    } else {
+      result.worker_quality[w].quality.assign(m, options.default_quality);
+      result.worker_quality[w].weight.assign(m, 0.0);
+    }
+  }
+  const std::vector<WorkerQuality> seeded = result.worker_quality;
+  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+    const std::vector<std::vector<double>> prev_truth = result.task_truth;
+    for (size_t i = 0; i < n; ++i) {
+      result.truth_matrices[i] =
+          ReferenceTruthMatrix(tasks[i], answers_of_task[i],
+                               result.worker_quality, options.quality_clamp);
+      result.task_truth[i] = TruthOf(tasks[i], result.truth_matrices[i]);
+    }
+    const std::vector<WorkerQuality> prev_quality = result.worker_quality;
+    for (size_t w = 0; w < num_workers; ++w) {
+      std::vector<double> numer(m, 0.0);
+      std::vector<double> denom(m, 0.0);
+      for (const auto& [task, choice] : answers_of_worker[w]) {
+        const auto& r = tasks[task].domain_vector;
+        const double s_iv = result.task_truth[task][choice];
+        for (size_t k = 0; k < m; ++k) {
+          numer[k] += r[k] * s_iv;
+          denom[k] += r[k];
+        }
+      }
+      double overall_numer =
+          options.quality_prior_strength * options.default_quality;
+      double overall_denom = options.quality_prior_strength;
+      for (size_t k = 0; k < m; ++k) {
+        overall_numer +=
+            numer[k] + seeded[w].quality[k] * seeded[w].weight[k];
+        overall_denom += denom[k] + seeded[w].weight[k];
+      }
+      const double overall_quality = overall_denom > 0.0
+                                         ? overall_numer / overall_denom
+                                         : options.default_quality;
+      for (size_t k = 0; k < m; ++k) {
+        const double seed_mass = seeded[w].weight[k];
+        const double prior_numer =
+            seeded[w].quality[k] * seed_mass +
+            overall_quality * options.quality_prior_strength;
+        const double prior_mass = seed_mass + options.quality_prior_strength;
+        const double total_mass = denom[k] + prior_mass;
+        result.worker_quality[w].quality[k] =
+            total_mass > 0.0 ? (numer[k] + prior_numer) / total_mass
+                             : seeded[w].quality[k];
+        result.worker_quality[w].weight[k] = denom[k] + seed_mass;
+      }
+    }
+    double delta = 0.0;
+    if (iter > 0) {
+      double truth_change = 0.0;
+      size_t truth_terms = 0;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < result.task_truth[i].size(); ++j) {
+          truth_change +=
+              std::fabs(result.task_truth[i][j] - prev_truth[i][j]);
+          ++truth_terms;
+        }
+      }
+      double quality_change = 0.0;
+      for (size_t w = 0; w < num_workers; ++w) {
+        for (size_t k = 0; k < m; ++k) {
+          quality_change += std::fabs(result.worker_quality[w].quality[k] -
+                                      prev_quality[w].quality[k]);
+        }
+      }
+      delta = (truth_terms > 0
+                   ? truth_change / static_cast<double>(truth_terms)
+                   : 0.0) +
+              (num_workers * m > 0
+                   ? quality_change / static_cast<double>(num_workers * m)
+                   : 0.0);
+      result.delta_history.push_back(delta);
+    }
+    result.iterations_run = iter + 1;
+    if (iter > 0 && delta < options.tolerance) break;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!result.task_truth[i].empty()) {
+      result.inferred_choice[i] = ArgMax(result.task_truth[i]);
+    }
+  }
+  return result;
+}
+
+TEST(TruthStepKernelTest, RunMatchesPreKernelEmBitwiseAtEveryThreadCount) {
+  // Campaign-shaped answer matrix with mixed l: most tasks unanswered, many
+  // with one answer, a few golden-like tasks with 60, seeded qualities for
+  // half the workers.
+  const size_t n = 400, m = 5, num_workers = 90;
+  Rng rng(104);
+  std::vector<Task> tasks(n);
+  for (size_t i = 0; i < n; ++i) {
+    tasks[i].domain_vector = rng.Dirichlet(m, 0.5);
+    tasks[i].num_choices = i % 7 == 0 ? 5 : (i % 3 == 0 ? 3 : 2);
+  }
+  tasks[1].num_choices = 1;
+  std::vector<Answer> answers;
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t w = 0; w < 60; ++w) {
+      answers.push_back({i, (w * 7 + i) % num_workers,
+                         rng.UniformInt(tasks[i].num_choices)});
+    }
+  }
+  for (size_t a = 0; a < 300; ++a) {
+    const size_t i = 6 + rng.UniformInt(n - 6);
+    const size_t w = rng.UniformInt(num_workers);
+    if (std::any_of(answers.begin(), answers.end(), [&](const Answer& x) {
+          return x.task == i && x.worker == w;
+        })) {
+      continue;
+    }
+    answers.push_back({i, w, rng.UniformInt(tasks[i].num_choices)});
+  }
+  std::vector<WorkerQuality> seeds(num_workers / 2);
+  for (auto& seed : seeds) {
+    seed.quality.resize(m);
+    for (auto& q : seed.quality) q = rng.UniformDoubleRange(0.4, 0.95);
+    seed.weight.assign(m, 2.0);
+  }
+
+  for (double tolerance : {0.0, 1e-4}) {
+    TruthInferenceOptions options;
+    options.tolerance = tolerance;
+    const TruthInferenceResult expected =
+        ReferenceRun(options, tasks, num_workers, answers, &seeds);
+    for (size_t threads : kThreadSweep) {
+      SCOPED_TRACE(testing::Message() << "tolerance " << tolerance
+                                      << ", threads " << threads);
+      options.num_threads = threads;
+      const TruthInferenceResult got =
+          TruthInference(options).Run(tasks, num_workers, answers, &seeds);
+      EXPECT_EQ(got.iterations_run, expected.iterations_run);
+      EXPECT_TRUE(SameBits(got.delta_history, expected.delta_history));
+      EXPECT_EQ(got.inferred_choice, expected.inferred_choice);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(SameBits(got.task_truth[i], expected.task_truth[i]))
+            << "task " << i;
+        EXPECT_TRUE(SameBits(got.truth_matrices[i].data(),
+                             expected.truth_matrices[i].data()))
+            << "task " << i;
+      }
+      for (size_t w = 0; w < num_workers; ++w) {
+        EXPECT_TRUE(SameBits(got.worker_quality[w].quality,
+                             expected.worker_quality[w].quality))
+            << "worker " << w;
+        EXPECT_TRUE(SameBits(got.worker_quality[w].weight,
+                             expected.worker_quality[w].weight))
+            << "worker " << w;
+      }
+    }
+  }
 }
 
 }  // namespace
