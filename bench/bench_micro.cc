@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -422,6 +423,42 @@ void BM_ServeRequestTasksColdFused(benchmark::State& state) {
                         /*reference_kernel=*/false);
 }
 BENCHMARK(BM_ServeRequestTasksColdFused);
+
+// One worker's full cold OTA pass in the campaign shape the serving
+// benchmark loads: QA-4000 (m = 26, l = 2 and 3), a settled multi-worker
+// state (8 workers' answers plus one full EM), and every task rescored
+// from live state without the cache — the work of a request whose worker
+// epoch or generation moved. Reports ns per scored task and the task mix.
+void BM_OtaColdPassCampaignShape(benchmark::State& state) {
+  auto system = MakeServingSystem(/*benefit_cache=*/true,
+                                  /*reference_kernel=*/false,
+                                  /*num_tasks=*/4000, /*benefit_index=*/true);
+  system->RunFullInference();
+  const size_t worker = system->WorkerIndex("bench_w0");
+  const size_t n = system->tasks().size();
+  size_t two_choice = 0;
+  for (const auto& task : system->tasks()) {
+    if (task.num_choices == 2) ++two_choice;
+  }
+  uint64_t iters = 0;
+  double ns = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(
+        system->ScoreAllTasks(worker, /*bypass_cache=*/true));
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+    ++iters;
+  }
+  if (iters > 0) {
+    state.counters["ns/score"] =
+        ns / (static_cast<double>(iters) * static_cast<double>(n));
+  }
+  state.counters["tasks_l2"] = static_cast<double>(two_choice);
+  state.counters["tasks_l3+"] = static_cast<double>(n - two_choice);
+}
+BENCHMARK(BM_OtaColdPassCampaignShape)->Unit(benchmark::kMillisecond);
 
 // WorkerStore in-memory put+merge throughput.
 void BM_WorkerStoreMerge(benchmark::State& state) {

@@ -35,7 +35,8 @@ constexpr uint64_t kTicketChunkMask = 0xffffffffULL;
 }  // namespace
 
 size_t ThreadPool::DrainChunks(uint64_t generation,
-                               const std::function<void(size_t)>* fn) {
+                               const std::function<void(size_t)>* fn,
+                               size_t num_chunks) {
   const uint64_t gen_tag = generation << kTicketGenShift;
   size_t ran = 0;
   uint64_t ticket = ticket_.load(std::memory_order_acquire);
@@ -47,7 +48,11 @@ size_t ThreadPool::DrainChunks(uint64_t generation,
     // would burn a chunk of the new job before the check.
     if ((ticket & ~kTicketChunkMask) != gen_tag) return ran;
     const size_t chunk = static_cast<size_t>(ticket & kTicketChunkMask);
-    if (chunk >= num_chunks_.load(std::memory_order_relaxed)) return ran;
+    // The bound is the job's own chunk count, captured with `fn` under the
+    // mutex. Reading a shared "current job" count here would let a straggler
+    // pair its stale ticket with the NEXT job's larger count and claim an
+    // index this job never had, calling a dead (or re-used) fn.
+    if (chunk >= num_chunks) return ran;
     if (!ticket_.compare_exchange_weak(ticket, ticket + 1,
                                        std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
@@ -72,6 +77,7 @@ void ThreadPool::WorkerLoop() {
   uint64_t seen_generation = 0;
   for (;;) {
     const std::function<void(size_t)>* job = nullptr;
+    size_t job_chunks = 0;
     {
       MutexLock lock(&mutex_);
       // Explicit predicate loop (not a wait-with-lambda): the guarded reads
@@ -83,16 +89,15 @@ void ThreadPool::WorkerLoop() {
       if (shutdown_) return;
       seen_generation = generation_;
       job = job_;
+      job_chunks = num_chunks_;
     }
-    const size_t ran = DrainChunks(seen_generation, job);
+    const size_t ran = DrainChunks(seen_generation, job, job_chunks);
     if (ran > 0) {
       // Having claimed a chunk of this generation pins Run() in its wait
-      // until we report, so num_chunks_ still belongs to this job here.
+      // until we report, so completed_ still counts this job here.
       MutexLock lock(&mutex_);
       completed_ += ran;
-      if (completed_ == num_chunks_.load(std::memory_order_relaxed)) {
-        done_cv_.NotifyAll();
-      }
+      if (completed_ == job_chunks) done_cv_.NotifyAll();
     }
   }
 }
@@ -109,7 +114,7 @@ void ThreadPool::Run(size_t num_chunks, const std::function<void(size_t)>& fn) {
   {
     MutexLock lock(&mutex_);
     job_ = &fn;
-    num_chunks_.store(num_chunks, std::memory_order_relaxed);
+    num_chunks_ = num_chunks;
     completed_ = 0;
     // The pool's own job-generation tag, unrelated to the inference engine's
     // invalidation counter of the same name.
@@ -119,7 +124,7 @@ void ThreadPool::Run(size_t num_chunks, const std::function<void(size_t)>& fn) {
     ticket_.store(generation << kTicketGenShift, std::memory_order_release);
   }
   work_cv_.NotifyAll();
-  const size_t ran = DrainChunks(generation, &fn);
+  const size_t ran = DrainChunks(generation, &fn, num_chunks);
   std::exception_ptr error;
   {
     MutexLock lock(&mutex_);
@@ -130,7 +135,7 @@ void ThreadPool::Run(size_t num_chunks, const std::function<void(size_t)>& fn) {
     // claimed none are fenced off fn by the generation tag. Safe to drop the
     // job and let the caller's fn die.
     job_ = nullptr;
-    num_chunks_.store(0, std::memory_order_relaxed);
+    num_chunks_ = 0;
     error = first_error_;
     first_error_ = nullptr;
   }

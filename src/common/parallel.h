@@ -73,10 +73,12 @@ class ThreadPool {
   void WorkerLoop() DOCS_EXCLUDES(mutex_);
   /// Claims and executes chunks of the job tagged `generation` until none
   /// remain or the ticket's generation moves on; returns the number of chunks
-  /// this thread completed. `fn` is dereferenced only after a successful
-  /// claim, which proves the job (and the caller's fn) is still alive.
-  size_t DrainChunks(uint64_t generation, const std::function<void(size_t)>* fn)
-      DOCS_EXCLUDES(mutex_);
+  /// this thread completed. `num_chunks` is that job's chunk count, read
+  /// under mutex_ together with `fn` and `generation`. `fn` is dereferenced
+  /// only after a successful claim below `num_chunks`, which proves the job
+  /// (and the caller's fn) is still alive.
+  size_t DrainChunks(uint64_t generation, const std::function<void(size_t)>* fn,
+                     size_t num_chunks) DOCS_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
   Mutex mutex_;
@@ -90,10 +92,10 @@ class ThreadPool {
   /// fn from) a later job — the tag mismatch fences it off. Wrap-around would
   /// need a worker to stall across exactly 2^32 Run() generations.
   std::atomic<uint64_t> ticket_{0};
-  /// Chunk count of the active job. Atomic because stragglers from an older
-  /// generation may load it while Run() resets it; the generation-checked
-  /// claim ensures a stale value never admits an fn call.
-  std::atomic<size_t> num_chunks_{0};
+  /// Chunk count of the active job, published with job_ and generation_.
+  /// Workers copy all three under the mutex, so a claim is only ever
+  /// bounded by the count of the job its ticket generation names.
+  size_t num_chunks_ DOCS_GUARDED_BY(mutex_) = 0;
   size_t completed_ DOCS_GUARDED_BY(mutex_) = 0;
   uint64_t generation_ DOCS_GUARDED_BY(mutex_) = 0;  ///< bumped per Run()
   std::exception_ptr first_error_ DOCS_GUARDED_BY(mutex_);  ///< see Run()

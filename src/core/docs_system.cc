@@ -50,33 +50,164 @@ BenefitIndex* DocsSystem::IndexRow(size_t worker) {
   return &benefit_index_[worker];
 }
 
-double DocsSystem::ScoreOne(size_t task,
-                            const std::function<double(size_t)>& score,
-                            std::vector<CachedBenefit>* cache,
-                            uint64_t worker_epoch,
-                            const uint64_t* task_epochs, uint64_t generation,
-                            std::atomic<bool>* saw_miss) {
-  if (cache == nullptr) return score(task);
-  CachedBenefit& entry = (*cache)[task];
-  const uint64_t task_epoch = task_epochs[task];
-  if (entry.task_epoch == task_epoch && entry.worker_epoch == worker_epoch &&
-      entry.generation == generation) {
-    benefit_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+DocsSystem::ScoringPass DocsSystem::LivePass(
+    size_t worker, std::vector<CachedBenefit>* cache,
+    ShardScratch* scratch) const {
+  ScoringPass pass;
+  pass.cache = cache;
+  pass.worker_epoch = cache != nullptr ? inference_->worker_epoch(worker) : 0;
+  pass.task_epochs = inference_->task_epochs().data();
+  pass.generation = cache != nullptr ? inference_->generation() : 0;
+  StageWorker(inference_->worker_quality(worker).quality, &pass, scratch);
+  return pass;
+}
+
+DocsSystem::ScoringPass DocsSystem::SnapshotPass(
+    const InferenceSnapshot& snap, const WorkerSnapshot& view,
+    ShardScratch* scratch) const {
+  // The cache keys on the snapshot-copied epochs: epochs are monotonic, so
+  // an entry written against a newer snapshot (or by the exclusive path)
+  // self-invalidates here, and a hit always reproduces the score this
+  // snapshot's posteriors would yield.
+  ScoringPass pass;
+  pass.snap = &snap;
+  pass.cache = options_.benefit_cache ? view.cache_row : nullptr;
+  pass.worker_epoch = view.epoch;
+  pass.task_epochs = snap.task_epochs.data();
+  pass.generation = snap.generation;
+  StageWorker(view.quality, &pass, scratch);
+  return pass;
+}
+
+void DocsSystem::StageWorker(const std::vector<double>& worker_quality,
+                             ScoringPass* pass, ShardScratch* scratch) const {
+  // kUncertainty ignores the worker; the others read her quality vector.
+  if (options_.selection_rule == SelectionRule::kUncertainty) return;
+  pass->quality = &worker_quality;
+  if (options_.selection_rule == SelectionRule::kDomainMax) return;
+  if (options_.selection_rule == SelectionRule::kQualityBlind) {
+    // Ablation: flatten the worker's profile to its mean — the benefit
+    // still reacts to confidence but no longer to domain match.
+    double mean = 0.0;
+    for (double q : worker_quality) mean += q;
+    mean /= std::max<size_t>(1, worker_quality.size());
+    scratch->quality.assign(worker_quality.size(), mean);
+    pass->quality = &scratch->quality;
+  }
+  if (!options_.reference_kernel) pass->factors = &scratch->factors;
+}
+
+void DocsSystem::HoistFactors(ScoringPass* pass) const {
+  if (pass->factors == nullptr || pass->factors_hoisted) return;
+  // Per request: clamp and wrong-answer factors once per (choice count,
+  // domain) instead of once per task.
+  pass->factors->Hoist(*pass->quality, options_.assigner.quality_clamp,
+                       support_.num_domains(), support_.choice_counts());
+  pass->factors_hoisted = true;
+}
+
+double DocsSystem::Score(const ScoringPass& pass, size_t task) const {
+  if (options_.selection_rule == SelectionRule::kDomainMax) {
+    // D-Max: rank by domain match sum_k r_k q^w_k only.
+    const std::vector<double>& quality = *pass.quality;
+    double match = 0.0;
+    for (size_t d = 0; d < quality.size(); ++d) {
+      match += tasks_[task].domain_vector[d] * quality[d];
+    }
+    return match;
+  }
+  // The one difference between the serving paths: where M^(i) and s_i live.
+  const std::vector<double>& truth = pass.snap != nullptr
+                                         ? pass.snap->tasks[task]->truth
+                                         : inference_->task_truth(task);
+  if (options_.selection_rule == SelectionRule::kUncertainty) {
+    // Ablation: most ambiguous tasks first, worker ignored.
+    return Entropy(truth);
+  }
+  const Matrix& truth_matrix = pass.snap != nullptr
+                                   ? pass.snap->tasks[task]->truth_matrix
+                                   : inference_->truth_matrix(task);
+  if (pass.factors == nullptr) {
+    return Benefit(tasks_[task], truth_matrix, truth, *pass.quality,
+                   options_.assigner.quality_clamp);
+  }
+  DOCS_DCHECK(pass.factors_hoisted);
+  return TaskBenefit(support_, task, tasks_[task], *pass.factors, truth_matrix,
+                     truth);
+}
+
+namespace {
+
+bool EntryFresh(const CachedBenefit& entry, uint64_t task_epoch,
+                uint64_t worker_epoch, uint64_t generation) {
+  return entry.task_epoch == task_epoch && entry.worker_epoch == worker_epoch &&
+         entry.generation == generation;
+}
+
+}  // namespace
+
+double DocsSystem::ScoreCached(ScoringPass* pass, size_t task) const {
+  DOCS_DCHECK(pass->cache != nullptr);  // index repairs imply the cache
+  CachedBenefit& entry = (*pass->cache)[task];
+  const uint64_t task_epoch = pass->task_epochs[task];
+  if (EntryFresh(entry, task_epoch, pass->worker_epoch, pass->generation)) {
+    ++pass->hits;
     return entry.benefit;
   }
-  const double value = score(task);
-  entry = {task_epoch, worker_epoch, generation, value};
-  benefit_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (saw_miss != nullptr) saw_miss->store(true, std::memory_order_relaxed);
+  HoistFactors(pass);
+  const double value = Score(*pass, task);
+  entry = {task_epoch, pass->worker_epoch, pass->generation, value};
+  ++pass->misses;
   return value;
 }
 
-std::vector<size_t> DocsSystem::RankCore(
-    const std::vector<uint8_t>& eligible, size_t k,
-    const std::function<double(size_t)>& score,
-    std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-    const uint64_t* task_epochs, uint64_t generation, ThreadPool* pool,
-    std::atomic<bool>* saw_miss, bool* had_candidates) {
+void DocsSystem::ScoreEntries(ScoringPass* pass,
+                              std::vector<ScoredTask>* entries,
+                              ThreadPool* pool) const {
+  std::vector<ScoredTask>& scored = *entries;
+  if (pass->cache == nullptr) {
+    if (!scored.empty()) HoistFactors(pass);
+    ParallelFor(pool, scored.size(), [&](size_t s) {
+      scored[s].value = Score(*pass, scored[s].task);
+    });
+    return;
+  }
+  std::vector<CachedBenefit>& cache = *pass->cache;
+  std::vector<size_t> misses;
+  for (size_t s = 0; s < scored.size(); ++s) {
+    const CachedBenefit& entry = cache[scored[s].task];
+    if (EntryFresh(entry, pass->task_epochs[scored[s].task],
+                   pass->worker_epoch, pass->generation)) {
+      scored[s].value = entry.benefit;
+    } else {
+      misses.push_back(s);
+    }
+  }
+  if (!misses.empty()) HoistFactors(pass);
+  const ScoringPass& key = *pass;
+  ParallelFor(pool, misses.size(), [&](size_t x) {
+    ScoredTask& slot = scored[misses[x]];
+    slot.value = Score(key, slot.task);
+    cache[slot.task] = {key.task_epochs[slot.task], key.worker_epoch,
+                        key.generation, slot.value};
+  });
+  pass->hits += scored.size() - misses.size();
+  pass->misses += misses.size();
+}
+
+void DocsSystem::PublishTally(const ScoringPass& pass) {
+  if (pass.hits > 0) {
+    benefit_cache_hits_.fetch_add(pass.hits, std::memory_order_relaxed);
+  }
+  if (pass.misses > 0) {
+    benefit_cache_misses_.fetch_add(pass.misses, std::memory_order_relaxed);
+  }
+}
+
+std::vector<size_t> DocsSystem::RankCore(const std::vector<uint8_t>& eligible,
+                                         size_t k, ScoringPass* pass,
+                                         ThreadPool* pool,
+                                         bool* had_candidates) {
   DOCS_CHECK_EQ(eligible.size(), tasks_.size());
   std::vector<ScoredTask> scored;
   scored.reserve(tasks_.size());
@@ -84,32 +215,22 @@ std::vector<size_t> DocsSystem::RankCore(
     if (eligible[i]) scored.push_back({i, 0.0});
   }
   *had_candidates = !scored.empty();
-  ParallelFor(pool, scored.size(), [&](size_t s) {
-    scored[s].value = ScoreOne(scored[s].task, score, cache, worker_epoch,
-                               task_epochs, generation, saw_miss);
-  });
+  ScoreEntries(pass, &scored, pool);
   return SelectTopKFromScored(&scored, k);
 }
 
 std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
-    size_t worker, BenefitIndex* index, size_t k,
-    const std::function<double(size_t)>& score,
-    std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-    const uint64_t* task_epochs, uint64_t generation,
-    const std::function<bool(size_t)>& eligible_one, ThreadPool* pool,
-    const InferenceSnapshot* snap, std::atomic<bool>* saw_miss) {
+    size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
+    const std::function<bool(size_t)>& eligible_one, ThreadPool* pool) {
   const size_t n = tasks_.size();
-  auto score_one = [&](size_t task) {
-    return ScoreOne(task, score, cache, worker_epoch, task_epochs, generation,
-                    saw_miss);
-  };
+  const InferenceSnapshot* snap = pass->snap;
   const BenefitIndex::Source source = snap == nullptr
                                           ? BenefitIndex::Source::kLive
                                           : BenefitIndex::Source::kSnapshot;
   // Sync the index: tags fresh + feed caught up = nothing to do; tags fresh
   // with a bounded feed gap = targeted repairs; anything else = rebuild.
   bool synced = false;
-  if (index->Fresh(source, worker_epoch, generation, n)) {
+  if (index->Fresh(source, pass->worker_epoch, pass->generation, n)) {
     size_t repaired = 0;
     if (snap == nullptr) {
       // Live source: replay the engine's mutation log from our cursor. Any
@@ -123,7 +244,7 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
         for (uint64_t seq = index->cursor(); seq < log_end; ++seq) {
           const size_t task = log[seq - log_begin];
           if (!index->contains(task)) continue;
-          index->Repair(task, score_one(task));
+          index->Repair(task, ScoreCached(pass, task));
           ++repaired;
         }
         index->set_cursor(log_end);
@@ -137,7 +258,7 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
       } else if (index->cursor() + 1 == snap->epoch) {
         for (size_t task : snap->changed_tasks) {
           if (!index->contains(task)) continue;
-          index->Repair(task, score_one(task));
+          index->Repair(task, ScoreCached(pass, task));
           ++repaired;
         }
         index->set_cursor(snap->epoch);
@@ -160,8 +281,10 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
         snap == nullptr ? &inference_->answered_tasks(worker) : nullptr;
     const uint64_t cursor =
         snap == nullptr ? inference_->mutation_log_end() : snap->epoch;
-    index->Rebuild(n, source, worker_epoch, generation, cursor, exclude,
-                   score_one, pool);
+    index->Rebuild(n, source, pass->worker_epoch, pass->generation, cursor,
+                   exclude, [&](std::vector<ScoredTask>* entries) {
+                     ScoreEntries(pass, entries, pool);
+                   });
     benefit_index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   }
 #if DOCS_DEBUG_CHECKS
@@ -181,25 +304,15 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
 }
 
 std::vector<size_t> DocsSystem::RankWithIndex(
-    size_t worker, BenefitIndex* index, size_t k,
-    const std::function<double(size_t)>& score,
-    std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-    const uint64_t* task_epochs, uint64_t generation,
+    size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
     const std::function<bool(size_t)>& eligible_one,
     const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
-    ThreadPool* pool, const InferenceSnapshot* snap) {
-  // One saw-miss flag spans the repair phase AND the scan fallback: a pass
-  // that recomputed any score anywhere is a request miss, exactly as on the
-  // pre-index scan path.
-  std::atomic<bool> saw_miss{false};
+    ThreadPool* pool) {
   bool had_candidates = false;
   std::vector<size_t> selected;
   bool served = false;
   if (index != nullptr) {
-    auto ranked =
-        TryRankViaIndex(worker, index, k, score, cache, worker_epoch,
-                        task_epochs, generation, eligible_one, pool, snap,
-                        &saw_miss);
+    auto ranked = TryRankViaIndex(worker, index, k, pass, eligible_one, pool);
     if (ranked.has_value()) {
       selected = std::move(*ranked);
       had_candidates = index->size() > 0;
@@ -207,14 +320,14 @@ std::vector<size_t> DocsSystem::RankWithIndex(
     }
   }
   if (!served) {
-    selected = RankCore(eligible_bitmap(), k, score, cache, worker_epoch,
-                        task_epochs, generation, pool, &saw_miss,
-                        &had_candidates);
+    selected = RankCore(eligible_bitmap(), k, pass, pool, &had_candidates);
   }
-  // Request-level accounting: the whole pass is one lookup from the serving
-  // path's point of view — fully cache-served or not.
-  if (cache != nullptr && had_candidates) {
-    if (saw_miss.load(std::memory_order_relaxed)) {
+  PublishTally(*pass);
+  // Request-level accounting: the whole pass — repair phase and scan
+  // fallback alike — is one lookup from the serving path's point of view:
+  // fully cache-served or not.
+  if (pass->cache != nullptr && had_candidates) {
+    if (pass->misses > 0) {
       benefit_cache_request_misses_.fetch_add(1, std::memory_order_relaxed);
     } else {
       benefit_cache_request_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -247,6 +360,7 @@ Status DocsSystem::AddTasks(const std::vector<TaskInput>& inputs,
     known_truth_.push_back(
         known_truths != nullptr ? static_cast<int>((*known_truths)[i]) : -1);
   }
+  support_ = BenefitSupport(tasks_);
 
   // Golden tasks are chosen after DVE (Section 5.2). Only tasks whose truth
   // the requester knows are eligible; when no truths were given the golden
@@ -361,22 +475,17 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
     return !HasAnsweredView(worker, task) && !AtAnswerCap(task);
   };
   auto eligible_bitmap = [this, worker]() -> const std::vector<uint8_t>& {
-    BuildEligibilityBitmap(worker, &eligible_scratch_);
-    return eligible_scratch_;
+    BuildEligibilityBitmap(worker, &serve_scratch_.eligible);
+    return serve_scratch_.eligible;
   };
 
   // All four rules share the same shape — rank eligible tasks by score, take
   // the top k — so they all route through RankWithIndex: the per-worker
   // benefit index when it can serve the request (DESIGN.md §16), otherwise
   // the deterministic parallel scan over the epoch-tagged benefit cache.
-  std::vector<CachedBenefit>* cache = CacheRow(worker);
-  const uint64_t worker_epoch =
-      cache != nullptr ? inference_->worker_epoch(worker) : 0;
-  const uint64_t generation = cache != nullptr ? inference_->generation() : 0;
-  auto selected = RankWithIndex(
-      worker, IndexRow(worker), k, MakeScoreFn(worker), cache, worker_epoch,
-      inference_->task_epochs().data(), generation, eligible_one,
-      eligible_bitmap, ScoringPool(), nullptr);
+  ScoringPass pass = LivePass(worker, CacheRow(worker), &serve_scratch_);
+  auto selected = RankWithIndex(worker, IndexRow(worker), k, &pass,
+                                eligible_one, eligible_bitmap, ScoringPool());
   GrantLeases(worker, selected);
   return selected;
 }
@@ -396,57 +505,6 @@ void DocsSystem::BuildEligibilityBitmap(size_t worker,
       if (AtAnswerCap(i)) (*eligible)[i] = 0;
     }
   }
-}
-
-std::function<double(size_t)> DocsSystem::MakeScoreFn(size_t worker) {
-  return MakeScoreFn(worker, quality_scratch_);
-}
-
-std::function<double(size_t)> DocsSystem::MakeScoreFn(
-    size_t worker, std::vector<double>& quality) {
-  if (options_.selection_rule == SelectionRule::kDomainMax) {
-    // D-Max: rank by domain match sum_k r_k q^w_k only.
-    quality = inference_->worker_quality(worker).quality;
-    return [this, &quality](size_t i) {
-      double match = 0.0;
-      for (size_t d = 0; d < quality.size(); ++d) {
-        match += tasks_[i].domain_vector[d] * quality[d];
-      }
-      return match;
-    };
-  }
-
-  if (options_.selection_rule == SelectionRule::kUncertainty) {
-    // Ablation: most ambiguous tasks first, worker ignored.
-    return [this](size_t i) { return Entropy(inference_->task_truth(i)); };
-  }
-
-  // Benefit rules score against the live inference state (no matrix copies),
-  // exactly as TaskAssigner::SelectTopK does.
-  quality = inference_->worker_quality(worker).quality;
-  if (options_.selection_rule == SelectionRule::kQualityBlind) {
-    // Ablation: flatten the worker's profile to its mean — the benefit
-    // still reacts to confidence but no longer to domain match.
-    double mean = 0.0;
-    for (double q : quality) mean += q;
-    mean /= std::max<size_t>(1, quality.size());
-    std::fill(quality.begin(), quality.end(), mean);
-  }
-  if (options_.reference_kernel) {
-    return [this, &quality](size_t i) {
-      return Benefit(tasks_[i], inference_->truth_matrix(i),
-                     inference_->task_truth(i), quality,
-                     options_.assigner.quality_clamp);
-    };
-  }
-  return [this, &quality](size_t i) {
-    // Per-thread arena: the scoring pass fans out over the pool, and the
-    // fused kernel's intermediates are private to one Benefit call.
-    thread_local BenefitScratch scratch;
-    return Benefit(tasks_[i], inference_->truth_matrix(i),
-                   inference_->task_truth(i), quality,
-                   options_.assigner.quality_clamp, &scratch);
-  };
 }
 
 bool DocsSystem::CanServeSharded(size_t worker) const {
@@ -486,11 +544,7 @@ std::vector<size_t> DocsSystem::ScoreAndRankSharded(size_t worker,
   BenefitIndex* index = (cache != nullptr && options_.benefit_index)
                             ? &benefit_index_[worker]
                             : nullptr;
-  const uint64_t worker_epoch =
-      cache != nullptr ? inference_->worker_epoch(worker) : 0;
-  const uint64_t generation = cache != nullptr ? inference_->generation() : 0;
-  const std::function<double(size_t)> score =
-      MakeScoreFn(worker, scratch.quality);
+  ScoringPass pass = LivePass(worker, cache, &scratch);
   // Eligibility was frozen into the scratch bitmap under the assign lock
   // (BeginShardedSelect); both the index walk and the scan fallback read that
   // same frozen view, so the two paths pick from an identical candidate set.
@@ -500,9 +554,8 @@ std::vector<size_t> DocsSystem::ScoreAndRankSharded(size_t worker,
   auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
     return scratch.eligible;
   };
-  return RankWithIndex(worker, index, k, score, cache, worker_epoch,
-                       inference_->task_epochs().data(), generation,
-                       eligible_one, eligible_bitmap, pool, nullptr);
+  return RankWithIndex(worker, index, k, &pass, eligible_one, eligible_bitmap,
+                       pool);
 }
 
 bool DocsSystem::CommitShardedSelect(size_t worker,
@@ -538,16 +591,14 @@ std::vector<double> DocsSystem::ScoreAllTasks(size_t worker,
                                               bool bypass_cache) {
   std::vector<double> scores(tasks_.size(), 0.0);
   if (worker >= workers_.size() || inference_ == nullptr) return scores;
-  const std::function<double(size_t)> score = MakeScoreFn(worker);
-  std::vector<CachedBenefit>* cache = bypass_cache ? nullptr : CacheRow(worker);
-  const uint64_t worker_epoch =
-      cache != nullptr ? inference_->worker_epoch(worker) : 0;
-  const uint64_t generation = cache != nullptr ? inference_->generation() : 0;
-  ParallelFor(ScoringPool(), tasks_.size(), [&](size_t i) {
-    // Test hook, not a serving pass: skip the request-level tally.
-    scores[i] = ScoreOne(i, score, cache, worker_epoch,
-                         inference_->task_epochs().data(), generation, nullptr);
-  });
+  ScoringPass pass = LivePass(
+      worker, bypass_cache ? nullptr : CacheRow(worker), &serve_scratch_);
+  std::vector<ScoredTask> entries(tasks_.size());
+  for (size_t i = 0; i < entries.size(); ++i) entries[i].task = i;
+  ScoreEntries(&pass, &entries, ScoringPool());
+  // Test hook, not a serving pass: row tallies only, no request-level tally.
+  PublishTally(pass);
+  for (size_t i = 0; i < entries.size(); ++i) scores[i] = entries[i].value;
   return scores;
 }
 
@@ -865,58 +916,12 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
   return snap;
 }
 
-std::function<double(size_t)> DocsSystem::MakeSnapshotScoreFn(
-    const InferenceSnapshot& snap, const WorkerSnapshot& view,
-    std::vector<double>& quality) {
-  if (options_.selection_rule == SelectionRule::kDomainMax) {
-    quality = view.quality;
-    return [this, &quality](size_t i) {
-      double match = 0.0;
-      for (size_t d = 0; d < quality.size(); ++d) {
-        match += tasks_[i].domain_vector[d] * quality[d];
-      }
-      return match;
-    };
-  }
-
-  if (options_.selection_rule == SelectionRule::kUncertainty) {
-    return [&snap](size_t i) { return Entropy(snap.tasks[i]->truth); };
-  }
-
-  quality = view.quality;
-  if (options_.selection_rule == SelectionRule::kQualityBlind) {
-    double mean = 0.0;
-    for (double q : quality) mean += q;
-    mean /= std::max<size_t>(1, quality.size());
-    std::fill(quality.begin(), quality.end(), mean);
-  }
-  if (options_.reference_kernel) {
-    return [this, &snap, &quality](size_t i) {
-      return Benefit(tasks_[i], snap.tasks[i]->truth_matrix,
-                     snap.tasks[i]->truth, quality,
-                     options_.assigner.quality_clamp);
-    };
-  }
-  return [this, &snap, &quality](size_t i) {
-    thread_local BenefitScratch scratch;
-    return Benefit(tasks_[i], snap.tasks[i]->truth_matrix, snap.tasks[i]->truth,
-                   quality, options_.assigner.quality_clamp, &scratch);
-  };
-}
-
 std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
     const InferenceSnapshot& snap, size_t worker, ShardScratch& scratch,
     size_t k, ThreadPool* pool) {
   const WorkerSnapshot& view = *snap.workers[worker];
-  // The cache keys on the snapshot-copied epochs: epochs are monotonic, so
-  // an entry written against a newer snapshot (or by the exclusive path)
-  // self-invalidates here, and a hit always reproduces the score this
-  // snapshot's posteriors would yield.
-  std::vector<CachedBenefit>* cache =
-      options_.benefit_cache ? view.cache_row : nullptr;
-  BenefitIndex* index = cache != nullptr ? view.index : nullptr;
-  const std::function<double(size_t)> score =
-      MakeSnapshotScoreFn(snap, view, scratch.quality);
+  ScoringPass pass = SnapshotPass(snap, view, &scratch);
+  BenefitIndex* index = pass.cache != nullptr ? view.index : nullptr;
   // Same frozen-bitmap discipline as the sharded sync path: eligibility was
   // captured under the assign lock, and both the index walk and the scan
   // fallback pick from that one candidate set.
@@ -926,9 +931,8 @@ std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
   auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
     return scratch.eligible;
   };
-  return RankWithIndex(worker, index, k, score, cache, view.epoch,
-                       snap.task_epochs.data(), snap.generation, eligible_one,
-                       eligible_bitmap, pool, &snap);
+  return RankWithIndex(worker, index, k, &pass, eligible_one, eligible_bitmap,
+                       pool);
 }
 
 void DocsSystem::OnAnswer(size_t worker, size_t task, size_t choice) {
@@ -1003,6 +1007,14 @@ Status DocsSystem::LoadCheckpoint(const std::string& path) {
   // as an abort or an out-of-bounds write.
   for (size_t i = 0; i < checkpoint->tasks.size(); ++i) {
     const auto& task = checkpoint->tasks[i];
+    // Every per-domain structure (worker quality, golden tallies, the
+    // scoring support) is sized to the KB's domain count.
+    if (task.domain_vector.size() != kb_->num_domains()) {
+      return DataLossError("checkpoint task " + std::to_string(i) + " spans " +
+                           std::to_string(task.domain_vector.size()) +
+                           " domains, KB has " +
+                           std::to_string(kb_->num_domains()));
+    }
     if (task.num_choices < 2) {
       return DataLossError("checkpoint task " + std::to_string(i) + " has " +
                            std::to_string(task.num_choices) + " choices");
@@ -1031,6 +1043,7 @@ Status DocsSystem::LoadCheckpoint(const std::string& path) {
     tasks_.push_back(std::move(restored));
     known_truth_.push_back(task.known_truth);
   }
+  support_ = BenefitSupport(tasks_);
   golden_ = GoldenSelectionResult{};
   golden_.tasks = checkpoint->golden_tasks;
   is_golden_.assign(tasks_.size(), 0);

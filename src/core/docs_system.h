@@ -284,7 +284,10 @@ class DocsSystem : public AssignmentPolicy {
   /// Reusable per-shard scoring buffers; guarded by the owning shard lock.
   struct ShardScratch {
     std::vector<uint8_t> eligible;
+    /// The flattened quality vector of the kQualityBlind rule.
     std::vector<double> quality;
+    /// The pass's hoisted benefit factors (DESIGN.md §11).
+    WorkerBenefitFactors factors;
   };
 
   /// True when `worker` can be served without the exclusive lock: she is
@@ -398,58 +401,91 @@ class DocsSystem : public AssignmentPolicy {
   /// exclusive scan fallback and the sharded phase-1 snapshot.
   void BuildEligibilityBitmap(size_t worker, std::vector<uint8_t>* eligible);
 
-  /// Builds the selection-rule scoring function for `worker`. Stages the
-  /// worker's (possibly flattened) quality vector in quality_scratch_, so
-  /// the returned callable must not outlive the current scoring pass.
-  std::function<double(size_t)> MakeScoreFn(size_t worker);
-  /// Same, staging the quality vector into caller-owned storage so sharded
-  /// passes for different workers never share scratch. The callable borrows
-  /// `quality` — it must outlive the scoring pass.
-  std::function<double(size_t)> MakeScoreFn(size_t worker,
-                                            std::vector<double>& quality);
+  /// One scoring pass (DESIGN.md §11): where the selection rule reads
+  /// M^(i) and s_i (live engine or a published snapshot), the worker's
+  /// staged quality and hoisted benefit factors, the cache row with its key,
+  /// and the pass's row-level hit/miss tallies — counted locally and
+  /// published with one atomic add each when the pass ends (PublishTally).
+  struct ScoringPass {
+    /// nullptr: score against the live engine.
+    const InferenceSnapshot* snap = nullptr;
+    /// The rule's quality vector (kDomainMax, benefit rules); borrowed from
+    /// the engine, the snapshot's worker view or the scratch, all of which
+    /// outlive the pass.
+    const std::vector<double>* quality = nullptr;
+    /// The benefit rules' factors, hoisted from *quality by the pass's first
+    /// rescore (HoistFactors), so a fully cache-served pass does no benefit
+    /// math. nullptr routes the benefit rules through the allocating
+    /// reference kernel (options.reference_kernel).
+    WorkerBenefitFactors* factors = nullptr;
+    bool factors_hoisted = false;
+    /// nullptr when the cache is disabled or bypassed.
+    std::vector<CachedBenefit>* cache = nullptr;
+    uint64_t worker_epoch = 0;
+    const uint64_t* task_epochs = nullptr;
+    uint64_t generation = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
 
-  /// The scan ranking core: scores every eligible task (over `pool` when
-  /// non-null), maintains the row-level cache counters, and returns the
-  /// ordered top-k through the shared PICK helper. `task_epochs` keys the
-  /// cache: the live engine's epochs on the sync paths, the published
-  /// snapshot's copy on the async serving path. Sets `*had_candidates` when
-  /// at least one task was eligible (the request-tally gate RankWithIndex
-  /// applies).
+  /// Opens a pass over live inference state for `worker`, staging into
+  /// `scratch` (which must outlive the pass). `cache` is her row or nullptr.
+  ScoringPass LivePass(size_t worker, std::vector<CachedBenefit>* cache,
+                       ShardScratch* scratch) const;
+  /// Opens a pass over the published snapshot `snap` for the worker `view`.
+  ScoringPass SnapshotPass(const InferenceSnapshot& snap,
+                           const WorkerSnapshot& view,
+                           ShardScratch* scratch) const;
+  /// Stages the selection rule's per-worker state of `*pass`: the quality
+  /// vector and, for the benefit rules, the factor storage.
+  void StageWorker(const std::vector<double>& worker_quality,
+                   ScoringPass* pass, ShardScratch* scratch) const;
+  /// Hoists the pass's benefit factors once, before its first Score call.
+  void HoistFactors(ScoringPass* pass) const;
+
+  /// The selection rule's score of `task`, uncached. Requires HoistFactors.
+  double Score(const ScoringPass& pass, size_t task) const;
+  /// One cached score for an index repair: probes the pass's cache row (the
+  /// index requires one) under its key, rescoring and refreshing the entry
+  /// on a miss, and tallies the probe in `*pass`.
+  double ScoreCached(ScoringPass* pass, size_t task) const;
+  /// Fills the value of every entry (distinct tasks): probes the cache for
+  /// all of them, then scores the misses as one batch over `pool`. Each miss
+  /// owns its entry and cache slot, so the result is thread-count invariant.
+  void ScoreEntries(ScoringPass* pass, std::vector<ScoredTask>* entries,
+                    ThreadPool* pool) const;
+  /// Adds the pass's row-level tallies to the lifetime counters.
+  void PublishTally(const ScoringPass& pass);
+
+  /// The scan ranking core: scores every eligible task in one batch (over
+  /// `pool` when non-null) and returns the ordered top-k through the shared
+  /// PICK helper. Sets `*had_candidates` when at least one task was
+  /// eligible (the request-tally gate RankWithIndex applies).
   std::vector<size_t> RankCore(const std::vector<uint8_t>& eligible, size_t k,
-                               const std::function<double(size_t)>& score,
-                               std::vector<CachedBenefit>* cache,
-                               uint64_t worker_epoch,
-                               const uint64_t* task_epochs,
-                               uint64_t generation, ThreadPool* pool,
-                               std::atomic<bool>* saw_miss,
+                               ScoringPass* pass, ThreadPool* pool,
                                bool* had_candidates);
 
   /// The index-accelerated ranking attempt (DESIGN.md §16): syncs `index` to
-  /// (worker_epoch, generation) — full rebuild on a tag mismatch or feed
-  /// gap, targeted repairs from the engine's mutation log (`snap` null) or
-  /// the snapshot's changed-task diff otherwise — then reads the top-k
-  /// eligible tasks off the heap. nullopt when the frontier walk exceeded
-  /// its skip budget; the caller falls back to the bit-identical scan.
+  /// the pass's (worker_epoch, generation) — full rebuild on a tag mismatch
+  /// or feed gap, targeted repairs from the engine's mutation log (live
+  /// pass) or the snapshot's changed-task diff otherwise — then reads the
+  /// top-k eligible tasks off the heap. nullopt when the frontier walk
+  /// exceeded its skip budget; the caller falls back to the bit-identical
+  /// scan.
   std::optional<std::vector<size_t>> TryRankViaIndex(
-      size_t worker, BenefitIndex* index, size_t k,
-      const std::function<double(size_t)>& score,
-      std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-      const uint64_t* task_epochs, uint64_t generation,
-      const std::function<bool(size_t)>& eligible_one, ThreadPool* pool,
-      const InferenceSnapshot* snap, std::atomic<bool>* saw_miss);
+      size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
+      const std::function<bool(size_t)>& eligible_one, ThreadPool* pool);
 
   /// The one ranking front door every serving path uses: tries the index
   /// (when non-null), falls back to the scan over `eligible_bitmap()` (built
-  /// lazily — the index fast path never pays the O(n) bitmap fill), and
-  /// tallies the request-level cache counters across whichever path served.
+  /// lazily — the index fast path never pays the O(n) bitmap fill), then
+  /// publishes the pass's row tallies and the request-level cache counters
+  /// across whichever path served.
   std::vector<size_t> RankWithIndex(
-      size_t worker, BenefitIndex* index, size_t k,
-      const std::function<double(size_t)>& score,
-      std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-      const uint64_t* task_epochs, uint64_t generation,
+      size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
       const std::function<bool(size_t)>& eligible_one,
       const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
-      ThreadPool* pool, const InferenceSnapshot* snap);
+      ThreadPool* pool);
 
   /// The worker's benefit-cache row sized to the task count, or nullptr when
   /// the cache is disabled.
@@ -460,16 +496,6 @@ class DocsSystem : public AssignmentPolicy {
   /// pre-sized references/pointers); nullptr when the index or the cache is
   /// disabled.
   BenefitIndex* IndexRow(size_t worker);
-
-  /// One cached score: probes `cache` (when non-null) under the live
-  /// (task, worker, generation) key, recomputing and refreshing the entry on
-  /// a miss (recorded in `*saw_miss` when provided). Thread-safe across
-  /// distinct `task` values: each task owns its cache slot and the counters
-  /// are atomic.
-  double ScoreOne(size_t task, const std::function<double(size_t)>& score,
-                  std::vector<CachedBenefit>* cache, uint64_t worker_epoch,
-                  const uint64_t* task_epochs, uint64_t generation,
-                  std::atomic<bool>* saw_miss);
 
   /// Shared validation for live submissions and checkpoint replay.
   [[nodiscard]] Status ValidateAnswer(size_t worker, size_t task, size_t choice) const;
@@ -491,14 +517,6 @@ class DocsSystem : public AssignmentPolicy {
   size_t AnsweredCountView(size_t task) const;
   bool AtAnswerCap(size_t task) const;
 
-  /// Selection-rule scoring against a published snapshot: reads the
-  /// snapshot's posteriors and the worker view's quality instead of the live
-  /// engine. The callable borrows `snap` and `quality` (caller scratch, as
-  /// with the sharded MakeScoreFn) — both must outlive the scoring pass.
-  std::function<double(size_t)> MakeSnapshotScoreFn(
-      const InferenceSnapshot& snap, const WorkerSnapshot& view,
-      std::vector<double>& quality);
-
   /// Lease bookkeeping (no-ops while options_.lease_duration == 0).
   void GrantLeases(size_t worker, const std::vector<size_t>& granted);
   void ReleaseLease(size_t worker, size_t task);
@@ -510,6 +528,9 @@ class DocsSystem : public AssignmentPolicy {
   DocsSystemOptions options_;
   DomainVectorEstimator dve_;
   std::vector<Task> tasks_;
+  /// Sparse domain rows and choice-count slots of tasks_ (DESIGN.md §11);
+  /// immutable after ingest like tasks_, so lock-free serving reads it.
+  BenefitSupport support_;
   std::vector<int> known_truth_;  // -1 when unknown
   GoldenSelectionResult golden_;
   std::vector<uint8_t> is_golden_;
@@ -549,11 +570,9 @@ class DocsSystem : public AssignmentPolicy {
   std::atomic<uint64_t> benefit_index_pops_{0};
   std::atomic<uint64_t> benefit_index_repairs_{0};
   std::atomic<uint64_t> benefit_index_rebuilds_{0};
-  /// Serving-path scratch, reused across SelectTasks calls so a warm request
-  /// allocates nothing: the eligibility bitmap and the staged quality vector
-  /// MakeScoreFn's callables read from.
-  std::vector<uint8_t> eligible_scratch_;
-  std::vector<double> quality_scratch_;
+  /// Exclusive-path serving scratch (SelectTasks, ScoreAllTasks), reused
+  /// across calls so a warm request allocates nothing.
+  ShardScratch serve_scratch_;
 };
 
 }  // namespace docs::core

@@ -13,7 +13,184 @@ double Clamp(double q, double clamp) {
   return std::min(1.0 - clamp, std::max(clamp, q));
 }
 
+// Entropy() over a contiguous range: the same operations in the same order,
+// NaN early return included.
+inline double EntropyOf(const double* p, size_t n) {
+  double h = 0.0;
+  for (size_t j = 0; j < n; ++j) {
+    const double x = p[j];
+    if (std::isnan(x)) return x;
+    if (x > 0.0) h -= x * std::log(x);
+  }
+  return h;
+}
+
+// NormalizeInPlace() over a contiguous range, including its uniform branch
+// for a total <= 0.
+inline void NormalizeRange(double* v, size_t n) {
+  double total = 0.0;
+  for (size_t j = 0; j < n; ++j) total += v[j];
+  if (total <= 0.0) {
+    const double u = n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
+    for (size_t j = 0; j < n; ++j) v[j] = u;
+    return;
+  }
+  for (size_t j = 0; j < n; ++j) v[j] /= total;
+}
+
+// Eq. 8's expected posterior entropy H(ŝ_i) over the task's nonzero domain
+// rows `domains` of its domain vector `r`. L is the choice count when it is
+// known at compile time (2 or 3) and 0 for the generic path, which takes `l`
+// at run time and a `buffer` of at least l * (l + 1) doubles.
+//
+// One pass over the support feeds every choice at once, but each per-choice
+// quantity — pa[a] (Theorem 2) and posterior row a (Theorem 3 projected
+// through r) — keeps its own accumulator, starts from 0.0 and receives the
+// same terms in the same ascending-domain order as the per-choice loops of
+// the spec kernel. Only independent accumulators interleave, so no sum is
+// reassociated and the result is bit-identical. A posterior whose pa <= 0
+// is computed and then dropped, exactly where the spec kernel skips it.
+template <size_t L>
+double ExpectedEntropyKernel(const uint32_t* domains, const double* r,
+                             size_t nnz,
+                             const WorkerBenefitFactors::Domain* factors,
+                             const double* matrix, size_t l, double* buffer) {
+  const size_t n = L > 0 ? L : l;
+  double fixed[L > 0 ? L * (L + 1) : 1];
+  double* pa = L > 0 ? fixed : buffer;
+  double* posterior = pa + n;  // row a: r x M^(i)|a
+  for (size_t x = 0; x < n * (n + 1); ++x) pa[x] = 0.0;
+  for (size_t e = 0; e < nnz; ++e) {
+    const size_t k = domains[e];
+    const WorkerBenefitFactors::Domain& f = factors[k];
+    const double rk = r[k];
+    const double* row = matrix + k * n;
+    for (size_t a = 0; a < n; ++a) {
+      pa[a] += rk * (f.quality * row[a] + f.wrong_answer * (1.0 - row[a]));
+    }
+    for (size_t a = 0; a < n; ++a) {
+      double* post = posterior + a * n;
+      double denom = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        denom += row[j] * ((j == a) ? f.quality : f.wrong_update);
+      }
+      if (denom > 0.0) {
+        for (size_t j = 0; j < n; ++j) {
+          post[j] +=
+              rk * ((row[j] * ((j == a) ? f.quality : f.wrong_update)) / denom);
+        }
+      } else {
+        const double uniform = 1.0 / static_cast<double>(n);
+        for (size_t j = 0; j < n; ++j) post[j] += rk * uniform;
+      }
+    }
+  }
+  double expected = 0.0;
+  for (size_t a = 0; a < n; ++a) {
+    if (pa[a] <= 0.0) continue;
+    double* post = posterior + a * n;
+    NormalizeRange(post, n);
+    expected += pa[a] * EntropyOf(post, n);
+  }
+  return expected;
+}
+
+// Dispatches on the choice count: the l = 2 and l = 3 specializations keep
+// their accumulators in registers; any other l runs the generic loop over
+// `*buffer`.
+double ExpectedEntropyOnSupport(const uint32_t* domains, const double* r,
+                                size_t nnz,
+                                const WorkerBenefitFactors::Domain* factors,
+                                const Matrix& truth_matrix, size_t l,
+                                std::vector<double>* buffer) {
+  DOCS_DCHECK_EQ(truth_matrix.cols(), l);
+  const double* matrix = truth_matrix.data().data();
+  switch (l) {
+    case 2:
+      return ExpectedEntropyKernel<2>(domains, r, nnz, factors, matrix,
+                                      l, nullptr);
+    case 3:
+      return ExpectedEntropyKernel<3>(domains, r, nnz, factors, matrix,
+                                      l, nullptr);
+    default:
+      buffer->resize(l * (l + 1));
+      return ExpectedEntropyKernel<0>(domains, r, nnz, factors, matrix,
+                                      l, buffer->data());
+  }
+}
+
 }  // namespace
+
+BenefitSupport::BenefitSupport(const std::vector<Task>& tasks) {
+  num_domains_ = tasks.empty() ? 0 : tasks.front().domain_vector.size();
+  size_t nonzeros = 0;
+  for (const Task& task : tasks) {
+    DOCS_CHECK_EQ(task.domain_vector.size(), num_domains_)
+        << "tasks of one campaign must share the domain count";
+    for (double rk : task.domain_vector) nonzeros += rk != 0.0;
+    choice_counts_.push_back(task.num_choices);
+  }
+  DOCS_CHECK_LT(nonzeros, size_t{0xffffffff});
+  std::sort(choice_counts_.begin(), choice_counts_.end());
+  choice_counts_.erase(std::unique(choice_counts_.begin(), choice_counts_.end()),
+                       choice_counts_.end());
+  // Exact sizes: the support lives as long as the campaign.
+  domains_.reserve(nonzeros);
+  row_begin_.reserve(tasks.size() + 1);
+  choice_slot_.reserve(tasks.size());
+  for (const Task& task : tasks) {
+    for (size_t k = 0; k < num_domains_; ++k) {
+      if (task.domain_vector[k] != 0.0) {
+        domains_.push_back(static_cast<uint32_t>(k));
+      }
+    }
+    row_begin_.push_back(static_cast<uint32_t>(domains_.size()));
+    choice_slot_.push_back(static_cast<uint32_t>(
+        std::lower_bound(choice_counts_.begin(), choice_counts_.end(),
+                         task.num_choices) -
+        choice_counts_.begin()));
+  }
+}
+
+void WorkerBenefitFactors::Hoist(const std::vector<double>& worker_quality,
+                                 double quality_clamp, size_t m,
+                                 std::span<const size_t> choice_counts) {
+  DOCS_CHECK_GE(worker_quality.size(), m);
+  num_domains = m;
+  table.resize(choice_counts.size() * m);
+  for (size_t k = 0; k < m; ++k) {
+    const double q = Clamp(worker_quality[k], quality_clamp);
+    for (size_t s = 0; s < choice_counts.size(); ++s) {
+      // Theorem 2's and Theorem 3's expressions verbatim (they only differ
+      // at l == 1).
+      const size_t l = choice_counts[s];
+      const double ld = static_cast<double>(l);
+      Domain& d = table[s * m + k];
+      d.quality = q;
+      d.wrong_answer = ld > 1.0 ? (1.0 - q) / (ld - 1.0) : 0.0;
+      d.wrong_update =
+          l > 1 ? (1.0 - q) / static_cast<double>(l - 1) : 1.0 - q;
+    }
+  }
+}
+
+double TaskBenefit(const BenefitSupport& support, size_t i, const Task& task,
+                   const WorkerBenefitFactors& factors,
+                   const Matrix& truth_matrix,
+                   const std::vector<double>& task_truth) {
+  const size_t slot = support.choice_slot(i);
+  DOCS_DCHECK_EQ(task.domain_vector.size(), support.num_domains());
+  DOCS_DCHECK_EQ(truth_matrix.rows(), support.num_domains());
+  DOCS_DCHECK_EQ(factors.num_domains, support.num_domains());
+  DOCS_DCHECK_EQ(factors.table.size(),
+                 support.choice_counts().size() * support.num_domains());
+  // Only l outside {2, 3} touches the buffer.
+  thread_local std::vector<double> buffer;
+  const double expected = ExpectedEntropyOnSupport(
+      support.domains(i), task.domain_vector.data(), support.support_size(i),
+      factors.row(slot), truth_matrix, support.choice_counts()[slot], &buffer);
+  return EntropyOf(task_truth.data(), task_truth.size()) - expected;
+}
 
 double AnswerProbability(const Task& task, const Matrix& truth_matrix,
                          const std::vector<double>& worker_quality, size_t a,
@@ -86,66 +263,19 @@ double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
                                 BenefitScratch* scratch) {
   const size_t m = task.domain_vector.size();
   const size_t l = task.num_choices;
-  DOCS_DCHECK_GE(worker_quality.size(), m);
   DOCS_DCHECK_EQ(truth_matrix.rows(), m);
-  // Hoist the per-(worker, domain) clamp and wrong-answer factors out of the
-  // choice loop: they are invariant across the l choices the reference path
-  // recomputes them for. The two "wrong" factors are kept separate because
-  // the reference kernels disagree on the degenerate l == 1 case (Theorem 2
-  // uses 0, Theorem 3 uses 1-q) and bit-identity is the contract.
-  scratch->clamped.resize(m);
-  scratch->wrong_answer.resize(m);
-  scratch->wrong_update.resize(m);
-  const double ld = static_cast<double>(l);
+  scratch->domains.clear();
   for (size_t k = 0; k < m; ++k) {
-    const double q = Clamp(worker_quality[k], quality_clamp);
-    scratch->clamped[k] = q;
-    scratch->wrong_answer[k] = ld > 1.0 ? (1.0 - q) / (ld - 1.0) : 0.0;
-    scratch->wrong_update[k] =
-        l > 1 ? (1.0 - q) / static_cast<double>(l - 1) : 1.0 - q;
-  }
-  scratch->posterior.resize(l);
-  std::vector<double>& posterior = scratch->posterior;
-  double expected = 0.0;
-  for (size_t a = 0; a < l; ++a) {
-    // Theorem 2, same operation order as AnswerProbability.
-    double pa = 0.0;
-    for (size_t k = 0; k < m; ++k) {
-      const double rk = task.domain_vector[k];
-      if (rk == 0.0) continue;
-      const double mka = truth_matrix(k, a);
-      pa += rk * (scratch->clamped[k] * mka +
-                  scratch->wrong_answer[k] * (1.0 - mka));
+    if (task.domain_vector[k] != 0.0) {
+      scratch->domains.push_back(static_cast<uint32_t>(k));
     }
-    if (pa <= 0.0) continue;
-    // Theorem 3 fused with the posterior projection r x M^(i)|a: row k of
-    // the updated matrix is produced and consumed in place of being stored.
-    // Rows with r_k == 0 contribute exactly +0.0 to every posterior entry in
-    // the reference path, so skipping them is bit-identical.
-    std::fill(posterior.begin(), posterior.end(), 0.0);
-    for (size_t k = 0; k < m; ++k) {
-      const double rk = task.domain_vector[k];
-      if (rk == 0.0) continue;
-      const double q = scratch->clamped[k];
-      const double wrong = scratch->wrong_update[k];
-      double denom = 0.0;
-      for (size_t j = 0; j < l; ++j) {
-        denom += truth_matrix(k, j) * ((j == a) ? q : wrong);
-      }
-      if (denom > 0.0) {
-        for (size_t j = 0; j < l; ++j) {
-          posterior[j] +=
-              rk * ((truth_matrix(k, j) * ((j == a) ? q : wrong)) / denom);
-        }
-      } else {
-        const double uniform = 1.0 / static_cast<double>(l);
-        for (size_t j = 0; j < l; ++j) posterior[j] += rk * uniform;
-      }
-    }
-    NormalizeInPlace(posterior);
-    expected += pa * Entropy(posterior);
   }
-  return expected;
+  scratch->factors.Hoist(worker_quality, quality_clamp, m,
+                         std::span<const size_t>(&l, 1));
+  return ExpectedEntropyOnSupport(
+      scratch->domains.data(), task.domain_vector.data(),
+      scratch->domains.size(), scratch->factors.row(0), truth_matrix, l,
+      &scratch->posterior);
 }
 
 double Benefit(const Task& task, const Matrix& truth_matrix,
@@ -251,8 +381,7 @@ void BenefitIndex::Rebuild(size_t num_tasks, Source source,
                            uint64_t worker_epoch, uint64_t generation,
                            uint64_t cursor,
                            const std::vector<size_t>* exclude_sorted,
-                           const std::function<double(size_t)>& score,
-                           ThreadPool* pool) {
+                           const ScoreBatch& score) {
   // pos_ packs heap slots into uint32_t (+1 for the "absent" sentinel).
   DOCS_CHECK_LT(num_tasks, size_t{0xffffffff});
   heap_.clear();
@@ -266,10 +395,7 @@ void BenefitIndex::Rebuild(size_t num_tasks, Source source,
     }
     heap_.push_back({task, 0.0});
   }
-  // Each slot is scored independently (its own cache entry, per-thread
-  // kernel scratch), so the fan-out is thread-count invariant.
-  ParallelFor(pool, heap_.size(),
-              [&](size_t s) { heap_[s].value = score(heap_[s].task); });
+  score(&heap_);
   for (size_t s = 0; s < heap_.size(); ++s) {
     pos_[heap_[s].task] = static_cast<uint32_t>(s + 1);
   }
@@ -466,10 +592,17 @@ std::vector<size_t> TaskAssigner::SelectTopK(
   }
   if (!index->Fresh(BenefitIndex::Source::kStandalone, worker_epoch,
                     generation, tasks.size())) {
+    ThreadPool* pool = threads > 1 ? pool_.get() : nullptr;
     index->Rebuild(tasks.size(), BenefitIndex::Source::kStandalone,
                    worker_epoch, generation, /*cursor=*/0,
-                   /*exclude_sorted=*/nullptr, score_fresh,
-                   threads > 1 ? pool_.get() : nullptr);
+                   /*exclude_sorted=*/nullptr,
+                   [&](std::vector<ScoredTask>* entries) {
+                     // Each entry owns its cache slot and the kernel keeps
+                     // per-thread scratch: thread-count invariant.
+                     ParallelFor(pool, entries->size(), [&](size_t s) {
+                       (*entries)[s].value = score_fresh((*entries)[s].task);
+                     });
+                   });
   } else {
     // Same tags, so only individual task epochs can have moved: an O(n)
     // integer scan repairs exactly the stale entries. (The serving system

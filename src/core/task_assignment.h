@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -12,15 +13,86 @@
 
 namespace docs::core {
 
-/// Reusable scratch arena for the fused benefit kernel. One instance per
-/// thread: the serving loops keep a thread_local arena so repeated Benefit
-/// calls never touch the heap once the vectors have grown to the campaign's
-/// (m, l) shape. Contents are meaningless between calls.
+/// Per-campaign scoring shape of a task list (DESIGN.md §11), built once at
+/// ingest: the indices of the nonzero entries of every task's immutable DVE
+/// vector in CSR form, and each task's slot among the campaign's distinct
+/// choice counts. The benefit kernel walks only these rows; an r_k == 0 row
+/// adds nothing to Eq. 8 (the fused kernel skipped it too), so the walk is
+/// bit-identical. The weights r_k stay in the tasks' own vectors.
+class BenefitSupport {
+ public:
+  BenefitSupport() = default;
+  /// All tasks must share one domain count m.
+  explicit BenefitSupport(const std::vector<Task>& tasks);
+
+  size_t num_tasks() const { return choice_slot_.size(); }
+  size_t num_domains() const { return num_domains_; }
+  /// Distinct choice counts of the campaign, ascending.
+  const std::vector<size_t>& choice_counts() const { return choice_counts_; }
+  /// Index of `task`'s choice count in choice_counts().
+  size_t choice_slot(size_t task) const { return choice_slot_[task]; }
+  /// Indices k of `task`'s nonzero domains, ascending.
+  const uint32_t* domains(size_t task) const {
+    return domains_.data() + row_begin_[task];
+  }
+  size_t support_size(size_t task) const {
+    return row_begin_[task + 1] - row_begin_[task];
+  }
+
+ private:
+  size_t num_domains_ = 0;
+  std::vector<uint32_t> row_begin_ = {0};  // CSR row starts, num_tasks + 1
+  std::vector<uint32_t> domains_;
+  std::vector<uint32_t> choice_slot_;
+  std::vector<size_t> choice_counts_;
+};
+
+/// One worker's benefit factors, hoisted once per scoring pass (DESIGN.md
+/// §11): the clamped quality q_k and Theorem 2's and Theorem 3's
+/// wrong-answer factors for every (choice count, domain) pair of the
+/// campaign. The two wrong-answer factors stay separate because the spec
+/// kernels disagree on the degenerate l == 1 case (Theorem 2 uses 0,
+/// Theorem 3 uses 1-q) and bit-identity is the contract.
+struct WorkerBenefitFactors {
+  struct Domain {
+    double quality = 0.0;       // Clamp(q_k)
+    double wrong_answer = 0.0;  // Theorem 2: (1-q)/(l-1), 0 when l == 1
+    double wrong_update = 0.0;  // Theorem 3: (1-q)/(l-1), 1-q when l == 1
+  };
+
+  /// Fills the table for `worker_quality` (at least m entries) over
+  /// `choice_counts`. Reuses the storage: a warm call allocates nothing.
+  void Hoist(const std::vector<double>& worker_quality, double quality_clamp,
+             size_t num_domains, std::span<const size_t> choice_counts);
+
+  /// Row of the table for choice-count slot `slot`: m entries.
+  const Domain* row(size_t slot) const {
+    return table.data() + slot * num_domains;
+  }
+
+  size_t num_domains = 0;
+  std::vector<Domain> table;  // slot-major, num_domains per slot
+};
+
+/// Definition 5 on the campaign-shaped kernel: B(t_i) = H(s_i) - H(ŝ_i)
+/// for task `i` (= `task`) of `support`, with the worker's factors already
+/// hoisted. The kernel is specialized for l = 2 and l = 3 and walks only
+/// the task's nonzero domains; it replays the fused kernel's floating-point
+/// operations in the same order, so the result equals Benefit() bit for
+/// bit (tests/ota_test.cc). Thread-safe: no shared scratch.
+double TaskBenefit(const BenefitSupport& support, size_t i, const Task& task,
+                   const WorkerBenefitFactors& factors,
+                   const Matrix& truth_matrix,
+                   const std::vector<double>& task_truth);
+
+/// Reusable scratch arena for the single-task fused overloads below. One
+/// instance per thread: callers keep a thread_local arena so repeated
+/// Benefit calls never touch the heap once the vectors have grown to the
+/// campaign's (m, l) shape. Contents are meaningless between calls.
 struct BenefitScratch {
-  std::vector<double> clamped;       // Clamp(q_k) per domain
-  std::vector<double> wrong_answer;  // Theorem 2's (1-q)/(l-1) term per domain
-  std::vector<double> wrong_update;  // Theorem 3's off-answer factor per domain
-  std::vector<double> posterior;     // r x M^(i)|a, one choice at a time
+  std::vector<uint32_t> domains;   // the task's nonzero domains
+  WorkerBenefitFactors factors;    // hoisted for the task's l only
+  std::vector<double> posterior;   // generic-l kernel buffer
 };
 
 /// Theorem 2: probability that worker with quality `q` gives choice `a` to
@@ -41,13 +113,12 @@ double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
                                 const std::vector<double>& worker_quality,
                                 double quality_clamp = 0.01);
 
-/// Fused Eq. 8: one pass per (choice, domain) that folds Theorems 2-3 and
-/// the posterior projection together without materializing M^(i)|a. The
-/// per-(worker, domain) clamp+wrong-factor precomputation is hoisted out of
-/// the choice loop into `scratch`, and every intermediate lives in the
-/// scratch arena — zero heap allocations once the arena has warmed up.
-/// Bit-identical to the allocating reference above (same floating-point
-/// operations in the same order); tests/ota_test.cc asserts exact equality.
+/// Fused Eq. 8: folds Theorems 2-3 and the posterior projection together
+/// without materializing M^(i)|a, on the same kernel as TaskBenefit. The
+/// task's support and the worker's factors are built in `scratch` — zero
+/// heap allocations once the arena has warmed up. Bit-identical to the
+/// allocating reference above (same floating-point operations in the same
+/// order); tests/ota_test.cc asserts exact equality.
 double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
                                 const std::vector<double>& worker_quality,
                                 double quality_clamp, BenefitScratch* scratch);
@@ -161,15 +232,20 @@ class BenefitIndex {
     return task < pos_.size() && pos_[task] != 0;
   }
 
+  /// Fills the `value` of every entry of a batch (tasks ascending). Called
+  /// once per rebuild with the whole batch, so the caller can probe its
+  /// cache and score the misses together.
+  using ScoreBatch = std::function<void(std::vector<ScoredTask>* entries)>;
+
   /// Rebuilds the heap from scratch for the given tags: every task except
-  /// those in `exclude_sorted` (ascending; nullptr = none) is scored via
-  /// `score` — fanned out over `pool` when non-null; each slot is
-  /// independent, so the heap contents are thread-count invariant — then
-  /// heapified bottom-up in O(n).
+  /// those in `exclude_sorted` (ascending; nullptr = none) is scored in one
+  /// `score` batch — each entry is independent, so the heap contents are
+  /// thread-count invariant however the batch fans out — then heapified
+  /// bottom-up in O(n).
   void Rebuild(size_t num_tasks, Source source, uint64_t worker_epoch,
                uint64_t generation, uint64_t cursor,
                const std::vector<size_t>* exclude_sorted,
-               const std::function<double(size_t)>& score, ThreadPool* pool);
+               const ScoreBatch& score);
 
   /// Replaces `task`'s indexed value and restores the heap invariant with
   /// one sift (O(log n)). No-op for tasks the index does not contain.

@@ -174,6 +174,99 @@ TEST_F(InferenceServiceTest, DrainedAsyncIsBitIdenticalToSyncAcrossRulesAndThrea
   }
 }
 
+/// The three serving paths share one benefit scorer that differs only in
+/// where it reads M^(i) and s_i: the exclusive SelectTasks path and the
+/// sharded sync path read the live engine, the async path a published
+/// snapshot. After a lockstep campaign and Drain(), each path refreshes
+/// every worker's cache row with one more request; ScoreAllTasks then reads
+/// those rows (cache hits written by that path's scorer) and must equal
+/// both a cache-bypassing live rescore and the other two systems, exactly,
+/// under every selection rule.
+TEST_F(InferenceServiceTest, ScoresAreIdenticalAcrossServingPathsAfterDrain) {
+  const auto dataset = datasets::MakeItemDataset(*kb_);
+  const auto truths = dataset.Truths();
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  crowd::WorkerPoolOptions pool_options;
+  pool_options.num_workers = 5;
+  const auto personas = crowd::MakeWorkerPool(
+      kb_->knowledge_base.num_domains(), dataset.label_to_domain, pool_options,
+      83);
+  const std::vector<std::string> ids = {"w0", "w1", "w2", "w3", "w4"};
+
+  for (SelectionRule rule : kAllRules) {
+    SCOPED_TRACE("rule " + std::to_string(static_cast<int>(rule)));
+    DocsSystemOptions options;
+    options.golden_count = 5;
+    options.reinfer_every = 25;
+    options.selection_rule = rule;
+    options.num_threads = 2;
+    DocsSystemOptions async_options = options;
+    async_options.async_inference = true;
+
+    DocsSystem exclusive(&kb_->knowledge_base, options);
+    ConcurrentDocsSystem sharded(&kb_->knowledge_base, options);
+    ConcurrentDocsSystem async_system(&kb_->knowledge_base, async_options);
+    ASSERT_TRUE(exclusive.AddTasks(inputs, &truths).ok());
+    ASSERT_TRUE(sharded.AddTasks(inputs, &truths).ok());
+    ASSERT_TRUE(async_system.AddTasks(inputs, &truths).ok());
+
+    Rng rng(67);
+    for (size_t round = 0; round < 20; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      const std::string& id = ids[round % ids.size()];
+      async_system.Drain();
+      const auto selected =
+          exclusive.SelectTasks(exclusive.WorkerIndex(id), 4);
+      ASSERT_EQ(sharded.RequestTasks(id, 4), selected);
+      ASSERT_EQ(async_system.RequestTasks(id, 4), selected);
+      for (size_t task : selected) {
+        const size_t choice = crowd::GenerateAnswer(
+            personas[round % personas.size()], dataset.tasks[task].true_domain,
+            dataset.tasks[task].truth, dataset.tasks[task].num_choices(), rng);
+        ASSERT_TRUE(exclusive.SubmitAnswer(exclusive.WorkerIndex(id), task,
+                                           choice)
+                        .ok());
+        ASSERT_TRUE(sharded.SubmitAnswer(id, task, choice).ok());
+        ASSERT_TRUE(async_system.SubmitAnswer(id, task, choice).ok());
+      }
+    }
+    async_system.Drain();
+    // One answer-free request per worker and path refills her cache row
+    // from that path's scorer against the drained state.
+    for (const std::string& id : ids) {
+      const auto selected =
+          exclusive.SelectTasks(exclusive.WorkerIndex(id), 4);
+      ASSERT_EQ(sharded.RequestTasks(id, 4), selected);
+      ASSERT_EQ(async_system.RequestTasks(id, 4), selected);
+    }
+
+    const uint64_t async_hits_before = async_system.WithLocked(
+        [](DocsSystem& s) { return s.benefit_cache_hits(); });
+    for (const std::string& id : ids) {
+      SCOPED_TRACE("worker " + id);
+      const size_t w = exclusive.WorkerIndex(id);
+      const auto live = exclusive.ScoreAllTasks(w, /*bypass_cache=*/true);
+      EXPECT_EQ(exclusive.ScoreAllTasks(w, /*bypass_cache=*/false), live);
+      EXPECT_EQ(sharded.WithLocked([&](DocsSystem& s) {
+        return s.ScoreAllTasks(w, /*bypass_cache=*/false);
+      }),
+                live);
+      EXPECT_EQ(async_system.WithLocked([&](DocsSystem& s) {
+        return s.ScoreAllTasks(w, /*bypass_cache=*/false);
+      }),
+                live);
+    }
+    // The async rows were filled by the snapshot scorer; reading them back
+    // as hits is what makes the comparison above cover that scorer.
+    EXPECT_GT(async_system.WithLocked(
+                  [](DocsSystem& s) { return s.benefit_cache_hits(); }),
+              async_hits_before);
+  }
+}
+
 /// SubmitAnswer acks synchronously with the same status codes and messages
 /// as sync mode — the wire contract must not change with the execution
 /// model, and a duplicate must be caught at ack time from the submission

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
@@ -311,6 +312,182 @@ TEST(FusedKernelTest, MatchesReferenceOnDegenerateMatrix) {
   BenefitScratch scratch;
   EXPECT_EQ(Benefit(task, truth_matrix, truth, quality),
             Benefit(task, truth_matrix, truth, quality, 0.01, &scratch));
+}
+
+// --- Campaign kernel: lockstep with the reference -----------------------------
+// TaskBenefit (per-campaign sparse support, per-request hoisted factors,
+// kernels specialized for l = 2 and l = 3 plus the generic loop) must equal
+// the allocating reference Benefit() exactly, like the fused kernel above.
+
+enum class DomainShape { kDense, kSparse, kOneHot };
+
+// `num_choices` == 0 draws l from {2, 3, 4, 5} per task (a mixed list).
+OtaInstance MakeShapedInstance(size_t n, size_t m, size_t num_choices,
+                               DomainShape shape, Rng& rng) {
+  OtaInstance instance;
+  for (size_t i = 0; i < n; ++i) {
+    Task task;
+    task.num_choices = num_choices != 0 ? num_choices : 2 + rng.UniformInt(4);
+    switch (shape) {
+      case DomainShape::kDense:
+        task.domain_vector = rng.Dirichlet(m, 1.0);
+        break;
+      case DomainShape::kSparse:
+        task.domain_vector = rng.Dirichlet(m, 0.5);
+        for (size_t z = 0; z < m / 2; ++z) {
+          task.domain_vector[rng.UniformInt(m)] = 0.0;
+        }
+        if (NormalizeInPlace(task.domain_vector) <= 0.0) {
+          task.domain_vector.assign(m, 0.0);
+          task.domain_vector[rng.UniformInt(m)] = 1.0;
+        }
+        break;
+      case DomainShape::kOneHot:
+        task.domain_vector.assign(m, 0.0);
+        task.domain_vector[rng.UniformInt(m)] = 1.0;
+        break;
+    }
+    Matrix truth_matrix(m, task.num_choices, 0.0);
+    for (size_t k = 0; k < m; ++k) {
+      truth_matrix.SetRow(k, rng.Dirichlet(task.num_choices, 1.0));
+    }
+    std::vector<double> s = truth_matrix.LeftMultiply(task.domain_vector);
+    NormalizeInPlace(s);
+    instance.tasks.push_back(std::move(task));
+    instance.matrices.push_back(std::move(truth_matrix));
+    instance.truths.push_back(std::move(s));
+  }
+  instance.worker_quality.resize(m);
+  for (auto& q : instance.worker_quality) q = rng.UniformDoubleRange(0.3, 0.95);
+  return instance;
+}
+
+// Scores every task of `instance` with the campaign kernel and with the
+// single-task fused overload; both must equal the reference to the bit.
+void ExpectCampaignKernelMatchesReference(const OtaInstance& instance,
+                                          double clamp,
+                                          const std::string& label) {
+  const BenefitSupport support(instance.tasks);
+  WorkerBenefitFactors factors;
+  factors.Hoist(instance.worker_quality, clamp, support.num_domains(),
+                support.choice_counts());
+  BenefitScratch scratch;
+  for (size_t i = 0; i < instance.tasks.size(); ++i) {
+    const double reference =
+        Benefit(instance.tasks[i], instance.matrices[i], instance.truths[i],
+                instance.worker_quality, clamp);
+    ASSERT_FALSE(std::isnan(reference)) << label << " task " << i;
+    EXPECT_EQ(TaskBenefit(support, i, instance.tasks[i], factors,
+                          instance.matrices[i], instance.truths[i]),
+              reference)
+        << label << " task " << i << " (l = " << instance.tasks[i].num_choices
+        << ")";
+    EXPECT_EQ(Benefit(instance.tasks[i], instance.matrices[i],
+                      instance.truths[i], instance.worker_quality, clamp,
+                      &scratch),
+              reference)
+        << label << " task " << i;
+  }
+}
+
+TEST(FusedKernelTest, CampaignKernelMatchesReferenceAcrossChoiceCounts) {
+  Rng rng(307);
+  const DomainShape shapes[] = {DomainShape::kDense, DomainShape::kSparse,
+                                DomainShape::kOneHot};
+  // l = 0 here means a list that mixes l in {2, 3, 4, 5}.
+  for (size_t l : {2, 3, 4, 5, 0}) {
+    for (DomainShape shape : shapes) {
+      for (int trial = 0; trial < 8; ++trial) {
+        const auto instance =
+            MakeShapedInstance(12, 2 + rng.UniformInt(25), l, shape, rng);
+        ExpectCampaignKernelMatchesReference(
+            instance, 0.01,
+            "l " + std::to_string(l) + ", shape " +
+                std::to_string(static_cast<int>(shape)) + ", trial " +
+                std::to_string(trial));
+      }
+    }
+  }
+}
+
+TEST(FusedKernelTest, CampaignKernelMatchesReferenceOnDegenerateRows) {
+  // Zero truth-matrix rows send Theorem 3's denominator to 0 (the uniform
+  // branch); a perfect worker (q = 1 under a 0 clamp) zeroes the wrong
+  // factor, so a row with M_{k,a} = 0 does too, and a choice whose column
+  // is 0 on every supported row has pa = 0 (the skipped choice).
+  // Qualities sit at 0, at 1, and exactly on both clamp bounds.
+  Rng rng(311);
+  for (size_t l : {2, 3, 4, 5, 0}) {
+    for (double clamp : {0.0, 0.01}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        auto instance = MakeShapedInstance(10, 6, l, DomainShape::kSparse, rng);
+        instance.worker_quality = {0.0, 1.0, clamp, 1.0 - clamp, 0.5, 1.0};
+        for (size_t i = 0; i < instance.tasks.size(); ++i) {
+          Matrix& matrix = instance.matrices[i];
+          const size_t choices = instance.tasks[i].num_choices;
+          // An all-zero supported row, and on every other task choice 0
+          // made impossible on every row.
+          size_t row = 0;
+          while (instance.tasks[i].domain_vector[row] == 0.0) ++row;
+          for (size_t j = 0; j < choices; ++j) matrix(row, j) = 0.0;
+          if (i % 2 == 0) {
+            for (size_t k = 0; k < 6; ++k) matrix(k, 0) = 0.0;
+          }
+          instance.truths[i] =
+              matrix.LeftMultiply(instance.tasks[i].domain_vector);
+          NormalizeInPlace(instance.truths[i]);
+        }
+        ExpectCampaignKernelMatchesReference(
+            instance, clamp,
+            "l " + std::to_string(l) + ", clamp " + std::to_string(clamp) +
+                ", trial " + std::to_string(trial));
+      }
+    }
+  }
+}
+
+TEST(FusedKernelTest, CampaignKernelMatchesReferenceOnNegativeAnswerMass) {
+  // A non-normalized matrix entry above 1 drives Theorem 2's probability
+  // below 0 for a low-quality worker (q < (1-q)/(l-1)): the kernel must
+  // skip exactly the choices the reference skips (pa <= 0).
+  Rng rng(313);
+  for (size_t l : {2, 3, 4, 5}) {
+    auto instance = MakeShapedInstance(6, 4, l, DomainShape::kDense, rng);
+    instance.worker_quality.assign(4, 0.0);
+    for (size_t i = 0; i < instance.tasks.size(); ++i) {
+      for (size_t k = 0; k < 4; ++k) instance.matrices[i](k, i % l) = 3.0;
+    }
+    ExpectCampaignKernelMatchesReference(instance, 0.01,
+                                         "l " + std::to_string(l));
+    bool saw_negative = false;
+    for (size_t i = 0; i < instance.tasks.size(); ++i) {
+      saw_negative |=
+          AnswerProbability(instance.tasks[i], instance.matrices[i],
+                            instance.worker_quality, i % l) <= 0.0;
+    }
+    EXPECT_TRUE(saw_negative) << "l " << l;
+  }
+}
+
+TEST(FusedKernelTest, SupportKeepsOnlyNonzeroDomainsInOrder) {
+  std::vector<Task> tasks(3);
+  tasks[0].domain_vector = {0.0, 0.25, 0.0, 0.75};
+  tasks[0].num_choices = 3;
+  tasks[1].domain_vector = {1.0, 0.0, 0.0, 0.0};
+  tasks[1].num_choices = 2;
+  tasks[2].domain_vector = {0.25, 0.25, 0.25, 0.25};
+  tasks[2].num_choices = 3;
+  const BenefitSupport support(tasks);
+  EXPECT_EQ(support.num_tasks(), 3u);
+  EXPECT_EQ(support.num_domains(), 4u);
+  EXPECT_EQ(support.choice_counts(), (std::vector<size_t>{2, 3}));
+  EXPECT_EQ(support.choice_slot(0), 1u);
+  EXPECT_EQ(support.choice_slot(1), 0u);
+  ASSERT_EQ(support.support_size(0), 2u);
+  EXPECT_EQ(support.domains(0)[0], 1u);
+  EXPECT_EQ(support.domains(0)[1], 3u);
+  EXPECT_EQ(support.support_size(1), 1u);
+  EXPECT_EQ(support.support_size(2), 4u);
 }
 
 // --- Epoch-aware SelectTopK --------------------------------------------------
