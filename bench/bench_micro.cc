@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -428,7 +427,8 @@ BENCHMARK(BM_ServeRequestTasksColdFused);
 // benchmark loads: QA-4000 (m = 26, l = 2 and 3), a settled multi-worker
 // state (8 workers' answers plus one full EM), and every task rescored
 // from live state without the cache — the work of a request whose worker
-// epoch or generation moved. Reports ns per scored task and the task mix.
+// epoch or generation moved. Reports CPU ns per scored task and the task
+// mix.
 void BM_OtaColdPassCampaignShape(benchmark::State& state) {
   auto system = MakeServingSystem(/*benefit_cache=*/true,
                                   /*reference_kernel=*/false,
@@ -440,21 +440,14 @@ void BM_OtaColdPassCampaignShape(benchmark::State& state) {
   for (const auto& task : system->tasks()) {
     if (task.num_choices == 2) ++two_choice;
   }
-  uint64_t iters = 0;
-  double ns = 0.0;
   for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(
         system->ScoreAllTasks(worker, /*bypass_cache=*/true));
-    ns += std::chrono::duration<double, std::nano>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-    ++iters;
   }
-  if (iters > 0) {
-    state.counters["ns/score"] =
-        ns / (static_cast<double>(iters) * static_cast<double>(n));
-  }
+  // Inverted per-score rate: CPU seconds per scored task.
+  state.counters["per_score"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
   state.counters["tasks_l2"] = static_cast<double>(two_choice);
   state.counters["tasks_l3+"] = static_cast<double>(n - two_choice);
 }

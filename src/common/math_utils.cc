@@ -8,17 +8,6 @@
 
 namespace docs {
 
-double Entropy(const std::vector<double>& p) {
-  double h = 0.0;
-  for (double x : p) {
-    // x > 0 is false for NaN too, so without this a poisoned distribution
-    // would silently report a clean (and bogus) entropy.
-    if (std::isnan(x)) return x;
-    if (x > 0.0) h -= x * std::log(x);
-  }
-  return h;
-}
-
 double KlDivergence(const std::vector<double>& p, const std::vector<double>& q) {
   DOCS_CHECK_EQ(p.size(), q.size()) << "KL divergence over mismatched supports";
   double d = 0.0;
@@ -28,18 +17,6 @@ double KlDivergence(const std::vector<double>& p, const std::vector<double>& q) 
     d += p[i] * std::log(p[i] / q[i]);
   }
   return d;
-}
-
-double NormalizeInPlace(std::vector<double>& v) {
-  double total = 0.0;
-  for (double x : v) total += x;
-  if (total <= 0.0) {
-    const double u = v.empty() ? 0.0 : 1.0 / static_cast<double>(v.size());
-    for (auto& x : v) x = u;
-    return total;
-  }
-  for (auto& x : v) x /= total;
-  return total;
 }
 
 size_t ArgMax(const std::vector<double>& v) {

@@ -94,16 +94,12 @@ void DocsSystem::StageWorker(const std::vector<double>& worker_quality,
     scratch->quality.assign(worker_quality.size(), mean);
     pass->quality = &scratch->quality;
   }
-  if (!options_.reference_kernel) pass->factors = &scratch->factors;
-}
-
-void DocsSystem::HoistFactors(ScoringPass* pass) const {
-  if (pass->factors == nullptr || pass->factors_hoisted) return;
+  if (options_.reference_kernel) return;
   // Per request: clamp and wrong-answer factors once per (choice count,
   // domain) instead of once per task.
+  pass->factors = &scratch->factors;
   pass->factors->Hoist(*pass->quality, options_.assigner.quality_clamp,
                        support_.num_domains(), support_.choice_counts());
-  pass->factors_hoisted = true;
 }
 
 double DocsSystem::Score(const ScoringPass& pass, size_t task) const {
@@ -131,7 +127,6 @@ double DocsSystem::Score(const ScoringPass& pass, size_t task) const {
     return Benefit(tasks_[task], truth_matrix, truth, *pass.quality,
                    options_.assigner.quality_clamp);
   }
-  DOCS_DCHECK(pass.factors_hoisted);
   return TaskBenefit(support_, task, tasks_[task], *pass.factors, truth_matrix,
                      truth);
 }
@@ -154,7 +149,6 @@ double DocsSystem::ScoreCached(ScoringPass* pass, size_t task) const {
     ++pass->hits;
     return entry.benefit;
   }
-  HoistFactors(pass);
   const double value = Score(*pass, task);
   entry = {task_epoch, pass->worker_epoch, pass->generation, value};
   ++pass->misses;
@@ -166,7 +160,6 @@ void DocsSystem::ScoreEntries(ScoringPass* pass,
                               ThreadPool* pool) const {
   std::vector<ScoredTask>& scored = *entries;
   if (pass->cache == nullptr) {
-    if (!scored.empty()) HoistFactors(pass);
     ParallelFor(pool, scored.size(), [&](size_t s) {
       scored[s].value = Score(*pass, scored[s].task);
     });
@@ -183,7 +176,6 @@ void DocsSystem::ScoreEntries(ScoringPass* pass,
       misses.push_back(s);
     }
   }
-  if (!misses.empty()) HoistFactors(pass);
   const ScoringPass& key = *pass;
   ParallelFor(pool, misses.size(), [&](size_t x) {
     ScoredTask& slot = scored[misses[x]];

@@ -413,12 +413,10 @@ class DocsSystem : public AssignmentPolicy {
     /// the engine, the snapshot's worker view or the scratch, all of which
     /// outlive the pass.
     const std::vector<double>* quality = nullptr;
-    /// The benefit rules' factors, hoisted from *quality by the pass's first
-    /// rescore (HoistFactors), so a fully cache-served pass does no benefit
-    /// math. nullptr routes the benefit rules through the allocating
+    /// The benefit rules' factors, hoisted from *quality when the pass
+    /// opens. nullptr routes the benefit rules through the allocating
     /// reference kernel (options.reference_kernel).
     WorkerBenefitFactors* factors = nullptr;
-    bool factors_hoisted = false;
     /// nullptr when the cache is disabled or bypassed.
     std::vector<CachedBenefit>* cache = nullptr;
     uint64_t worker_epoch = 0;
@@ -437,13 +435,11 @@ class DocsSystem : public AssignmentPolicy {
                            const WorkerSnapshot& view,
                            ShardScratch* scratch) const;
   /// Stages the selection rule's per-worker state of `*pass`: the quality
-  /// vector and, for the benefit rules, the factor storage.
+  /// vector and, for the benefit rules, the hoisted factors.
   void StageWorker(const std::vector<double>& worker_quality,
                    ScoringPass* pass, ShardScratch* scratch) const;
-  /// Hoists the pass's benefit factors once, before its first Score call.
-  void HoistFactors(ScoringPass* pass) const;
 
-  /// The selection rule's score of `task`, uncached. Requires HoistFactors.
+  /// The selection rule's score of `task`, uncached.
   double Score(const ScoringPass& pass, size_t task) const;
   /// One cached score for an index repair: probes the pass's cache row (the
   /// index requires one) under its key, rescoring and refreshing the entry

@@ -13,31 +13,6 @@ double Clamp(double q, double clamp) {
   return std::min(1.0 - clamp, std::max(clamp, q));
 }
 
-// Entropy() over a contiguous range: the same operations in the same order,
-// NaN early return included.
-inline double EntropyOf(const double* p, size_t n) {
-  double h = 0.0;
-  for (size_t j = 0; j < n; ++j) {
-    const double x = p[j];
-    if (std::isnan(x)) return x;
-    if (x > 0.0) h -= x * std::log(x);
-  }
-  return h;
-}
-
-// NormalizeInPlace() over a contiguous range, including its uniform branch
-// for a total <= 0.
-inline void NormalizeRange(double* v, size_t n) {
-  double total = 0.0;
-  for (size_t j = 0; j < n; ++j) total += v[j];
-  if (total <= 0.0) {
-    const double u = n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
-    for (size_t j = 0; j < n; ++j) v[j] = u;
-    return;
-  }
-  for (size_t j = 0; j < n; ++j) v[j] /= total;
-}
-
 // Eq. 8's expected posterior entropy H(ŝ_i) over the task's nonzero domain
 // rows `domains` of its domain vector `r`. L is the choice count when it is
 // known at compile time (2 or 3) and 0 for the generic path, which takes `l`
@@ -89,8 +64,9 @@ double ExpectedEntropyKernel(const uint32_t* domains, const double* r,
   for (size_t a = 0; a < n; ++a) {
     if (pa[a] <= 0.0) continue;
     double* post = posterior + a * n;
-    NormalizeRange(post, n);
-    expected += pa[a] * EntropyOf(post, n);
+    const std::span<double> row_a(post, n);
+    NormalizeInPlace(row_a);
+    expected += pa[a] * Entropy(row_a);
   }
   return expected;
 }
@@ -161,15 +137,15 @@ void WorkerBenefitFactors::Hoist(const std::vector<double>& worker_quality,
   for (size_t k = 0; k < m; ++k) {
     const double q = Clamp(worker_quality[k], quality_clamp);
     for (size_t s = 0; s < choice_counts.size(); ++s) {
-      // Theorem 2's and Theorem 3's expressions verbatim (they only differ
-      // at l == 1).
+      // Theorem 2's factor is 0 at l == 1 and Theorem 3's is 1 - q. For
+      // l > 1 both are (1 - q) / (l - 1), and the reference kernel's
+      // double(l) - 1.0 is exactly double(l - 1), so one division serves
+      // both bit for bit.
       const size_t l = choice_counts[s];
-      const double ld = static_cast<double>(l);
       Domain& d = table[s * m + k];
       d.quality = q;
-      d.wrong_answer = ld > 1.0 ? (1.0 - q) / (ld - 1.0) : 0.0;
-      d.wrong_update =
-          l > 1 ? (1.0 - q) / static_cast<double>(l - 1) : 1.0 - q;
+      d.wrong_answer = l > 1 ? (1.0 - q) / static_cast<double>(l - 1) : 0.0;
+      d.wrong_update = l > 1 ? d.wrong_answer : 1.0 - q;
     }
   }
 }
@@ -189,7 +165,7 @@ double TaskBenefit(const BenefitSupport& support, size_t i, const Task& task,
   const double expected = ExpectedEntropyOnSupport(
       support.domains(i), task.domain_vector.data(), support.support_size(i),
       factors.row(slot), truth_matrix, support.choice_counts()[slot], &buffer);
-  return EntropyOf(task_truth.data(), task_truth.size()) - expected;
+  return Entropy(task_truth) - expected;
 }
 
 double AnswerProbability(const Task& task, const Matrix& truth_matrix,

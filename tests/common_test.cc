@@ -369,10 +369,10 @@ TEST(MathTest, EntropyPropagatesNaN) {
   // distribution must poison the entropy so downstream benefit scores (and
   // the CheckFinite guards around them) can see it.
   const double nan = std::nan("");
-  EXPECT_TRUE(std::isnan(Entropy({0.5, nan, 0.25})));
-  EXPECT_TRUE(std::isnan(Entropy({nan})));
+  EXPECT_TRUE(std::isnan(Entropy(std::vector<double>{0.5, nan, 0.25})));
+  EXPECT_TRUE(std::isnan(Entropy(std::vector<double>{nan})));
   // Zeros are still fine (0 log 0 = 0 by convention).
-  EXPECT_DOUBLE_EQ(Entropy({1.0, 0.0}), 0.0);
+  EXPECT_DOUBLE_EQ(Entropy(std::vector<double>{1.0, 0.0}), 0.0);
 }
 
 TEST(MathDeathTest, ArgMaxOfEmptyVectorDies) {

@@ -452,49 +452,77 @@ TEST_F(SystemCheckpointTest, GoldenPhaseSurvivesRestore) {
 }
 
 // --- Corrupt-checkpoint validation (DataLoss, never an abort) ----------------
+// Each fixture is valid except for the one field under test, so the load
+// reaches the check that test is about; the message pins which check fired.
+
+// A well-formed task over the KB's domains: one-hot on domain 0, 2 choices.
+storage::StateCheckpoint::TaskState ValidTaskState(const kb::SyntheticKb& kb) {
+  storage::StateCheckpoint::TaskState task;
+  task.domain_vector.assign(kb.knowledge_base.num_domains(), 0.0);
+  task.domain_vector[0] = 1.0;
+  task.num_choices = 2;
+  return task;
+}
+
+Status LoadCorrupt(const kb::SyntheticKb& kb,
+                   const storage::StateCheckpoint& corrupt,
+                   const std::string& name) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(storage::SaveStateCheckpoint(corrupt, path).ok());
+  core::DocsSystem system(&kb.knowledge_base);
+  return system.LoadCheckpoint(path);
+}
 
 TEST_F(SystemCheckpointTest, LoadRejectsCheckpointWithTooFewChoices) {
   storage::StateCheckpoint corrupt;
-  storage::StateCheckpoint::TaskState task;
-  task.domain_vector = {1.0};
+  storage::StateCheckpoint::TaskState task = ValidTaskState(*kb_);
   task.num_choices = 1;  // below the 2-choice floor AddTasks enforces
   corrupt.tasks.push_back(task);
-  const std::string path = TempPath("corrupt_choices.log");
-  ASSERT_TRUE(storage::SaveStateCheckpoint(corrupt, path).ok());
-
-  core::DocsSystem system(&kb_->knowledge_base);
-  EXPECT_EQ(system.LoadCheckpoint(path).code(), StatusCode::kDataLoss);
+  const Status status = LoadCorrupt(*kb_, corrupt, "corrupt_choices.log");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("has 1 choices"), std::string::npos)
+      << status.message();
 }
 
 TEST_F(SystemCheckpointTest, LoadRejectsCorruptDomainVectorEntry) {
   // File data flows into the CHECK-guarded incremental-TI constructor; a
   // corrupt domain vector must surface as DataLoss before it gets there.
   storage::StateCheckpoint corrupt;
-  storage::StateCheckpoint::TaskState task;
-  task.domain_vector = {2.0};  // probabilities live in [0, 1]
-  task.num_choices = 2;
+  storage::StateCheckpoint::TaskState task = ValidTaskState(*kb_);
+  task.domain_vector[0] = 2.0;  // probabilities live in [0, 1]
   corrupt.tasks.push_back(task);
-  const std::string path = TempPath("corrupt_domain.log");
-  ASSERT_TRUE(storage::SaveStateCheckpoint(corrupt, path).ok());
+  const Status status = LoadCorrupt(*kb_, corrupt, "corrupt_domain.log");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("corrupt domain vector entry"),
+            std::string::npos)
+      << status.message();
+}
 
-  core::DocsSystem system(&kb_->knowledge_base);
-  EXPECT_EQ(system.LoadCheckpoint(path).code(), StatusCode::kDataLoss);
+TEST_F(SystemCheckpointTest, LoadRejectsDomainCountMismatch) {
+  // Every per-domain structure (worker quality, golden tallies, the scoring
+  // support) is sized to the KB's domain count; a task spanning a different
+  // count must be refused, not indexed past those tables.
+  storage::StateCheckpoint corrupt;
+  storage::StateCheckpoint::TaskState task = ValidTaskState(*kb_);
+  task.domain_vector.push_back(0.0);
+  corrupt.tasks.push_back(task);
+  const Status status = LoadCorrupt(*kb_, corrupt, "corrupt_domain_count.log");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("domains, KB has"), std::string::npos)
+      << status.message();
 }
 
 TEST_F(SystemCheckpointTest, LoadRejectsGoldenIndexOutOfRange) {
   // Regression: a golden index past the task list used to index is_golden_
-  // out of bounds on restore.
+  // out of bounds on restore. The storage loader refuses it first; the
+  // system's own range check backs it up.
   storage::StateCheckpoint corrupt;
-  storage::StateCheckpoint::TaskState task;
-  task.domain_vector = {1.0};
-  task.num_choices = 2;
-  corrupt.tasks.push_back(task);
+  corrupt.tasks.push_back(ValidTaskState(*kb_));
   corrupt.golden_tasks = {5};  // only one task exists
-  const std::string path = TempPath("corrupt_golden.log");
-  ASSERT_TRUE(storage::SaveStateCheckpoint(corrupt, path).ok());
-
-  core::DocsSystem system(&kb_->knowledge_base);
-  EXPECT_EQ(system.LoadCheckpoint(path).code(), StatusCode::kDataLoss);
+  const Status status = LoadCorrupt(*kb_, corrupt, "corrupt_golden.log");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("golden task"), std::string::npos)
+      << status.message();
 }
 
 }  // namespace
