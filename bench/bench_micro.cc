@@ -453,6 +453,32 @@ void BM_OtaColdPassCampaignShape(benchmark::State& state) {
 }
 BENCHMARK(BM_OtaColdPassCampaignShape)->Unit(benchmark::kMillisecond);
 
+// One cold RequestTasks of the serving path as a session meets it: the
+// QA-4000 campaign shape above with the cache and index on, and a full
+// inference (untimed) right before each request, so its generation bump
+// stales the worker's whole row and index. The request rebuilds the index
+// and ranks k = 20 (the HIT size). Reports the rows the pass rescored per
+// request.
+void BM_ServeRequestTasksColdIndexed(benchmark::State& state) {
+  auto system = MakeServingSystem(/*benefit_cache=*/true,
+                                  /*reference_kernel=*/false,
+                                  /*num_tasks=*/4000, /*benefit_index=*/true);
+  const size_t worker = system->WorkerIndex("bench_w0");
+  const uint64_t misses_before = system->benefit_cache_misses();
+  for (auto _ : state) {
+    state.PauseTiming();
+    system->RunFullInference();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(system->SelectTasks(worker, 20));
+  }
+  state.counters["rows/request"] = benchmark::Counter(
+      static_cast<double>(system->benefit_cache_misses() - misses_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ServeRequestTasksColdIndexed)
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(40);
+
 // WorkerStore in-memory put+merge throughput.
 void BM_WorkerStoreMerge(benchmark::State& state) {
   auto store = storage::WorkerStore::InMemory(26);

@@ -29,11 +29,15 @@ Checks, over every C++ file in src/, tests/, bench/ and examples/:
      inference mutation must flow through the InferenceService apply path
      so snapshots stay consistent with state; a direct call anywhere else
      bypasses the single-writer discipline the snapshots depend on.
-  8. The engine's invalidation counters (task_epoch_, generation_) may only
-     be mutated inside src/core/incremental_ti.{h,cc}. The benefit cache and
-     index (DESIGN.md §11/§16) key their freshness on exactly these counters;
-     a bump anywhere else would invalidate (or worse, fail to invalidate)
-     cached state behind the engine's back.
+  8. The engine's invalidation counters (task_epoch_, generation_) and the
+     per-task inputs of the benefit bounds (truth_entropy_, and
+     answers_of_task_, whose emptiness is the "has no answers" input) may
+     only be mutated inside src/core/incremental_ti.{h,cc}. The benefit
+     cache and index (DESIGN.md §11/§16) key their freshness on the
+     counters and seed their bound entries from the inputs; a write
+     anywhere else would invalidate (or worse, fail to invalidate) cached
+     state, or desynchronize a bound from the posterior it bounds, behind
+     the engine's back.
 
 Exit status is the number of findings (0 = clean). Run from anywhere:
 
@@ -89,13 +93,18 @@ TI_MUTATORS_RE = re.compile(
 # identifiers (generation_tag_, for one) out of scope; branch one catches
 # prefix ++/--, branch two catches postfix, assignment, and compound
 # assignment.
+# The bound inputs ride on the same rule: branch three catches container
+# mutators (push_back, assign, ...) on either array or one of its rows.
 EPOCH_MUTATION_ALLOWED_FILES = (
     "src/core/incremental_ti.h", "src/core/incremental_ti.cc")
+ENGINE_OWNED = r"(?:task_epoch_|generation_|truth_entropy_|answers_of_task_)"
 EPOCH_MUTATION_RE = re.compile(
     r"(?:\+\+|--)\s*(?:[A-Za-z_][\w.\[\]]*(?:->|\.))*"
-    r"(?:task_epoch_|generation_)(?!\w)"
-    r"|(?:task_epoch_|generation_)(?!\w)"
-    r"\s*(?:\[[^\]]*\]\s*)?(?:\+\+|--|[-+*/|&^]?=[^=])")
+    + ENGINE_OWNED + r"(?!\w)"
+    r"|" + ENGINE_OWNED + r"(?!\w)"
+    r"\s*(?:\[[^\]]*\]\s*)?(?:\+\+|--|[-+*/|&^]?=[^=])"
+    r"|" + ENGINE_OWNED + r"(?!\w)\s*(?:\[[^\]]*\]\s*)?\.\s*"
+    r"(?:push_back|emplace_back|assign|resize|clear|insert|erase|swap)\s*\(")
 
 # `MutexLock assign(&assign_mutex_);` — any of the scoped guards, capturing
 # the lock expression so the hierarchy check can classify it.
@@ -231,10 +240,12 @@ def lint_file(root, rel, findings):
                 and EPOCH_MUTATION_RE.search(LINE_COMMENT_RE.sub("", line))):
             findings.append(
                 (rel, i + 1,
-                 "task_epoch_/generation_ mutated outside the inference "
-                 "engine: the benefit cache and index key their freshness "
-                 "on these counters, so only incremental_ti.{h,cc} may "
-                 "move them (DESIGN.md §16)"))
+                 "task_epoch_/generation_ or a benefit-bound input "
+                 "(truth_entropy_/answers_of_task_) mutated outside the "
+                 "inference engine: the benefit cache and index key their "
+                 "freshness on these counters and seed their bounds from "
+                 "these inputs, so only incremental_ti.{h,cc} may move them "
+                 "(DESIGN.md §16)"))
 
     if is_header:
         check_header_guard(rel, lines, findings)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 
 #include "common/check.h"
@@ -131,6 +133,19 @@ double DocsSystem::Score(const ScoringPass& pass, size_t task) const {
                      truth);
 }
 
+BenefitBounds DocsSystem::Bounds(const ScoringPass& pass, size_t task) const {
+  // Same source split as Score: the snapshot carries copies of the engine's
+  // bound inputs, so a snapshot pass never reads live state.
+  const InferenceSnapshot* snap = pass.snap;
+  const double truth_entropy = snap != nullptr
+                                   ? snap->truth_entropy[task]
+                                   : inference_->truth_entropy(task);
+  const bool answered = snap != nullptr ? snap->answered[task] != 0
+                                        : inference_->task_answered(task);
+  return BenefitBoundsOf(support_, task, tasks_[task], *pass.factors,
+                         truth_entropy, answered);
+}
+
 namespace {
 
 bool EntryFresh(const CachedBenefit& entry, uint64_t task_epoch,
@@ -155,36 +170,119 @@ double DocsSystem::ScoreCached(ScoringPass* pass, size_t task) const {
   return value;
 }
 
-void DocsSystem::ScoreEntries(ScoringPass* pass,
-                              std::vector<ScoredTask>* entries,
+template <typename EntryT>
+std::vector<size_t> DocsSystem::ProbeCache(ScoringPass* pass,
+                                           std::vector<EntryT>* entries) const {
+  const std::vector<CachedBenefit>& cache = *pass->cache;
+  std::vector<size_t> stale;
+  for (size_t s = 0; s < entries->size(); ++s) {
+    EntryT& slot = (*entries)[s];
+    const CachedBenefit& entry = cache[slot.task];
+    if (EntryFresh(entry, pass->task_epochs[slot.task], pass->worker_epoch,
+                   pass->generation)) {
+      slot.value = entry.benefit;
+    } else {
+      stale.push_back(s);
+    }
+  }
+  pass->hits += entries->size() - stale.size();
+  return stale;
+}
+
+template <typename EntryT>
+void DocsSystem::ScoreEntries(ScoringPass* pass, std::vector<EntryT>* entries,
                               ThreadPool* pool) const {
-  std::vector<ScoredTask>& scored = *entries;
+  std::vector<EntryT>& scored = *entries;
   if (pass->cache == nullptr) {
     ParallelFor(pool, scored.size(), [&](size_t s) {
       scored[s].value = Score(*pass, scored[s].task);
     });
     return;
   }
+  const std::vector<size_t> misses = ProbeCache(pass, entries);
   std::vector<CachedBenefit>& cache = *pass->cache;
-  std::vector<size_t> misses;
-  for (size_t s = 0; s < scored.size(); ++s) {
-    const CachedBenefit& entry = cache[scored[s].task];
-    if (EntryFresh(entry, pass->task_epochs[scored[s].task],
-                   pass->worker_epoch, pass->generation)) {
-      scored[s].value = entry.benefit;
-    } else {
-      misses.push_back(s);
-    }
-  }
   const ScoringPass& key = *pass;
   ParallelFor(pool, misses.size(), [&](size_t x) {
-    ScoredTask& slot = scored[misses[x]];
+    EntryT& slot = scored[misses[x]];
     slot.value = Score(key, slot.task);
     cache[slot.task] = {key.task_epochs[slot.task], key.worker_epoch,
                         key.generation, slot.value};
   });
-  pass->hits += scored.size() - misses.size();
   pass->misses += misses.size();
+}
+
+void DocsSystem::SeedEntries(ScoringPass* pass, size_t k,
+                             const std::function<bool(size_t)>& eligible,
+                             std::vector<BenefitIndex::Entry>* entries,
+                             ThreadPool* pool) const {
+  if (pass->factors == nullptr) {
+    // No bounds for this rule (or the reference kernel): exact entries.
+    ScoreEntries(pass, entries, pool);
+    return;
+  }
+  std::vector<BenefitIndex::Entry>& seeded = *entries;
+  std::vector<CachedBenefit>& cache = *pass->cache;
+  const std::vector<size_t> stale = ProbeCache(pass, entries);
+  const ScoringPass& key = *pass;
+  std::vector<double> lower(stale.size());
+  ParallelFor(pool, stale.size(), [&](size_t x) {
+    BenefitIndex::Entry& slot = seeded[stale[x]];
+    const BenefitBounds bounds = Bounds(key, slot.task);
+    slot.value = bounds.upper;
+    slot.bound = true;
+    lower[x] = bounds.lower;
+  });
+  // The floor: the k-th largest known lower bound (fresh exact scores and
+  // closed forms) is at most the k-th selected score whenever those k tasks
+  // are eligible (the common case: only leases and caps make an unanswered
+  // task ineligible). A stale row whose upper bound reaches it is one the
+  // walk would resolve, bar the few between the floor and the k-th score,
+  // so it is scored here, in task order over the pool, rather than one
+  // cache-cold row at a time in the walk. A floor that overshoots costs
+  // speed only: the walk resolves what it still needs. `best` keeps the k
+  // largest lower bounds as a min-heap.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> best;
+  best.reserve(k);
+  auto offer = [&best, k](double value) {
+    if (best.size() < k) {
+      best.push_back(value);
+      std::push_heap(best.begin(), best.end(), std::greater<double>());
+    } else if (!best.empty() && value > best.front()) {
+      std::pop_heap(best.begin(), best.end(), std::greater<double>());
+      best.back() = value;
+      std::push_heap(best.begin(), best.end(), std::greater<double>());
+    }
+  };
+  for (size_t s = 0, x = 0; s < seeded.size(); ++s) {
+    if (x < stale.size() && stale[x] == s) {
+      if (lower[x] > -kInf) offer(lower[x]);
+      ++x;
+    } else {
+      offer(seeded[s].value);
+    }
+  }
+  const double floor = k == 0             ? kInf
+                       : best.size() == k ? best.front()
+                                          : -kInf;
+  std::vector<size_t> resolve;
+  for (size_t s : stale) {
+    if (seeded[s].value >= floor && eligible(seeded[s].task)) {
+      resolve.push_back(s);
+    }
+  }
+  ParallelFor(pool, resolve.size(), [&](size_t x) {
+    BenefitIndex::Entry& slot = seeded[resolve[x]];
+    const double exact = Score(key, slot.task);
+    DOCS_DCHECK(exact <= slot.value)
+        << "benefit bound " << slot.value << " below the exact score "
+        << exact << " of task " << slot.task;
+    cache[slot.task] = {key.task_epochs[slot.task], key.worker_epoch,
+                        key.generation, exact};
+    slot.value = exact;
+    slot.bound = false;
+  });
+  pass->misses += resolve.size();
 }
 
 void DocsSystem::PublishTally(const ScoringPass& pass) {
@@ -262,20 +360,22 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
     }
   }
   if (!synced) {
-    // Live rebuilds exclude the worker's answered tasks — they can never
-    // become eligible again, so scoring them would be pure waste. (Safe to
-    // read here: the answered list only grows via her own submissions, each
-    // of which bumps her worker epoch and forces the next rebuild.) Snapshot
-    // rebuilds exclude nothing: the async answered books are assign-guarded
-    // and the snapshot path must not touch them; the eligibility predicate
-    // skips those entries and the budget bounds the cost.
+    // Rebuilds exclude the worker's answered tasks — they can never become
+    // eligible again, so indexing them would be pure waste, and as bound
+    // entries (an answered task's bound is H(s_i)) they would sit near the
+    // top and be skipped by every walk. The list only grows via her own
+    // submissions, each of which bumps her worker epoch and forces the next
+    // rebuild. A snapshot pass reads the list as of its publish (the
+    // assign-guarded async books run ahead of it; the eligibility predicate
+    // skips the difference).
     const std::vector<size_t>* exclude =
-        snap == nullptr ? &inference_->answered_tasks(worker) : nullptr;
+        snap == nullptr ? &inference_->answered_tasks(worker)
+                        : &snap->workers[worker]->answered;
     const uint64_t cursor =
         snap == nullptr ? inference_->mutation_log_end() : snap->epoch;
     index->Rebuild(n, source, pass->worker_epoch, pass->generation, cursor,
-                   exclude, [&](std::vector<ScoredTask>* entries) {
-                     ScoreEntries(pass, entries, pool);
+                   exclude, [&](std::vector<BenefitIndex::Entry>* entries) {
+                     SeedEntries(pass, k, eligible_one, entries, pool);
                    });
     benefit_index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -286,10 +386,14 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
   uint64_t pops = 0;
   // The frontier walk may skip ineligible entries (leased-out tasks, capped
   // tasks, the answered set on the snapshot path); past this budget the pass
-  // is churn-bound and the O(n) scan is the better tool.
+  // is churn-bound and the O(n) scan is the better tool. Resolving a bound
+  // entry is not a skip and does not count: a cold walk resolves every
+  // entry whose bound reaches the top k, and charging that to the budget
+  // would send each cold pass to the scan.
   const size_t budget = std::max<size_t>(64, 8 * k);
-  const bool complete =
-      index->TrySelect(eligible_one, k, budget, &selected, &pops);
+  const bool complete = index->TrySelect(
+      eligible_one, [&](size_t task) { return ScoreCached(pass, task); }, k,
+      budget, &selected, &pops);
   benefit_index_pops_.fetch_add(pops, std::memory_order_relaxed);
   if (!complete) return std::nullopt;
   return selected;
@@ -864,10 +968,14 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
   // changed_tasks, the diff a one-publish-stale index repairs from.
   const size_t n = tasks_.size();
   snap->task_epochs.resize(n);
+  snap->truth_entropy.resize(n);
+  snap->answered.resize(n);
   snap->tasks.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const uint64_t epoch = inference_->task_epoch(i);
     snap->task_epochs[i] = epoch;
+    snap->truth_entropy[i] = inference_->truth_entropy(i);
+    snap->answered[i] = inference_->task_answered(i);
     if (same_generation && i < prev->task_epochs.size() &&
         prev->task_epochs[i] == epoch) {
       snap->tasks[i] = prev->tasks[i];
@@ -899,6 +1007,7 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
     }
     auto view = std::make_shared<WorkerSnapshot>();
     view->quality = inference_->worker_quality(w).quality;
+    view->answered = inference_->answered_tasks(w);
     view->epoch = epoch;
     view->servable = servable;
     view->cache_row = row;

@@ -104,10 +104,17 @@ struct DocsSystemOptions {
   bool benefit_cache = true;
   /// Per-worker ordered benefit index over the cache rows (DESIGN.md §16): a
   /// warm RequestTasks reads the top-k eligible tasks off a lazily repaired
-  /// max-heap — O(k log n) — instead of scanning all n cached scores.
-  /// Requires benefit_cache (silently inert without it). Selections are
-  /// bit-identical with the index on or off (tests/benefit_index_test.cc);
-  /// the knob exists for that suite and for benchmarking the scan path.
+  /// max-heap — O(k log n) — instead of scanning all n cached scores. Under
+  /// kBenefit and kQualityBlind a rebuild seeds every stale row as an upper
+  /// bound of its benefit and scores only the eligible rows that can reach
+  /// the top k (in one batch from the seed's floor, or one by one as the
+  /// walk reaches them), so a cold request scores a few hundred rows, not
+  /// all n. A resolution in the walk is not a visit: only emitted and
+  /// skipped (ineligible) entries count against the walk's scan-fallback
+  /// budget. Requires benefit_cache (silently inert without it). Selections
+  /// are bit-identical with the index on or off
+  /// (tests/benefit_index_test.cc); the knob exists for that suite and for
+  /// benchmarking the scan path.
   bool benefit_index = true;
   /// Routes benefit scoring through the allocating reference kernel instead
   /// of the fused scratch-arena kernel. The two are bit-identical; the
@@ -441,15 +448,40 @@ class DocsSystem : public AssignmentPolicy {
 
   /// The selection rule's score of `task`, uncached.
   double Score(const ScoringPass& pass, size_t task) const;
-  /// One cached score for an index repair: probes the pass's cache row (the
-  /// index requires one) under its key, rescoring and refreshing the entry
-  /// on a miss, and tallies the probe in `*pass`.
+  /// BenefitBoundsOf `task` for a benefit-rule pass (pass.factors set),
+  /// from the bound inputs of the pass's source (engine or snapshot).
+  BenefitBounds Bounds(const ScoringPass& pass, size_t task) const;
+  /// One cached score for an index repair or bound resolution: probes the
+  /// pass's cache row (the index requires one) under its key, rescoring and
+  /// refreshing the entry on a miss, and tallies the probe in `*pass`.
   double ScoreCached(ScoringPass* pass, size_t task) const;
-  /// Fills the value of every entry (distinct tasks): probes the cache for
-  /// all of them, then scores the misses as one batch over `pool`. Each miss
-  /// owns its entry and cache slot, so the result is thread-count invariant.
-  void ScoreEntries(ScoringPass* pass, std::vector<ScoredTask>* entries,
+  /// Fills the value of every entry that has a fresh cache entry under the
+  /// pass's key, tallies those hits, and returns the positions of the rest
+  /// (ascending). The pass must have a cache row.
+  template <typename EntryT>
+  std::vector<size_t> ProbeCache(ScoringPass* pass,
+                                 std::vector<EntryT>* entries) const;
+  /// Fills the value of every entry (distinct tasks; a ScoredTask or an
+  /// index Entry): probes the cache for all of them, then scores the misses
+  /// as one batch over `pool`. Each miss owns its entry and cache slot, so
+  /// the result is thread-count invariant.
+  template <typename EntryT>
+  void ScoreEntries(ScoringPass* pass, std::vector<EntryT>* entries,
                     ThreadPool* pool) const;
+  /// The index's rebuild seed (DESIGN.md §16): probes the cache for every
+  /// entry and keeps the fresh scores as exact entries. Under every rule but
+  /// the benefit rules on the campaign kernel it scores the stale rows
+  /// exactly (ScoreEntries). Under those it seeds each stale row with its
+  /// upper bound, takes the k-th largest of the known lower bounds (fresh
+  /// scores and closed forms) as a floor of the k-th selected score, and
+  /// scores in one batch over `pool` the stale rows that satisfy `eligible`
+  /// and whose upper bound reaches that floor — the rows a walk for `k`
+  /// would resolve, bar a few; the rest stay bound entries. Bound entries
+  /// count as neither hit nor miss until they are scored.
+  void SeedEntries(ScoringPass* pass, size_t k,
+                   const std::function<bool(size_t)>& eligible,
+                   std::vector<BenefitIndex::Entry>* entries,
+                   ThreadPool* pool) const;
   /// Adds the pass's row-level tallies to the lifetime counters.
   void PublishTally(const ScoringPass& pass);
 
@@ -462,12 +494,13 @@ class DocsSystem : public AssignmentPolicy {
                                bool* had_candidates);
 
   /// The index-accelerated ranking attempt (DESIGN.md §16): syncs `index` to
-  /// the pass's (worker_epoch, generation) — full rebuild on a tag mismatch
-  /// or feed gap, targeted repairs from the engine's mutation log (live
-  /// pass) or the snapshot's changed-task diff otherwise — then reads the
-  /// top-k eligible tasks off the heap. nullopt when the frontier walk
-  /// exceeded its skip budget; the caller falls back to the bit-identical
-  /// scan.
+  /// the pass's (worker_epoch, generation) — full rebuild (SeedEntries) on a
+  /// tag mismatch or feed gap, targeted repairs from the engine's mutation
+  /// log (live pass) or the snapshot's changed-task diff otherwise — then
+  /// reads the top-k eligible tasks off the heap, resolving bound entries
+  /// through the cache row as the walk reaches them. nullopt when the
+  /// frontier walk exceeded its skip budget; the caller falls back to the
+  /// bit-identical scan.
   std::optional<std::vector<size_t>> TryRankViaIndex(
       size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
       const std::function<bool(size_t)>& eligible_one, ThreadPool* pool);

@@ -27,6 +27,7 @@ IncrementalTruthInference::IncrementalTruthInference(
   log_numerators_.reserve(n);
   truth_matrices_.reserve(n);
   task_truth_.reserve(n);
+  truth_entropy_.reserve(n);
   task_epoch_.assign(n, 1);
   answers_of_task_.resize(n);
   for (const Task& task : tasks_) {
@@ -39,6 +40,7 @@ IncrementalTruthInference::IncrementalTruthInference(
     truth_matrices_.push_back(uniform);
     std::vector<double> s = uniform.LeftMultiply(task.domain_vector);
     NormalizeInPlace(s);
+    truth_entropy_.push_back(Entropy(s));
     task_truth_.push_back(std::move(s));
   }
 }
@@ -146,6 +148,7 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
   truth_matrix.LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
   NormalizeInPlace(task_truth_[task]);
   const std::vector<double>& new_truth = task_truth_[task];
+  truth_entropy_[task] = Entropy(new_truth);
 
   // --- Step 2: update the qualities touched by this answer. ---------------
   // The effective mass behind a quality estimate is the accumulated weight
@@ -249,6 +252,9 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   TruthStepKernel step1(tasks_, answers_of_task_, workers_.size());
   step1.Run(result.worker_quality, options_.quality_clamp, pool,
             &truth_matrices_, &task_truth_, &log_numerators_);
+  ParallelFor(pool, tasks_.size(), [this](size_t i) {
+    truth_entropy_[i] = Entropy(task_truth_[i]);
+  });
 }
 
 std::vector<size_t> IncrementalTruthInference::InferredChoices() const {

@@ -66,6 +66,16 @@ class IncrementalTruthInference {
   const Matrix& truth_matrix(size_t task) const {
     return truth_matrices_[task];
   }
+  /// Entropy(task_truth(task)): one of the two per-task inputs of the OTA
+  /// benefit bounds (DESIGN.md §16). Written with s_i — by the constructor,
+  /// OnAnswer and RunFullInference — so readers never recompute it.
+  double truth_entropy(size_t task) const { return truth_entropy_[task]; }
+  /// True once any worker answered `task`: the other bound input. An
+  /// unanswered task's M^(i) rows are all one constant (1/l from the
+  /// constructor, the softmax of zeros after RunFullInference).
+  bool task_answered(size_t task) const {
+    return !answers_of_task_[task].empty();
+  }
   /// M̂^(i): the log numerators of Eq. 3 that OnAnswer extends.
   const Matrix& log_numerator(size_t task) const {
     return log_numerators_[task];
@@ -152,6 +162,7 @@ class IncrementalTruthInference {
   std::vector<Matrix> log_numerators_;  // M̂^(i), in log space
   std::vector<Matrix> truth_matrices_;  // M^(i)
   std::vector<std::vector<double>> task_truth_;  // s_i
+  std::vector<double> truth_entropy_;            // see truth_entropy()
   std::vector<uint64_t> task_epoch_;  // see task_epoch()
   uint64_t generation_ = 1;           // see generation()
   /// Dirty-task feed; see mutation_log(). Bounded: once it reaches

@@ -31,6 +31,9 @@ struct TaskPosteriorSnapshot {
 /// the sync sharded path.
 struct WorkerSnapshot {
   std::vector<double> quality;
+  /// The tasks the worker had answered in the engine at publish time,
+  /// ascending. Covered by `epoch`: each of her answers bumps it.
+  std::vector<size_t> answered;
   /// The worker's inference epoch at publish time; cache entries written by
   /// the snapshot scoring path carry it, so they self-invalidate the moment
   /// a newer snapshot (or the exclusive path) observes a later epoch.
@@ -62,6 +65,12 @@ struct InferenceSnapshot {
   /// Per-task inference epochs at publish time; keys the benefit cache on
   /// the snapshot scoring path (DESIGN.md §11 semantics, snapshot edition).
   std::vector<uint64_t> task_epochs;
+  /// Per-task benefit bound inputs at publish time (DESIGN.md §16), as
+  /// IncrementalTruthInference::truth_entropy and task_answered. Flat, like
+  /// task_epochs: a cold index rebuild reads them for every task, and one
+  /// pointer chase per task into `tasks` would cost more than the bound.
+  std::vector<double> truth_entropy;
+  std::vector<uint8_t> answered;
   /// The engine's invalidation generation at publish time (DESIGN.md §16):
   /// a full re-inference replaces every posterior without bumping the task
   /// epochs, so both the copy-on-write sharing below and the cache/index

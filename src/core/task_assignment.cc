@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "common/math_utils.h"
@@ -12,6 +13,8 @@ namespace {
 double Clamp(double q, double clamp) {
   return std::min(1.0 - clamp, std::max(clamp, q));
 }
+
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
 
 // Eq. 8's expected posterior entropy H(ŝ_i) over the task's nonzero domain
 // rows `domains` of its domain vector `r`. L is the choice count when it is
@@ -114,17 +117,34 @@ BenefitSupport::BenefitSupport(const std::vector<Task>& tasks) {
   domains_.reserve(nonzeros);
   row_begin_.reserve(tasks.size() + 1);
   choice_slot_.reserve(tasks.size());
+  weight_sum_.reserve(tasks.size());
+  bound_slack_.reserve(tasks.size());
+  constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
   for (const Task& task : tasks) {
+    double sum = 0.0;
+    bool positive = true;
     for (size_t k = 0; k < num_domains_; ++k) {
-      if (task.domain_vector[k] != 0.0) {
+      const double rk = task.domain_vector[k];
+      if (rk != 0.0) {
         domains_.push_back(static_cast<uint32_t>(k));
+        sum += rk;
+        positive = positive && rk > 0.0;
       }
     }
+    const size_t nnz = domains_.size() - row_begin_.back();
     row_begin_.push_back(static_cast<uint32_t>(domains_.size()));
     choice_slot_.push_back(static_cast<uint32_t>(
         std::lower_bound(choice_counts_.begin(), choice_counts_.end(),
                          task.num_choices) -
         choice_counts_.begin()));
+    // The forward-error slack of DESIGN.md §16 "Lazy bound entries".
+    const double l = static_cast<double>(task.num_choices);
+    const double log_l = task.num_choices > 0 ? std::log(l) : 0.0;
+    weight_sum_.push_back(sum);
+    bound_slack_.push_back(
+        positive ? 8.0 * (static_cast<double>(nnz) + l + 8.0) * kUnitRoundoff *
+                       (sum * (log_l + 1.0) + log_l + 1.0)
+                 : kNoBound);
   }
 }
 
@@ -166,6 +186,43 @@ double TaskBenefit(const BenefitSupport& support, size_t i, const Task& task,
       support.domains(i), task.domain_vector.data(), support.support_size(i),
       factors.row(slot), truth_matrix, support.choice_counts()[slot], &buffer);
   return Entropy(task_truth) - expected;
+}
+
+BenefitBounds BenefitBoundsOf(const BenefitSupport& support, size_t i,
+                              const Task& task,
+                              const WorkerBenefitFactors& factors,
+                              double truth_entropy, bool answered) {
+  const double slack = support.bound_slack(i);
+  const size_t slot = support.choice_slot(i);
+  const size_t l = support.choice_counts()[slot];
+  const size_t nnz = support.support_size(i);
+  if (answered || l < 2 || nnz == 0 || slack == kNoBound) {
+    return {truth_entropy + slack, -kNoBound};
+  }
+  // Every row of M^(i) is one constant, so each posterior of Eq. 8 is the
+  // same distribution up to which choice holds the correct-answer mass:
+  // (right, wrong, ..., wrong) / (right + (l-1) wrong), and the answer
+  // probabilities sum to S_i. Both sums, like the kernel's, add positive
+  // terms only (no 1 - p cancellation), which is what keeps the slack small.
+  const uint32_t* domains = support.domains(i);
+  const double* r = task.domain_vector.data();
+  const WorkerBenefitFactors::Domain* f = factors.row(slot);
+  double right = 0.0;
+  double wrong = 0.0;
+  for (size_t e = 0; e < nnz; ++e) {
+    const size_t k = domains[e];
+    right += r[k] * f[k].quality;
+    wrong += r[k] * f[k].wrong_update;
+  }
+  const double wrong_choices = static_cast<double>(l - 1);
+  const double total = right + wrong_choices * wrong;
+  const double p_right = right / total;
+  const double p_wrong = wrong / total;
+  double entropy = 0.0;
+  if (p_right > 0.0) entropy -= p_right * std::log(p_right);
+  if (p_wrong > 0.0) entropy -= wrong_choices * (p_wrong * std::log(p_wrong));
+  const double closed = truth_entropy - support.weight_sum(i) * entropy;
+  return {closed + slack, closed - slack};
 }
 
 double AnswerProbability(const Task& task, const Matrix& truth_matrix,
@@ -329,10 +386,10 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
 }
 
 void BenefitIndex::SiftUp(size_t slot) {
-  ScoredTask entry = heap_[slot];
+  Entry entry = heap_[slot];
   while (slot > 0) {
     const size_t parent = (slot - 1) / 2;
-    if (!BetterScored(entry, heap_[parent])) break;
+    if (!Before(entry, heap_[parent])) break;
     PlaceAt(slot, heap_[parent]);
     slot = parent;
   }
@@ -340,13 +397,13 @@ void BenefitIndex::SiftUp(size_t slot) {
 }
 
 void BenefitIndex::SiftDown(size_t slot) {
-  ScoredTask entry = heap_[slot];
+  Entry entry = heap_[slot];
   const size_t n = heap_.size();
   for (;;) {
     size_t best = 2 * slot + 1;
     if (best >= n) break;
-    if (best + 1 < n && BetterScored(heap_[best + 1], heap_[best])) ++best;
-    if (!BetterScored(heap_[best], entry)) break;
+    if (best + 1 < n && Before(heap_[best + 1], heap_[best])) ++best;
+    if (!Before(heap_[best], entry)) break;
     PlaceAt(slot, heap_[best]);
     slot = best;
   }
@@ -357,7 +414,7 @@ void BenefitIndex::Rebuild(size_t num_tasks, Source source,
                            uint64_t worker_epoch, uint64_t generation,
                            uint64_t cursor,
                            const std::vector<size_t>* exclude_sorted,
-                           const ScoreBatch& score) {
+                           const SeedBatch& seed) {
   // pos_ packs heap slots into uint32_t (+1 for the "absent" sentinel).
   DOCS_CHECK_LT(num_tasks, size_t{0xffffffff});
   heap_.clear();
@@ -369,9 +426,9 @@ void BenefitIndex::Rebuild(size_t num_tasks, Source source,
       while (e < exclude_sorted->size() && (*exclude_sorted)[e] < task) ++e;
       if (e < exclude_sorted->size() && (*exclude_sorted)[e] == task) continue;
     }
-    heap_.push_back({task, 0.0});
+    heap_.push_back({0.0, static_cast<uint32_t>(task), false});
   }
-  score(&heap_);
+  seed(&heap_);
   for (size_t s = 0; s < heap_.size(); ++s) {
     pos_[heap_[s].task] = static_cast<uint32_t>(s + 1);
   }
@@ -386,6 +443,7 @@ void BenefitIndex::Rebuild(size_t num_tasks, Source source,
 void BenefitIndex::Repair(size_t task, double value) {
   if (!contains(task)) return;
   const size_t slot = pos_[task] - 1;
+  heap_[slot].bound = false;
   if (heap_[slot].value == value) return;  // bitwise-identical score: no-op
   const bool rose = value > heap_[slot].value;
   heap_[slot].value = value;
@@ -394,48 +452,6 @@ void BenefitIndex::Repair(size_t task, double value) {
   } else {
     SiftDown(slot);
   }
-}
-
-bool BenefitIndex::TrySelect(const std::function<bool(size_t)>& eligible,
-                             size_t k, size_t budget, std::vector<size_t>* out,
-                             uint64_t* pops) {
-  out->clear();
-  if (k == 0 || heap_.empty()) return true;
-  // Candidate-frontier traversal: the frontier holds heap slots whose
-  // parents were already emitted, ordered (as a little heap of its own) by
-  // the indexed entries' total order. Because BetterScored is total and the
-  // main heap satisfies it parent-over-child strictly, the best frontier
-  // slot is better than every other unvisited node — so emission happens in
-  // exact global rank order, matching the scan's sorted prefix bit for bit.
-  frontier_.clear();
-  auto frontier_order = [this](uint32_t a, uint32_t b) {
-    // std::push/pop_heap keep the *largest* element first under "less-than";
-    // "less" here means "worse score".
-    return BetterScored(heap_[b], heap_[a]);
-  };
-  frontier_.push_back(0);
-  uint64_t visited = 0;
-  while (!frontier_.empty()) {
-    std::pop_heap(frontier_.begin(), frontier_.end(), frontier_order);
-    const uint32_t slot = frontier_.back();
-    frontier_.pop_back();
-    ++visited;
-    if (visited > budget) {
-      *pops += visited;
-      return false;
-    }
-    if (eligible(heap_[slot].task)) {
-      out->push_back(heap_[slot].task);
-      if (out->size() == k) break;
-    }
-    for (uint32_t child = 2 * slot + 1;
-         child <= 2 * slot + 2 && child < heap_.size(); ++child) {
-      frontier_.push_back(child);
-      std::push_heap(frontier_.begin(), frontier_.end(), frontier_order);
-    }
-  }
-  *pops += visited;
-  return true;
 }
 
 void BenefitIndex::CheckInvariant() const {
@@ -448,7 +464,7 @@ void BenefitIndex::CheckInvariant() const {
   }
   DOCS_DCHECK_EQ(indexed, heap_.size());
   for (size_t slot = 1; slot < heap_.size(); ++slot) {
-    DOCS_DCHECK(BetterScored(heap_[(slot - 1) / 2], heap_[slot]))
+    DOCS_DCHECK(Before(heap_[(slot - 1) / 2], heap_[slot]))
         << "benefit index heap property violated at slot " << slot;
   }
 }
@@ -572,9 +588,10 @@ std::vector<size_t> TaskAssigner::SelectTopK(
     index->Rebuild(tasks.size(), BenefitIndex::Source::kStandalone,
                    worker_epoch, generation, /*cursor=*/0,
                    /*exclude_sorted=*/nullptr,
-                   [&](std::vector<ScoredTask>* entries) {
-                     // Each entry owns its cache slot and the kernel keeps
-                     // per-thread scratch: thread-count invariant.
+                   [&](std::vector<BenefitIndex::Entry>* entries) {
+                     // Exact entries only. Each entry owns its cache slot and
+                     // the kernel keeps per-thread scratch: thread-count
+                     // invariant.
                      ParallelFor(pool, entries->size(), [&](size_t s) {
                        (*entries)[s].value = score_fresh((*entries)[s].task);
                      });
@@ -603,8 +620,8 @@ std::vector<size_t> TaskAssigner::SelectTopK(
   // Unbounded budget: each node is visited at most once, so the walk always
   // completes; standalone callers have no scan fallback to hand off to.
   const bool complete = index->TrySelect(
-      [&eligible](size_t task) { return eligible[task] != 0; }, k,
-      /*budget=*/tasks.size(), &selected, &pops);
+      [&eligible](size_t task) { return eligible[task] != 0; }, score_fresh,
+      k, /*budget=*/tasks.size(), &selected, &pops);
   DOCS_CHECK(complete);
   return selected;
 }

@@ -1,12 +1,14 @@
 #ifndef DOCS_CORE_TASK_ASSIGNMENT_H_
 #define DOCS_CORE_TASK_ASSIGNMENT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/matrix.h"
 #include "common/parallel.h"
 #include "core/types.h"
@@ -38,6 +40,14 @@ class BenefitSupport {
   size_t support_size(size_t task) const {
     return row_begin_[task + 1] - row_begin_[task];
   }
+  /// S_i = sum of `task`'s support weights r_k, in ascending-domain order.
+  double weight_sum(size_t task) const { return weight_sum_[task]; }
+  /// Forward-error slack added to both benefit upper bounds of `task`
+  /// (DESIGN.md §16): 8 (nnz + l + 8) u (S_i (ln l + 1) + ln l + 1), with u
+  /// the unit roundoff. +infinity when a support weight is negative (the
+  /// checkpoint loader admits r_k down to -1e-9): the analysis needs
+  /// r_k > 0, so such a task has no finite bound and is always scored.
+  double bound_slack(size_t task) const { return bound_slack_[task]; }
 
  private:
   size_t num_domains_ = 0;
@@ -45,6 +55,8 @@ class BenefitSupport {
   std::vector<uint32_t> domains_;
   std::vector<uint32_t> choice_slot_;
   std::vector<size_t> choice_counts_;
+  std::vector<double> weight_sum_;
+  std::vector<double> bound_slack_;
 };
 
 /// One worker's benefit factors, hoisted once per scoring pass (DESIGN.md
@@ -84,6 +96,29 @@ double TaskBenefit(const BenefitSupport& support, size_t i, const Task& task,
                    const WorkerBenefitFactors& factors,
                    const Matrix& truth_matrix,
                    const std::vector<double>& task_truth);
+
+/// Bounds of TaskBenefit(support, i, task, factors, M^(i), s_i) that hold for
+/// any M^(i) consistent with the task's bound inputs (DESIGN.md §16):
+/// `truth_entropy` is Entropy(s_i) and `answered` says whether the task has
+/// any answer.
+///  - upper, any task: H(s_i), since the kernel subtracts an expected
+///    entropy >= 0.
+///  - upper, an unanswered task (every row of M^(i) is one constant, 1/l or
+///    the EM softmax of zeros): the kernel's value in closed form,
+///    H(s_i) - S_i H(p, (1-p)/(l-1), ...), with p = sum r_k q_k / S_i over
+///    the support and q_k the factors' clamped qualities.
+///  - lower: the closed form minus the slack, where it applies; -infinity
+///    otherwise.
+/// Each side carries support.bound_slack(i). O(1) for answered tasks;
+/// O(support) and two logs otherwise.
+struct BenefitBounds {
+  double upper = 0.0;
+  double lower = 0.0;
+};
+BenefitBounds BenefitBoundsOf(const BenefitSupport& support, size_t i,
+                              const Task& task,
+                              const WorkerBenefitFactors& factors,
+                              double truth_entropy, bool answered);
 
 /// Reusable scratch arena for the single-task fused overloads below. One
 /// instance per thread: callers keep a thread_local arena so repeated
@@ -191,27 +226,42 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
                                          size_t k);
 
 /// Per-worker ordered benefit index (DESIGN.md §16): a binary max-heap over
-/// the worker's cached benefit scores, ordered by BetterScored, plus a
-/// task -> heap-slot map so a stale score can be repaired in place (sift) in
-/// O(log n). A fully warm RequestTasks then reads the top k eligible tasks
-/// off the heap in O(k log n) instead of scanning and nth_element-ing all n
-/// scores.
+/// the worker's benefit scores, ordered by BetterScored, plus a task ->
+/// heap-slot map so a stale score can be repaired in place (sift) in
+/// O(log n). A RequestTasks reads the top k eligible tasks off the heap with
+/// a frontier walk instead of scanning and nth_element-ing all n scores.
+///
+/// The heap is lazy: an entry holds either the task's exact score or an
+/// upper bound of it (a *bound entry*). The walk scores a bound entry only
+/// when it would otherwise emit it, so a cold rebuild seeds n cheap bounds
+/// and resolves the few hundred entries that can reach the top k. Every
+/// emitted entry is exact, and because bound >= exact under BetterScored the
+/// emission order equals the scan's.
 ///
 /// Freshness is tagged, never assumed: the index remembers which source
 /// (live engine / published snapshot / standalone assigner), worker epoch and
 /// invalidation generation it was built under, plus a cursor into that
 /// source's change feed (the engine's mutation log, or the snapshot publish
-/// epoch). The owner revalidates the tags before every use — a mismatch
-/// means Rebuild, a cursor gap means targeted Repair of exactly the tasks
-/// the feed names. Instances are NOT thread-safe; the owner serializes
-/// access per worker (DocsSystem: the worker's shard stripe or the exclusive
-/// lock).
+/// epoch). A bound, like a score, is valid while the tags hold and the task
+/// is not named by the feed. The owner revalidates the tags before every use
+/// — a mismatch means Rebuild, a cursor gap means targeted Repair of exactly
+/// the tasks the feed names. Instances are NOT thread-safe; the owner
+/// serializes access per worker (DocsSystem: the worker's shard stripe or
+/// the exclusive lock).
 class BenefitIndex {
  public:
   /// Which state the indexed scores were computed against. Tag mismatch =
   /// rebuild: scores from different sources are not comparable even when the
   /// numeric epochs coincide.
   enum class Source : uint8_t { kNone = 0, kLive, kSnapshot, kStandalone };
+
+  /// One heap entry: the task's exact score, or — while `bound` is set — an
+  /// upper bound of it that TrySelect resolves before emitting the task.
+  struct Entry {
+    double value = 0.0;
+    uint32_t task = 0;
+    bool bound = false;
+  };
 
   /// True when the index still describes (source, worker_epoch, generation)
   /// over `num_tasks` tasks and only cursor catch-up may be needed.
@@ -232,34 +282,47 @@ class BenefitIndex {
     return task < pos_.size() && pos_[task] != 0;
   }
 
-  /// Fills the `value` of every entry of a batch (tasks ascending). Called
-  /// once per rebuild with the whole batch, so the caller can probe its
-  /// cache and score the misses together.
-  using ScoreBatch = std::function<void(std::vector<ScoredTask>* entries)>;
+  /// Fills the `value` and `bound` of every entry of a batch (tasks
+  /// ascending). Called once per rebuild with the whole batch, so the caller
+  /// can probe its cache and seed exact scores or bounds together.
+  using SeedBatch = std::function<void(std::vector<Entry>* entries)>;
 
   /// Rebuilds the heap from scratch for the given tags: every task except
-  /// those in `exclude_sorted` (ascending; nullptr = none) is scored in one
-  /// `score` batch — each entry is independent, so the heap contents are
+  /// those in `exclude_sorted` (ascending; nullptr = none) is seeded in one
+  /// `seed` batch — an exact score where the caller has one, an upper bound
+  /// otherwise; each entry is independent, so the heap contents are
   /// thread-count invariant however the batch fans out — then heapified
-  /// bottom-up in O(n).
+  /// bottom-up in O(n). Bound entries are resolved later by TrySelect,
+  /// outside its skip budget, so seeding bounds never pushes a pass to the
+  /// scan fallback.
   void Rebuild(size_t num_tasks, Source source, uint64_t worker_epoch,
                uint64_t generation, uint64_t cursor,
                const std::vector<size_t>* exclude_sorted,
-               const ScoreBatch& score);
+               const SeedBatch& seed);
 
-  /// Replaces `task`'s indexed value and restores the heap invariant with
-  /// one sift (O(log n)). No-op for tasks the index does not contain.
+  /// Replaces `task`'s indexed value with its exact score `value` and
+  /// restores the heap invariant with one sift (O(log n)). No-op for tasks
+  /// the index does not contain.
   void Repair(size_t task, double value);
 
   /// Reads the top `k` tasks satisfying `eligible` off the heap WITHOUT
   /// popping: a candidate-frontier walk that visits nodes in exact
   /// BetterScored order (the heap order is total, so a parent strictly
-  /// precedes both children). Appends visited-node count to `*pops` and
-  /// fills `*out` (cleared first). Returns false — partial `*out`, caller
-  /// must fall back to the scan — once more than `budget` nodes were visited
-  /// (a churn-heavy pass where many top entries are ineligible). Warm calls
-  /// allocate nothing: the frontier scratch is a reused member.
-  bool TrySelect(const std::function<bool(size_t)>& eligible, size_t k,
+  /// precedes both children). A visited bound entry that is eligible is
+  /// resolved — `resolve(task)` returns its exact score, which replaces the
+  /// bound and sifts down inside the slot's unvisited subtree — and the slot
+  /// goes back on the frontier; an ineligible entry is skipped unresolved.
+  /// Appends the frontier pops (resolutions included) to `*pops` and fills
+  /// `*out` (cleared first). Returns false — partial `*out`, caller must
+  /// fall back to the scan — once more than `budget` nodes were emitted or
+  /// skipped (a churn-heavy pass where many top entries are ineligible).
+  /// Resolutions never count against the budget: every cold walk resolves
+  /// its way to the top k, and counting that work would send each cold pass
+  /// to the O(n) scan. Warm calls allocate nothing: the frontier scratch is
+  /// a reused member. A template over both callbacks, so a warm walk builds
+  /// no type-erased closure.
+  template <typename Eligible, typename Resolve>
+  bool TrySelect(const Eligible& eligible, const Resolve& resolve, size_t k,
                  size_t budget, std::vector<size_t>* out, uint64_t* pops);
 
   /// O(n) heap-property + position-map audit behind DOCS_DCHECK; call sites
@@ -268,14 +331,17 @@ class BenefitIndex {
   void CheckInvariant() const;
 
  private:
+  static bool Before(const Entry& a, const Entry& b) {
+    return BetterScored({a.task, a.value}, {b.task, b.value});
+  }
   void SiftUp(size_t slot);
   void SiftDown(size_t slot);
-  void PlaceAt(size_t slot, const ScoredTask& entry) {
+  void PlaceAt(size_t slot, const Entry& entry) {
     heap_[slot] = entry;
     pos_[entry.task] = static_cast<uint32_t>(slot + 1);
   }
 
-  std::vector<ScoredTask> heap_;
+  std::vector<Entry> heap_;
   /// task -> heap slot + 1; 0 = task not indexed (excluded at rebuild).
   std::vector<uint32_t> pos_;
   /// TrySelect's candidate frontier (heap slots), reused across calls.
@@ -285,6 +351,72 @@ class BenefitIndex {
   uint64_t generation_tag_ = 0;
   uint64_t cursor_ = 0;
 };
+
+template <typename Eligible, typename Resolve>
+bool BenefitIndex::TrySelect(const Eligible& eligible, const Resolve& resolve,
+                             size_t k, size_t budget, std::vector<size_t>* out,
+                             uint64_t* pops) {
+  out->clear();
+  if (k == 0 || heap_.empty()) return true;
+  // Candidate-frontier traversal: the frontier holds heap slots whose
+  // parents were already visited, ordered (as a little heap of its own) by
+  // the indexed entries' total order. Because BetterScored is total and the
+  // main heap satisfies it parent-over-child strictly, the best frontier
+  // slot is better than every other unvisited node.
+  //
+  // A bound entry at the front is resolved in place: its exact score is at
+  // most the bound, so the sift-down moves it within its own subtree, whose
+  // slots are all unvisited and off the frontier — the frontier heap stays
+  // valid, and the slot (now holding its best descendant or the resolved
+  // entry) goes back on it. An exact entry at the front therefore precedes
+  // every other unvisited entry's bound and so its exact score: emission
+  // happens in exact global rank order, matching the scan's sorted prefix
+  // bit for bit.
+  frontier_.clear();
+  auto frontier_order = [this](uint32_t a, uint32_t b) {
+    // std::push/pop_heap keep the *largest* element first under "less-than";
+    // "less" here means "worse score".
+    return Before(heap_[b], heap_[a]);
+  };
+  frontier_.push_back(0);
+  uint64_t popped = 0;
+  size_t visited = 0;
+  while (!frontier_.empty()) {
+    std::pop_heap(frontier_.begin(), frontier_.end(), frontier_order);
+    const uint32_t slot = frontier_.back();
+    frontier_.pop_back();
+    ++popped;
+    Entry& entry = heap_[slot];
+    const bool take = eligible(entry.task);
+    if (take && entry.bound) {
+      const double exact = resolve(entry.task);
+      DOCS_DCHECK(exact <= entry.value)
+          << "benefit bound " << entry.value << " below the exact score "
+          << exact << " of task " << entry.task;
+      entry.value = exact;
+      entry.bound = false;
+      SiftDown(slot);
+      frontier_.push_back(slot);
+      std::push_heap(frontier_.begin(), frontier_.end(), frontier_order);
+      continue;
+    }
+    if (++visited > budget) {
+      *pops += popped;
+      return false;
+    }
+    if (take) {
+      out->push_back(entry.task);
+      if (out->size() == k) break;
+    }
+    for (uint32_t child = 2 * slot + 1;
+         child <= 2 * slot + 2 && child < heap_.size(); ++child) {
+      frontier_.push_back(child);
+      std::push_heap(frontier_.begin(), frontier_.end(), frontier_order);
+    }
+  }
+  *pops += popped;
+  return true;
+}
 
 struct TaskAssignerOptions {
   double quality_clamp = 0.01;
@@ -337,7 +469,8 @@ class TaskAssigner {
   /// Index-accelerated SelectTopK for standalone assigner use: keeps `index`
   /// synced to the cache by an O(n) integer epoch scan (repairing any
   /// indexed task whose cache entry went stale; rebuilding on a worker-epoch
-  /// or generation change) and then reads the top-k eligible tasks off the
+  /// or generation change, with exact entries only — the assigner keeps no
+  /// bound inputs) and then reads the top-k eligible tasks off the
   /// heap — so the expensive part, the O(n l m l) benefit evaluation, runs
   /// only for stale tasks, and a warm call does no benefit math at all.
   /// Selections are bit-identical to both overloads above. `index`, `cache`

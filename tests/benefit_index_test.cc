@@ -16,7 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -655,6 +658,241 @@ TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before);
   EXPECT_GT(system.benefit_cache_hits() + system.benefit_cache_misses(),
             row_traffic_before);
+}
+
+// --- Lazy bound entries (DESIGN.md §16) --------------------------------------
+
+/// One serving mode of the lazy-index suites below: ConcurrentDocsSystem in
+/// sync mode, or in async mode drained before every observation.
+struct ServingMode {
+  bool async = false;
+  std::string Name() const { return async ? "drained async" : "sync"; }
+};
+constexpr ServingMode kServingModes[] = {{false}, {true}};
+
+std::vector<TaskInput> QaInputs(const kb::SyntheticKb& kb, size_t n,
+                                uint64_t seed) {
+  const auto dataset = datasets::MakeQaDataset(kb, n, seed);
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  return inputs;
+}
+
+/// Ties across the k boundary: most tasks share one text, so DVE gives them
+/// one support and, while unanswered, one exact score — and one bound. Each
+/// tied bound entry must be resolved before any tied task is emitted (ties
+/// go to the lower task id), whether the seed or the walk resolves it, so
+/// the index still emits the scan's order. Index, scan and cache-off
+/// systems agree cold and warm, for k = 1, 20 and n, and while one worker's
+/// k grows on a warm index.
+TEST_F(BenefitIndexTest, TiedScoresAcrossTheKBoundaryStayBitIdentical) {
+  constexpr size_t kTasks = 60;
+  constexpr size_t kFirstTied = 10;
+  constexpr size_t kTied = 45;
+  std::vector<TaskInput> inputs = QaInputs(*kb_, kTasks, 11);
+  for (size_t i = kFirstTied; i < kFirstTied + kTied; ++i) {
+    inputs[i] = inputs[kFirstTied];
+  }
+  for (const ServingMode mode : kServingModes) {
+    for (size_t threads : kThreadSweep) {
+      SCOPED_TRACE(mode.Name() + ", " + std::to_string(threads) + " threads");
+      DocsSystemOptions options;
+      options.golden_count = 0;
+      options.reinfer_every = 0;
+      options.num_threads = threads;
+      options.async_inference = mode.async;
+      DocsSystemOptions scan_options = options;
+      scan_options.benefit_index = false;
+      DocsSystemOptions cold_options = scan_options;
+      cold_options.benefit_cache = false;
+      ConcurrentDocsSystem indexed(&kb_->knowledge_base, options);
+      ConcurrentDocsSystem scan(&kb_->knowledge_base, scan_options);
+      ConcurrentDocsSystem cold(&kb_->knowledge_base, cold_options);
+      std::vector<ConcurrentDocsSystem*> systems = {&indexed, &scan, &cold};
+      for (ConcurrentDocsSystem* system : systems) {
+        ASSERT_TRUE(system->AddTasks(inputs).ok());
+      }
+      auto request = [&](const std::string& id, size_t k) {
+        for (ConcurrentDocsSystem* system : systems) system->Drain();
+        const auto selected = indexed.RequestTasks(id, k);
+        EXPECT_EQ(scan.RequestTasks(id, k), selected) << id << " k " << k;
+        EXPECT_EQ(cold.RequestTasks(id, k), selected) << id << " k " << k;
+        return selected;
+      };
+
+      // One worker's k grows on a warm index. With no answers yet, the two
+      // three-choice tasks lead and set the first pass's floor; the tied
+      // two-choice run sits below it as bound entries until the walk
+      // reaches and resolves it.
+      (void)request("grow", 1);
+      const uint64_t rebuilds = indexed.benefit_index_rebuilds();
+      const uint64_t misses = indexed.benefit_cache_misses();
+      (void)request("grow", 20);
+      (void)request("grow", kTasks);
+      EXPECT_EQ(indexed.benefit_index_rebuilds(), rebuilds);
+      EXPECT_GT(indexed.benefit_cache_misses(), misses);
+
+      // A few answers outside the tied group, so answered (H(s_i) bound) and
+      // unanswered (closed-form bound) entries mix in one heap.
+      const auto first = request("a", 3);
+      for (size_t task : first) {
+        if (task >= kFirstTied && task < kFirstTied + kTied) continue;
+        for (ConcurrentDocsSystem* system : systems) {
+          ASSERT_TRUE(system->SubmitAnswer("a", task, 0).ok());
+        }
+      }
+      for (size_t k : {size_t{1}, size_t{20}, kTasks}) {
+        const std::string id = "k" + std::to_string(k);
+        const auto cold_pass = request(id, k);  // rebuild: bounds seeded
+        EXPECT_EQ(request(id, k), cold_pass);   // warm: resolved entries kept
+      }
+
+      // The premise: the tied tasks share one exact score, and the k = 20
+      // selection ends inside the tied run.
+      indexed.Drain();
+      const auto premise = indexed.WithLocked([&](DocsSystem& s) {
+        const size_t w = *s.FindWorker("k20");
+        const auto scores = s.ScoreAllTasks(w, /*bypass_cache=*/true);
+        size_t tied_selected = 0;
+        const auto selected = s.SelectTasks(w, 20);
+        for (size_t task : selected) {
+          tied_selected += task >= kFirstTied && task < kFirstTied + kTied;
+        }
+        bool one_score = true;
+        for (size_t i = kFirstTied; i < kFirstTied + kTied; ++i) {
+          if (s.inference().task_answered(i)) continue;
+          one_score = one_score && scores[i] == scores[kFirstTied + kTied - 1];
+        }
+        return std::make_pair(one_score, tied_selected);
+      });
+      EXPECT_TRUE(premise.first);
+      EXPECT_GT(premise.second, 0u);
+      EXPECT_LT(premise.second, kTied);
+    }
+  }
+}
+
+/// What a cold lazy pass scores. With a redundancy cap of one, every task
+/// another worker answered is ineligible, yet it stays in the heap as a
+/// bound entry (the exclude list names only the requester's own answers).
+/// The pass scores the eligible rows the seed's floor admits (upper bound at
+/// least the k-th largest lower bound) and whatever else the walk reaches
+/// (upper bound ahead of the k-th selection in BetterScored order); the
+/// test derives both sets from the public bounds. No ineligible row is
+/// scored, so the pass's cache misses equal the size of their union. The
+/// scored rows are then reused: a warm repeat rescores nothing, and exactly
+/// those rows are fresh in the cache.
+TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
+  const std::vector<TaskInput> inputs = QaInputs(*kb_, 80, 11);
+  constexpr size_t kK = 4;
+  for (const ServingMode mode : kServingModes) {
+    for (size_t threads : kThreadSweep) {
+      SCOPED_TRACE(mode.Name() + ", " + std::to_string(threads) + " threads");
+      DocsSystemOptions options;
+      options.golden_count = 0;
+      options.reinfer_every = 0;
+      options.num_threads = threads;
+      options.max_answers_per_task = 1;
+      options.async_inference = mode.async;
+      DocsSystemOptions cold_options = options;
+      cold_options.benefit_cache = false;
+      ConcurrentDocsSystem system(&kb_->knowledge_base, options);
+      ConcurrentDocsSystem cold(&kb_->knowledge_base, cold_options);
+      ASSERT_TRUE(system.AddTasks(inputs).ok());
+      ASSERT_TRUE(cold.AddTasks(inputs).ok());
+      auto request = [&](const std::string& id, size_t k) {
+        system.Drain();
+        cold.Drain();
+        const auto selected = system.RequestTasks(id, k);
+        EXPECT_EQ(cold.RequestTasks(id, k), selected);
+        return selected;
+      };
+      // Two workers answer the tasks every default-quality worker ranks
+      // highest, which puts capped (ineligible) entries at the heap's top.
+      for (const std::string id : {"a", "b"}) {
+        for (size_t task : request(id, 6)) {
+          ASSERT_TRUE(system.SubmitAnswer(id, task, 1).ok());
+          ASSERT_TRUE(cold.SubmitAnswer(id, task, 1).ok());
+        }
+      }
+
+      system.Drain();
+      const uint64_t misses_before = system.benefit_cache_misses();
+      const uint64_t rebuilds_before = system.benefit_index_rebuilds();
+      const auto selected = request("w", kK);
+      ASSERT_EQ(selected.size(), kK);
+      const uint64_t resolved = system.benefit_cache_misses() - misses_before;
+      EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before + 1);
+
+      // The oracle, from the public bounds of every indexed entry (all stale:
+      // w is new) and the k-th selection's exact key.
+      struct Expected {
+        uint64_t scored = 0;             // eligible: floor or walk
+        uint64_t walk_needed = 0;        // eligible: ahead of the k-th key
+        uint64_t ineligible_ahead = 0;   // ineligible: floor or walk
+      };
+      const Expected expected = system.WithLocked([&](DocsSystem& s) {
+        const size_t w = *s.FindWorker("w");
+        const size_t n = s.tasks().size();
+        const std::vector<double> exact =
+            s.ScoreAllTasks(w, /*bypass_cache=*/true);
+        const BenefitSupport support(s.tasks());
+        WorkerBenefitFactors factors;
+        factors.Hoist(s.inference().worker_quality(w).quality,
+                      options.assigner.quality_clamp, support.num_domains(),
+                      support.choice_counts());
+        std::vector<BenefitBounds> bounds(n);
+        std::vector<double> floors;
+        for (size_t t = 0; t < n; ++t) {
+          bounds[t] = BenefitBoundsOf(support, t, s.tasks()[t], factors,
+                                      s.inference().truth_entropy(t),
+                                      s.inference().task_answered(t));
+          if (std::isfinite(bounds[t].lower)) floors.push_back(bounds[t].lower);
+        }
+        std::sort(floors.begin(), floors.end(), std::greater<double>());
+        EXPECT_GE(floors.size(), kK);
+        const double floor = floors[kK - 1];
+        const ScoredTask kth{selected.back(), exact[selected.back()]};
+        Expected out;
+        for (size_t t = 0; t < n; ++t) {
+          const bool walk = t == kth.task ||
+                            BetterScored({t, bounds[t].upper}, kth);
+          const bool seed = bounds[t].upper >= floor;
+          // Cap 1 and no leases: eligible = nobody answered it yet.
+          if (s.inference().task_answered(t)) {
+            out.ineligible_ahead += walk || seed;
+          } else {
+            out.scored += walk || seed;
+            out.walk_needed += walk;
+          }
+        }
+        return out;
+      });
+      EXPECT_GT(expected.ineligible_ahead, 0u) << "premise: capped entries "
+                                                  "outrank the k-th bound";
+      EXPECT_EQ(resolved, expected.scored);
+      EXPECT_GE(resolved, expected.walk_needed);
+      EXPECT_LT(resolved, 80u - 12u);  // the pass pruned
+
+      // Reuse: a warm repeat rescores nothing and is a request-level hit ...
+      const uint64_t request_hits = system.benefit_cache_request_hits();
+      const uint64_t misses_warm = system.benefit_cache_misses();
+      EXPECT_EQ(request("w", kK), selected);
+      EXPECT_EQ(system.benefit_cache_misses(), misses_warm);
+      EXPECT_EQ(system.benefit_cache_request_hits(), request_hits + 1);
+      // ... and the rows the cold pass resolved are exactly the fresh rows
+      // of the worker's cache.
+      system.Drain();
+      const uint64_t hits_before = system.benefit_cache_hits();
+      system.WithLocked([](DocsSystem& s) {
+        (void)s.ScoreAllTasks(*s.FindWorker("w"), /*bypass_cache=*/false);
+        return 0;
+      });
+      EXPECT_EQ(system.benefit_cache_hits() - hits_before, resolved);
+    }
+  }
 }
 
 // --- Standalone TaskAssigner index overload ---------------------------------

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
+#include "core/incremental_ti.h"
 #include "core/task_assignment.h"
 
 namespace docs::core {
@@ -488,6 +490,207 @@ TEST(FusedKernelTest, SupportKeepsOnlyNonzeroDomainsInOrder) {
   EXPECT_EQ(support.domains(0)[1], 3u);
   EXPECT_EQ(support.support_size(1), 1u);
   EXPECT_EQ(support.support_size(2), 4u);
+}
+
+// --- Benefit upper bounds (DESIGN.md §16) ------------------------------------
+// The lazy benefit index seeds stale rows with their upper bound and scores
+// them only when they can reach the top k, so its selections stay
+// bit-identical exactly while upper >= TaskBenefit. The lower side, the
+// closed form of an unanswered task minus its slack, sets the floor below
+// which no row is scored up front. These tests hold the kernel between both
+// sides over the shapes the bounds' preconditions name; the lower side also
+// pins the closed form to within twice its slack of the kernel (an upper
+// bound that is valid but loose would prune nothing).
+
+enum class RowMode { kExactUniform, kSoftmaxUniform, kAnswered };
+
+// The row the EM step writes for an unanswered task: the softmax of a zero
+// log-numerator row, which need not equal 1/l to the bit.
+std::vector<double> SoftmaxUniformRow(size_t l) {
+  const std::vector<double> zeros(l, 0.0);
+  const double lse = LogSumExp(zeros);
+  std::vector<double> row(l);
+  for (size_t j = 0; j < l; ++j) row[j] = std::exp(zeros[j] - lse);
+  return row;
+}
+
+void SetRows(RowMode mode, Matrix* matrix, Rng& rng) {
+  const size_t l = matrix->cols();
+  const std::vector<double> softmax = SoftmaxUniformRow(l);
+  for (size_t k = 0; k < matrix->rows(); ++k) {
+    switch (mode) {
+      case RowMode::kExactUniform:
+        matrix->SetRow(k, std::vector<double>(l, 1.0 / static_cast<double>(l)));
+        break;
+      case RowMode::kSoftmaxUniform:
+        matrix->SetRow(k, softmax);
+        break;
+      case RowMode::kAnswered:
+        // Concentrated rows, as answers leave them; an occasional
+        // near-certain row stresses the entropy terms near 0.
+        matrix->SetRow(k, rng.Dirichlet(l, k % 3 == 0 ? 0.05 : 0.7));
+        break;
+    }
+  }
+}
+
+// Holds every task of `instance` against the bounds for an answered task
+// and, with `uniform` rows, against the closed form of an unanswered one.
+void ExpectBoundsHold(const OtaInstance& instance, double clamp, bool uniform,
+                      const std::string& label) {
+  const BenefitSupport support(instance.tasks);
+  WorkerBenefitFactors factors;
+  factors.Hoist(instance.worker_quality, clamp, support.num_domains(),
+                support.choice_counts());
+  for (size_t i = 0; i < instance.tasks.size(); ++i) {
+    SCOPED_TRACE(label + " task " + std::to_string(i) + " (l = " +
+                 std::to_string(instance.tasks[i].num_choices) + ")");
+    const double exact = TaskBenefit(support, i, instance.tasks[i], factors,
+                                     instance.matrices[i], instance.truths[i]);
+    ASSERT_TRUE(std::isfinite(exact));
+    const double truth_entropy = Entropy(instance.truths[i]);
+    const BenefitBounds any =
+        BenefitBoundsOf(support, i, instance.tasks[i], factors, truth_entropy,
+                        /*answered=*/true);
+    EXPECT_GE(any.upper, exact);
+    EXPECT_EQ(any.lower, -std::numeric_limits<double>::infinity());
+    if (!uniform) continue;
+    const BenefitBounds closed =
+        BenefitBoundsOf(support, i, instance.tasks[i], factors, truth_entropy,
+                        /*answered=*/false);
+    EXPECT_GE(closed.upper, exact);
+    EXPECT_LE(closed.lower, exact) << "closed form is not within its slack";
+  }
+}
+
+TEST(BenefitBoundTest, BoundsHoldAboveTheKernelAcrossShapes) {
+  Rng rng(401);
+  const DomainShape shapes[] = {DomainShape::kDense, DomainShape::kSparse,
+                                DomainShape::kOneHot};
+  const RowMode modes[] = {RowMode::kExactUniform, RowMode::kSoftmaxUniform,
+                           RowMode::kAnswered};
+  for (size_t l : {2, 3, 4, 5, 0}) {
+    for (DomainShape shape : shapes) {
+      for (RowMode mode : modes) {
+        for (double clamp : {0.0, 0.01}) {
+          for (int trial = 0; trial < 6; ++trial) {
+            const size_t m = 1 + rng.UniformInt(26);
+            auto instance = MakeShapedInstance(16, m, l, shape, rng);
+            // Qualities at 0, at 1 and on both clamp bounds, then random.
+            const double specials[] = {0.0, 1.0, clamp, 1.0 - clamp};
+            for (size_t k = 0; k < m; ++k) {
+              instance.worker_quality[k] =
+                  k < 4 && trial % 2 == 0 ? specials[k]
+                                          : rng.UniformDoubleRange(0.0, 1.0);
+            }
+            for (size_t i = 0; i < instance.tasks.size(); ++i) {
+              SetRows(mode, &instance.matrices[i], rng);
+              instance.truths[i] = instance.matrices[i].LeftMultiply(
+                  instance.tasks[i].domain_vector);
+              NormalizeInPlace(instance.truths[i]);
+            }
+            ExpectBoundsHold(
+                instance, clamp, mode != RowMode::kAnswered,
+                "l " + std::to_string(l) + ", shape " +
+                    std::to_string(static_cast<int>(shape)) + ", rows " +
+                    std::to_string(static_cast<int>(mode)) + ", clamp " +
+                    std::to_string(clamp) + ", trial " +
+                    std::to_string(trial));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BenefitBoundTest, SlackIsSmallAndNegativeWeightsHaveNoFiniteBound) {
+  // The checkpoint loader admits r_k down to -1e-9. The slack's analysis
+  // needs r_k > 0, so such a task gets an infinite bound — the walk always
+  // scores it — while positive supports of the KB's 26 domains stay at
+  // most 1e-12.
+  Rng rng(409);
+  for (size_t l : {2, 3, 4, 5}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      auto instance = MakeShapedInstance(8, 26, l, DomainShape::kDense, rng);
+      instance.tasks[0].domain_vector[rng.UniformInt(26)] = -1e-9;
+      instance.tasks[1].domain_vector[rng.UniformInt(26)] = -1e-300;
+      const BenefitSupport support(instance.tasks);
+      EXPECT_EQ(support.bound_slack(0),
+                std::numeric_limits<double>::infinity());
+      EXPECT_EQ(support.bound_slack(1),
+                std::numeric_limits<double>::infinity());
+      for (size_t i = 2; i < instance.tasks.size(); ++i) {
+        EXPECT_GT(support.bound_slack(i), 0.0);
+        EXPECT_LE(support.bound_slack(i), 1e-12);
+      }
+      for (size_t i = 0; i < 2; ++i) {
+        for (size_t k = 0; k < 26; ++k) {
+          instance.matrices[i].SetRow(k, SoftmaxUniformRow(l));
+        }
+        instance.truths[i] =
+            instance.matrices[i].LeftMultiply(instance.tasks[i].domain_vector);
+        NormalizeInPlace(instance.truths[i]);
+      }
+      ExpectBoundsHold(instance, 0.01, /*uniform=*/false,
+                       "l " + std::to_string(l));
+    }
+  }
+}
+
+TEST(BenefitBoundTest, EngineBoundInputsTrackEveryPosteriorWrite) {
+  // The engine's bound inputs on a live campaign: H(s_i) equals Entropy(s_i)
+  // bit for bit and an unanswered task's rows are one constant — after the
+  // constructor (1/l), after incremental answers, and after a full EM pass
+  // (the softmax row). Both bounds hold for a spread of workers throughout.
+  Rng rng(419);
+  const size_t m = 26;
+  auto instance = MakeShapedInstance(60, m, 0, DomainShape::kSparse, rng);
+  IncrementalTruthInference engine(instance.tasks);
+  const BenefitSupport support(instance.tasks);
+  auto check = [&](const std::string& stage) {
+    for (int w = 0; w < 4; ++w) {
+      std::vector<double> quality(m);
+      for (double& q : quality) q = rng.UniformDoubleRange(0.0, 1.0);
+      WorkerBenefitFactors factors;
+      factors.Hoist(quality, 0.01, m, support.choice_counts());
+      for (size_t i = 0; i < instance.tasks.size(); ++i) {
+        SCOPED_TRACE(stage + " task " + std::to_string(i));
+        const Matrix& matrix = engine.truth_matrix(i);
+        ASSERT_EQ(engine.truth_entropy(i), Entropy(engine.task_truth(i)));
+        if (!engine.task_answered(i)) {
+          for (size_t k = 0; k < m; ++k) {
+            for (size_t j = 1; j < matrix.cols(); ++j) {
+              ASSERT_EQ(matrix(k, j), matrix(k, 0));
+            }
+          }
+        }
+        const double exact = TaskBenefit(support, i, instance.tasks[i],
+                                         factors, matrix,
+                                         engine.task_truth(i));
+        const BenefitBounds bounds =
+            BenefitBoundsOf(support, i, instance.tasks[i], factors,
+                            engine.truth_entropy(i), engine.task_answered(i));
+        EXPECT_GE(bounds.upper, exact);
+        EXPECT_LE(bounds.lower, exact);
+        if (!engine.task_answered(i)) {
+          EXPECT_GT(bounds.lower, -std::numeric_limits<double>::infinity());
+        }
+      }
+    }
+  };
+  check("constructor");
+  for (size_t a = 0; a < 80; ++a) {
+    const size_t task = rng.UniformInt(30);  // tasks 30.. stay unanswered
+    const size_t worker = a % 7;
+    if (engine.HasAnswered(worker, task)) continue;
+    ASSERT_TRUE(engine
+                    .OnAnswer(worker, task,
+                              rng.UniformInt(instance.tasks[task].num_choices))
+                    .ok());
+  }
+  check("incremental");
+  engine.RunFullInference(nullptr);
+  check("full inference");
 }
 
 // --- Epoch-aware SelectTopK --------------------------------------------------
