@@ -114,14 +114,16 @@ double DocsSystem::Score(const ScoringPass& pass, size_t task) const {
     }
     return match;
   }
-  // The one difference between the serving paths: where M^(i) and s_i live.
+  // The one difference between the serving paths: where M^(i), s_i and
+  // H(s_i) live.
+  if (options_.selection_rule == SelectionRule::kUncertainty) {
+    // Ablation: most ambiguous tasks first, worker ignored.
+    return pass.snap != nullptr ? pass.snap->truth_entropy[task]
+                                : inference_->truth_entropy(task);
+  }
   const std::vector<double>& truth = pass.snap != nullptr
                                          ? pass.snap->tasks[task]->truth
                                          : inference_->task_truth(task);
-  if (options_.selection_rule == SelectionRule::kUncertainty) {
-    // Ablation: most ambiguous tasks first, worker ignored.
-    return Entropy(truth);
-  }
   const Matrix& truth_matrix = pass.snap != nullptr
                                    ? pass.snap->tasks[task]->truth_matrix
                                    : inference_->truth_matrix(task);
@@ -238,33 +240,25 @@ void DocsSystem::SeedEntries(ScoringPass* pass, size_t k,
   // task ineligible). A stale row whose upper bound reaches it is one the
   // walk would resolve, bar the few between the floor and the k-th score,
   // so it is scored here, in task order over the pool, rather than one
-  // cache-cold row at a time in the walk. A floor that overshoots costs
-  // speed only: the walk resolves what it still needs. `best` keeps the k
-  // largest lower bounds as a min-heap.
+  // cache-cold row at a time in the walk. It exists for the weak-bound
+  // regime: many answered tasks whose s_i stays near uniform (answers from
+  // near-random workers), whose H(s_i) bounds all reach the top k and would
+  // otherwise each be resolved by the walk at 2-3x a batch score. A floor
+  // that overshoots costs speed only: the walk resolves what it still needs.
+  // `lower` is reused to hold every finite known lower bound.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> best;
-  best.reserve(k);
-  auto offer = [&best, k](double value) {
-    if (best.size() < k) {
-      best.push_back(value);
-      std::push_heap(best.begin(), best.end(), std::greater<double>());
-    } else if (!best.empty() && value > best.front()) {
-      std::pop_heap(best.begin(), best.end(), std::greater<double>());
-      best.back() = value;
-      std::push_heap(best.begin(), best.end(), std::greater<double>());
-    }
-  };
-  for (size_t s = 0, x = 0; s < seeded.size(); ++s) {
-    if (x < stale.size() && stale[x] == s) {
-      if (lower[x] > -kInf) offer(lower[x]);
-      ++x;
-    } else {
-      offer(seeded[s].value);
-    }
+  for (const BenefitIndex::Entry& entry : seeded) {
+    if (!entry.bound) lower.push_back(entry.value);
   }
-  const double floor = k == 0             ? kInf
-                       : best.size() == k ? best.front()
-                                          : -kInf;
+  std::erase_if(lower, [](double value) { return !(value > -kInf); });
+  double floor = -kInf;
+  if (k == 0) {
+    floor = kInf;
+  } else if (k <= lower.size()) {
+    const auto kth = lower.begin() + static_cast<std::ptrdiff_t>(k - 1);
+    std::nth_element(lower.begin(), kth, lower.end(), std::greater<double>());
+    floor = *kth;
+  }
   std::vector<size_t> resolve;
   for (size_t s : stale) {
     if (seeded[s].value >= floor && eligible(seeded[s].task)) {

@@ -15,6 +15,10 @@ double Clamp(double q, double clamp) {
 }
 
 constexpr double kNoBound = std::numeric_limits<double>::infinity();
+// Smallest sum r q + (l-1) r w the closed form trusts. Each product that
+// underflows is off by at most 2^-1075, so fewer than 2^32 of them move a
+// total this large by under 2^-143 of itself, far inside the slack.
+constexpr double kNoUnderflow = 0x1p-900;
 
 // Eq. 8's expected posterior entropy H(ŝ_i) over the task's nonzero domain
 // rows `domains` of its domain vector `r`. L is the choice count when it is
@@ -216,6 +220,12 @@ BenefitBounds BenefitBoundsOf(const BenefitSupport& support, size_t i,
   }
   const double wrong_choices = static_cast<double>(l - 1);
   const double total = right + wrong_choices * wrong;
+  if (!(total >= kNoUnderflow)) {
+    // A product r_k q_k may have underflowed (a subnormal weight passes the
+    // checkpoint loader), which the slack's relative-error model does not
+    // cover, and a zero total makes p 0/0. H(s_i) still bounds.
+    return {truth_entropy + slack, -kNoBound};
+  }
   const double p_right = right / total;
   const double p_wrong = wrong / total;
   double entropy = 0.0;

@@ -106,7 +106,9 @@ double TaskBenefit(const BenefitSupport& support, size_t i, const Task& task,
 ///  - upper, an unanswered task (every row of M^(i) is one constant, 1/l or
 ///    the EM softmax of zeros): the kernel's value in closed form,
 ///    H(s_i) - S_i H(p, (1-p)/(l-1), ...), with p = sum r_k q_k / S_i over
-///    the support and q_k the factors' clamped qualities.
+///    the support and q_k the factors' clamped qualities. Tasks whose
+///    answer-mass total sum r_k (q_k + (l-1) w_k) is below 2^-900 (so a
+///    product may have underflowed) fall back to H(s_i).
 ///  - lower: the closed form minus the slack, where it applies; -infinity
 ///    otherwise.
 /// Each side carries support.bound_slack(i). O(1) for answered tasks;

@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -770,6 +771,54 @@ TEST_F(BenefitIndexTest, TiedScoresAcrossTheKBoundaryStayBitIdentical) {
       EXPECT_TRUE(premise.first);
       EXPECT_GT(premise.second, 0u);
       EXPECT_LT(premise.second, kTied);
+    }
+  }
+}
+
+/// A k far beyond n, as a wire request can carry (`RequestTasksReq.k` is a
+/// uint32): the seed sizes nothing by k, so a cold pass with k = 2^32 - 1
+/// selects every eligible task in the scan's order, like k = n would.
+TEST_F(BenefitIndexTest, ColdPassWithKBeyondTheTaskCountSelectsEveryTask) {
+  constexpr size_t kTasks = 40;
+  constexpr size_t kHugeK = std::numeric_limits<uint32_t>::max();
+  const std::vector<TaskInput> inputs = QaInputs(*kb_, kTasks, 13);
+  for (const ServingMode mode : kServingModes) {
+    for (size_t threads : kThreadSweep) {
+      SCOPED_TRACE(mode.Name() + ", " + std::to_string(threads) + " threads");
+      DocsSystemOptions options;
+      options.golden_count = 0;
+      options.reinfer_every = 0;
+      options.num_threads = threads;
+      options.async_inference = mode.async;
+      DocsSystemOptions scan_options = options;
+      scan_options.benefit_index = false;
+      DocsSystemOptions cold_options = scan_options;
+      cold_options.benefit_cache = false;
+      ConcurrentDocsSystem indexed(&kb_->knowledge_base, options);
+      ConcurrentDocsSystem scan(&kb_->knowledge_base, scan_options);
+      ConcurrentDocsSystem cold(&kb_->knowledge_base, cold_options);
+      std::vector<ConcurrentDocsSystem*> systems = {&indexed, &scan, &cold};
+      for (ConcurrentDocsSystem* system : systems) {
+        ASSERT_TRUE(system->AddTasks(inputs).ok());
+      }
+      auto request = [&](const std::string& id) {
+        for (ConcurrentDocsSystem* system : systems) system->Drain();
+        const auto selected = indexed.RequestTasks(id, kHugeK);
+        EXPECT_EQ(scan.RequestTasks(id, kHugeK), selected) << id;
+        EXPECT_EQ(cold.RequestTasks(id, kHugeK), selected) << id;
+        return selected;
+      };
+      // Cold on a fresh campaign: every row is an unanswered bound entry.
+      const auto everything = request("a");
+      EXPECT_EQ(everything.size(), kTasks);
+      // Answered and unanswered bound entries mixed in one cold pass.
+      for (size_t x = 0; x < 5; ++x) {
+        for (ConcurrentDocsSystem* system : systems) {
+          ASSERT_TRUE(system->SubmitAnswer("a", everything[x], 0).ok());
+        }
+      }
+      EXPECT_EQ(request("b").size(), kTasks);
+      EXPECT_EQ(request("a").size(), kTasks - 5);
     }
   }
 }

@@ -637,6 +637,53 @@ TEST(BenefitBoundTest, SlackIsSmallAndNegativeWeightsHaveNoFiniteBound) {
   }
 }
 
+TEST(BenefitBoundTest, SubnormalWeightsFallBackToTheEntropyBound) {
+  // The checkpoint loader also admits subnormal weights. At r = 5e-324,
+  // l = 3 and q = 0.4 both products r q and r w round to 0, so p = 0/0 and
+  // the closed form is right only because NaN fails its p > 0 guards; with
+  // a few products underflowed to subnormals, the relative-error model
+  // behind the slack does not hold. A task whose answer-mass total is that
+  // small keeps the H(s_i) bound and no lower side; a subnormal weight
+  // beside normal ones leaves the closed form in force.
+  Rng rng(419);
+  const double tiny_weights[] = {5e-324, 1e-310, 1e-300};
+  for (size_t l : {2, 3, 4, 5}) {
+    for (double clamp : {0.0, 0.01}) {
+      auto instance = MakeShapedInstance(4, 3, l, DomainShape::kDense, rng);
+      for (size_t i = 0; i < 3; ++i) {
+        instance.tasks[i].domain_vector = {tiny_weights[i], 0.0, 0.0};
+      }
+      instance.tasks[3].domain_vector = {5e-324, 0.5, 0.5};
+      instance.worker_quality = {0.4, 0.7, 0.9};
+      for (size_t i = 0; i < instance.tasks.size(); ++i) {
+        SetRows(RowMode::kSoftmaxUniform, &instance.matrices[i], rng);
+        instance.truths[i] = SoftmaxUniformRow(l);
+      }
+      const std::string label =
+          "l " + std::to_string(l) + ", clamp " + std::to_string(clamp);
+      ExpectBoundsHold(instance, clamp, /*uniform=*/true, label);
+      const BenefitSupport support(instance.tasks);
+      WorkerBenefitFactors factors;
+      factors.Hoist(instance.worker_quality, clamp, support.num_domains(),
+                    support.choice_counts());
+      for (size_t i = 0; i < instance.tasks.size(); ++i) {
+        SCOPED_TRACE(label + " task " + std::to_string(i));
+        const double truth_entropy = Entropy(instance.truths[i]);
+        const BenefitBounds bounds =
+            BenefitBoundsOf(support, i, instance.tasks[i], factors,
+                            truth_entropy, /*answered=*/false);
+        if (i < 3) {
+          EXPECT_EQ(bounds.upper, truth_entropy + support.bound_slack(i));
+          EXPECT_EQ(bounds.lower, -std::numeric_limits<double>::infinity());
+        } else {
+          EXPECT_TRUE(std::isfinite(bounds.lower));
+          EXPECT_LT(bounds.upper, truth_entropy);
+        }
+      }
+    }
+  }
+}
+
 TEST(BenefitBoundTest, EngineBoundInputsTrackEveryPosteriorWrite) {
   // The engine's bound inputs on a live campaign: H(s_i) equals Entropy(s_i)
   // bit for bit and an unanswered task's rows are one constant — after the
