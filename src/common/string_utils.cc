@@ -62,17 +62,7 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 
 std::vector<std::string> TokenizeWords(std::string_view text) {
   std::vector<std::string> out;
-  std::string current;
-  for (char raw : text) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c)) {
-      current.push_back(static_cast<char>(std::tolower(c)));
-    } else if (!current.empty()) {
-      out.push_back(std::move(current));
-      current.clear();
-    }
-  }
-  if (!current.empty()) out.push_back(std::move(current));
+  ForEachWord(text, [&out](std::string_view word) { out.emplace_back(word); });
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef DOCS_COMMON_STRING_UTILS_H_
 #define DOCS_COMMON_STRING_UTILS_H_
 
+#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,8 +23,26 @@ std::string Trim(std::string_view s);
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Tokenizes text for NLP use: lowercases, treats any non-alphanumeric as a
-/// separator, drops empty tokens.
+/// The one word scanner of the NLP path: calls fn(word) for every word of
+/// `text`, in order. A word is a maximal run of alphanumeric bytes
+/// (std::isalnum), lowercased (std::tolower); every other byte separates
+/// words. `word` views a buffer that lives only for the call.
+template <typename Fn>
+void ForEachWord(std::string_view text, Fn&& fn) {
+  std::string word;
+  for (char raw : text) {
+    const unsigned char c = static_cast<unsigned char>(raw);
+    if (std::isalnum(c)) {
+      word.push_back(static_cast<char>(std::tolower(c)));
+    } else if (!word.empty()) {
+      fn(std::string_view(word));
+      word.clear();
+    }
+  }
+  if (!word.empty()) fn(std::string_view(word));
+}
+
+/// Tokenizes text for NLP use: the words of ForEachWord, as strings.
 std::vector<std::string> TokenizeWords(std::string_view text);
 
 /// Thread-safe strerror: renders `errnum` into an owned string via

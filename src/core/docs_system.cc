@@ -434,14 +434,25 @@ Status DocsSystem::AddTasks(const std::vector<TaskInput>& inputs,
   if (known_truths != nullptr && known_truths->size() != inputs.size()) {
     return InvalidArgumentError("known_truths size mismatch");
   }
+  // All-or-nothing: validate every input before any DVE runs or any state
+  // changes, so a rejected call leaves the system as it found it.
+  for (const TaskInput& input : inputs) {
+    if (input.num_choices < 2) {
+      return InvalidArgumentError("tasks need at least 2 choices");
+    }
+  }
+  // DVE (Section 3). The estimator reads only the immutable KB, and each
+  // task writes only its own slot, so the vectors are bit-identical for any
+  // thread count.
+  std::vector<std::vector<double>> domain_vectors(inputs.size());
+  ParallelFor(ScoringPool(), inputs.size(), [&](size_t i) {
+    domain_vectors[i] = dve_.Estimate(inputs[i].text);
+  });
   tasks_.reserve(inputs.size());
   known_truth_.reserve(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
-    if (inputs[i].num_choices < 2) {
-      return InvalidArgumentError("tasks need at least 2 choices");
-    }
     Task task;
-    task.domain_vector = dve_.Estimate(inputs[i].text);  // DVE (Section 3)
+    task.domain_vector = std::move(domain_vectors[i]);
     // DVE postcondition (Eq. 1): everything downstream — golden selection,
     // TI, OTA — assumes the domain vector is a probability simplex.
     CheckSimplex(task.domain_vector, 1e-6, "DVE domain vector");

@@ -1,9 +1,7 @@
 #include "nlp/entity_linker.h"
 
 #include <algorithm>
-#include <unordered_set>
-
-#include "common/string_utils.h"
+#include <span>
 
 namespace docs::nlp {
 
@@ -11,55 +9,68 @@ EntityLinker::EntityLinker(const kb::KnowledgeBase* knowledge_base,
                            EntityLinkerOptions options)
     : kb_(knowledge_base), options_(options) {}
 
+namespace {
+
+// Counts the entries of `keywords` (sorted, repeats kept) that occur in
+// `words` (sorted, distinct): the two sorted lists are merged once.
+size_t CountOverlap(std::span<const kb::WordId> keywords,
+                    const std::vector<kb::WordId>& words) {
+  size_t overlap = 0;
+  auto word = words.begin();
+  for (const kb::WordId keyword : keywords) {
+    while (word != words.end() && *word < keyword) ++word;
+    if (word == words.end()) break;
+    if (*word == keyword) ++overlap;
+  }
+  return overlap;
+}
+
+}  // namespace
+
 std::vector<LinkedEntity> EntityLinker::Link(std::string_view text) const {
-  std::vector<std::string> tokens = TokenizeWords(text);
-  std::unordered_set<std::string> token_set(tokens.begin(), tokens.end());
+  std::vector<kb::WordId> words;
+  kb_->TokenizeToIds(text, &words);
+  // The text's distinct known words, for the keyword overlap. An unknown
+  // word equals no keyword, since every one-word keyword is interned.
+  std::vector<kb::WordId> known(words);
+  std::sort(known.begin(), known.end());
+  known.erase(std::unique(known.begin(), known.end()), known.end());
+  if (!known.empty() && known.back() == kb::kUnknownWord) known.pop_back();
 
   std::vector<LinkedEntity> entities;
   const size_t max_words = std::max<size_t>(1, kb_->max_alias_words());
+  const std::span<const kb::WordId> all_words(words);
 
   size_t i = 0;
-  while (i < tokens.size()) {
-    size_t matched_len = 0;
-    std::string matched_alias;
-    // Greedy longest match against the alias dictionary.
-    size_t limit = std::min(max_words, tokens.size() - i);
-    for (size_t len = limit; len >= 1; --len) {
-      std::string window = tokens[i];
-      for (size_t j = 1; j < len; ++j) {
-        window += ' ';
-        window += tokens[i + j];
-      }
-      if (kb_->HasAlias(window)) {
-        matched_len = len;
-        matched_alias = std::move(window);
-        break;
-      }
-    }
+  while (i < words.size()) {
+    // Greedy longest match against the alias trie.
+    const std::vector<kb::KnowledgeBase::AliasEntry>* candidate_entries =
+        nullptr;
+    const size_t matched_len = kb_->MatchAlias(
+        all_words.subspan(i, std::min(max_words, words.size() - i)),
+        &candidate_entries);
     if (matched_len == 0) {
       ++i;
       continue;
     }
 
-    const auto& candidate_entries = kb_->LookupAlias(matched_alias);
     LinkedEntity entity;
-    entity.mention = matched_alias;
+    for (size_t j = i; j < i + matched_len; ++j) {
+      if (j > i) entity.mention += ' ';
+      entity.mention += kb_->vocabulary().word(words[j]);
+    }
     entity.token_begin = i;
     entity.token_end = i + matched_len;
-    entity.candidates.reserve(candidate_entries.size());
+    entity.candidates.reserve(candidate_entries->size());
 
     double total = 0.0;
-    for (const auto& entry : candidate_entries) {
+    for (const auto& entry : *candidate_entries) {
       const kb::ConceptId id = entry.id;
-      const kb::Concept& candidate_concept = kb_->GetConcept(id);
       // Context overlap: how many of the concept's keywords appear in the
       // task text (the mention's own tokens count, mirroring Wikifier's
       // string-similarity feature).
-      size_t overlap = 0;
-      for (const auto& keyword : candidate_concept.context_keywords) {
-        if (token_set.count(keyword) > 0) ++overlap;
-      }
-      double score = entry.prior * candidate_concept.popularity *
+      const size_t overlap = CountOverlap(kb_->KeywordIds(id), known);
+      double score = entry.prior * kb_->GetConcept(id).popularity *
                      (1.0 + options_.context_weight * static_cast<double>(overlap));
       entity.candidates.push_back({id, score});
       total += score;

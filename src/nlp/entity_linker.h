@@ -40,8 +40,8 @@ struct EntityLinkerOptions {
 };
 
 /// Dictionary-based entity linker standing in for Wikifier [36, 10]:
-///  1. tokenize the text;
-///  2. greedy longest-match mention detection over the KB alias index;
+///  1. tokenize the text into the KB's word ids;
+///  2. greedy longest-match mention detection over the KB alias trie;
 ///  3. for each mention, score every candidate concept by
 ///     popularity * (1 + context_weight * |text tokens  ∩ concept keywords|)
 ///     and normalize into a probability distribution;
@@ -57,12 +57,13 @@ class EntityLinker {
 
   const EntityLinkerOptions& options() const { return options_; }
 
- private:
-  /// Second pass: re-weights every mention's candidates by how well their
-  /// domains agree with the other mentions' (probability-weighted) domains,
-  /// then re-normalizes and re-sorts.
+  /// Second pass of Link, run when coherence_weight > 0 and there are at
+  /// least two mentions: re-weights every mention's candidates by how well
+  /// their domains agree with the other mentions' (probability-weighted)
+  /// domains, then re-normalizes and re-sorts.
   void ApplyCoherence(std::vector<LinkedEntity>* entities) const;
 
+ private:
   const kb::KnowledgeBase* kb_;
   EntityLinkerOptions options_;
 };

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -311,6 +312,19 @@ TEST(StringTest, TokenizeWords) {
 TEST(StringTest, TokenizeKeepsDigits) {
   EXPECT_EQ(TokenizeWords("K2 and 911"),
             (std::vector<std::string>{"k2", "and", "911"}));
+}
+
+TEST(StringTest, ForEachWordIsTheTokenizersScanner) {
+  std::vector<std::string> words;
+  ForEachWord("  SHAQUILLE O'Neal,caf\xc3\xa9\x80K2!",
+              [&](std::string_view word) { words.emplace_back(word); });
+  EXPECT_EQ(words, (std::vector<std::string>{"shaquille", "o", "neal", "caf",
+                                             "k2"}));
+  EXPECT_EQ(TokenizeWords("  SHAQUILLE O'Neal,caf\xc3\xa9\x80K2!"), words);
+  size_t calls = 0;
+  ForEachWord("", [&](std::string_view) { ++calls; });
+  ForEachWord(" ?! ", [&](std::string_view) { ++calls; });
+  EXPECT_EQ(calls, 0u);
 }
 
 TEST(StringTest, ErrnoStringMatchesStrerror) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -65,6 +66,11 @@ bool SameQualities(const std::vector<WorkerQuality>& a,
     }
   }
   return true;
+}
+
+bool BytesEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(DeterminismTest, TruthInferenceSweepIsByteIdentical) {
@@ -242,6 +248,40 @@ TEST_F(DocsSystemDeterminismTest, ServingPathSweepIsIdentical) {
             << threads << " threads";
       }
     }
+  }
+}
+
+/// DVE runs under the deterministic ParallelFor: every task's domain vector
+/// (and so the golden set chosen from them) must be bit-identical for any
+/// scoring-thread count.
+TEST_F(DocsSystemDeterminismTest, AddTasksSweepIsByteIdentical) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 1000, 3);
+  const auto truths = dataset.Truths();
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  auto build = [&](size_t threads) {
+    DocsSystemOptions options;
+    options.golden_count = 20;
+    options.num_threads = threads;
+    auto system = std::make_unique<DocsSystem>(&kb_->knowledge_base, options);
+    EXPECT_TRUE(system->AddTasks(inputs, &truths).ok());
+    return system;
+  };
+  const auto baseline = build(1);
+  ASSERT_EQ(baseline->tasks().size(), inputs.size());
+  ASSERT_EQ(baseline->golden_tasks().size(), 20u);
+  for (size_t threads : kThreadSweep) {
+    const auto system = build(threads);
+    ASSERT_EQ(system->tasks().size(), inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ASSERT_TRUE(BytesEqual(system->tasks()[i].domain_vector,
+                             baseline->tasks()[i].domain_vector))
+          << "task " << i << ", " << threads << " threads";
+    }
+    EXPECT_EQ(system->golden_tasks(), baseline->golden_tasks())
+        << threads << " threads";
   }
 }
 

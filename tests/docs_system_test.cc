@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "core/docs_system.h"
@@ -65,6 +67,42 @@ TEST_F(DocsSystemTest, RejectsSingleChoiceTasks) {
   DocsSystem system(&kb_->knowledge_base);
   std::vector<TaskInput> inputs = {{"bad", 1}};
   EXPECT_FALSE(system.AddTasks(inputs).ok());
+}
+
+// AddTasks is all-or-nothing: a batch rejected part-way leaves nothing
+// behind, so a retry holds exactly the retry's tasks. (A version that ran
+// DVE and appended task by task kept the valid prefix of the rejected batch,
+// and the retry then appended to it.)
+TEST_F(DocsSystemTest, RejectedAddTasksLeavesNoPartialState) {
+  const auto dataset = datasets::MakeItemDataset(*kb_);
+  const auto& first = dataset.tasks[0];
+  const auto& second = dataset.tasks[1];
+  DocsSystem system(&kb_->knowledge_base);
+  const std::vector<size_t> rejected_truths = {first.truth, 0};
+  const Status rejected = system.AddTasks(
+      {{first.text, first.num_choices()}, {"one choice", 1}},
+      &rejected_truths);
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(system.tasks().empty());
+
+  const std::vector<TaskInput> retry = {{second.text, second.num_choices()}};
+  const std::vector<size_t> retry_truths = {second.truth};
+  ASSERT_TRUE(system.AddTasks(retry, &retry_truths).ok());
+  DocsSystem fresh(&kb_->knowledge_base);
+  ASSERT_TRUE(fresh.AddTasks(retry, &retry_truths).ok());
+
+  ASSERT_EQ(system.tasks().size(), 1u);
+  ASSERT_EQ(fresh.tasks().size(), 1u);
+  EXPECT_EQ(system.tasks()[0].num_choices, fresh.tasks()[0].num_choices);
+  const auto& got = system.tasks()[0].domain_vector;
+  const auto& want = fresh.tasks()[0].domain_vector;
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[k]), std::bit_cast<uint64_t>(want[k]))
+        << "domain " << k;
+  }
+  EXPECT_EQ(system.golden_tasks(), fresh.golden_tasks());
+  EXPECT_EQ(system.InferredChoices(), fresh.InferredChoices());
 }
 
 TEST_F(DocsSystemTest, NewWorkerGetsGoldenTasksFirst) {

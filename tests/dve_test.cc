@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "core/domain_vector.h"
+#include "datasets/dataset.h"
 #include "kb/synthetic_kb.h"
 
 namespace docs::core {
@@ -106,6 +110,50 @@ TEST_P(DveEquivalenceTest, Algorithm1MatchesEnumeration) {
   EXPECT_LE(Sum(fast), 1.0 + 1e-9);
 }
 
+// Domains that no candidate touches: nm stays 0 there, so every line-16 term
+// is (0 / dm) * value = +0.0 and the result must be exactly +0.0 — not a
+// tiny residue, and not -0.0.
+TEST_P(DveEquivalenceTest, UntouchedDomainsAreExactlyZero) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 7);
+  const size_t m = 3 + rng.UniformInt(6);
+  std::vector<uint8_t> touchable(m, 0);
+  for (auto& bit : touchable) bit = rng.Bernoulli(0.5) ? 1 : 0;
+  touchable[rng.UniformInt(m)] = 1;  // at least one touched domain
+  const size_t num_entities = 1 + rng.UniformInt(4);
+  std::vector<EntityObservation> entities(num_entities);
+  for (auto& entity : entities) {
+    const size_t c = 1 + rng.UniformInt(4);
+    entity.link_probabilities = rng.Dirichlet(c, 1.0);
+    entity.indicators.resize(c);
+    for (auto& h : entity.indicators) {
+      h.resize(m);
+      for (size_t k = 0; k < m; ++k) {
+        h[k] = touchable[k] && rng.Bernoulli(0.6) ? 1 : 0;
+      }
+    }
+  }
+  std::vector<uint8_t> touched(m, 0);
+  for (const auto& entity : entities) {
+    for (const auto& h : entity.indicators) {
+      for (size_t k = 0; k < m; ++k) touched[k] |= h[k];
+    }
+  }
+  const auto fast = ComputeDomainVector(entities, m);
+  const auto slow = ComputeDomainVectorByEnumeration(entities, m);
+  ASSERT_EQ(fast.size(), m);
+  ASSERT_EQ(slow.size(), m);
+  size_t untouched = 0;
+  for (size_t k = 0; k < m; ++k) {
+    if (touched[k]) {
+      EXPECT_NEAR(fast[k], slow[k], 1e-9) << "domain " << k;
+    } else {
+      ++untouched;
+      EXPECT_EQ(std::bit_cast<uint64_t>(fast[k]), 0u) << "domain " << k;
+    }
+  }
+  if (GetParam() == 0) EXPECT_GT(untouched, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomInstances, DveEquivalenceTest,
                          ::testing::Range(0, 40));
 
@@ -170,6 +218,44 @@ TEST_F(EstimatorTest, EstimateWithEntitiesExposesMentions) {
       "Which food contains more calories, Chocolate or Honey?", &entities);
   EXPECT_TRUE(IsDistribution(r, 1e-9));
   EXPECT_GE(entities.size(), 2u);
+}
+
+// Pins DVE's output on the four datasets: an FNV-1a hash over the bits of
+// every task's domain vector, in task order. The values were computed with
+// the string-window linker, before linking moved to interned word ids, so
+// they prove that change bit-identical. They depend on libstdc++'s
+// unordered_map iteration order, which fixes the summation order of
+// Algorithm 1's lines 15-17; another standard library (or a change to how
+// ComputeDomainVector uses its maps) may change them without any change in
+// meaning.
+TEST_F(EstimatorTest, DomainVectorBitsArePinnedPerDataset) {
+  struct Pin {
+    const char* name;
+    datasets::Dataset dataset;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"Item", datasets::MakeItemDataset(*kb_), 0x817c257f3d62e677ULL},
+      {"4D", datasets::MakeFourDomainDataset(*kb_), 0x943fee4a0f1ff229ULL},
+      {"QA-4000", datasets::MakeQaDataset(*kb_, 4000, 3),
+       0x5c255e6274984956ULL},
+      {"SFV", datasets::MakeSfvDataset(*kb_), 0x9df6b5afa79d632aULL},
+  };
+  DomainVectorEstimator estimator(&kb_->knowledge_base);
+  for (const Pin& pin : pins) {
+    uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis
+    for (const auto& task : pin.dataset.tasks) {
+      for (double value : estimator.Estimate(task.text)) {
+        unsigned char bytes[sizeof(double)];
+        std::memcpy(bytes, &value, sizeof(double));
+        for (unsigned char byte : bytes) {
+          hash ^= byte;
+          hash *= 1099511628211ULL;  // FNV-1a prime
+        }
+      }
+    }
+    EXPECT_EQ(hash, pin.hash) << pin.name << ": 0x" << std::hex << hash;
+  }
 }
 
 TEST_F(EstimatorTest, ResultAlwaysNormalized) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "kb/domain_taxonomy.h"
 #include "kb/knowledge_base.h"
@@ -127,6 +130,102 @@ TEST(KnowledgeBaseTest, MaxAliasWordsTracksLongest) {
   auto id = kb.AddConcept(c);
   ASSERT_TRUE(kb.AddAlias("one two three four", id.value()).ok());
   EXPECT_EQ(kb.max_alias_words(), 4u);
+}
+
+TEST(VocabularyTest, InternAssignsDenseStableIds) {
+  Vocabulary vocabulary;
+  EXPECT_EQ(vocabulary.Find("nba"), kUnknownWord);
+  std::vector<std::string> words;
+  for (int i = 0; i < 1000; ++i) words.push_back("w" + std::to_string(i));
+  for (size_t i = 0; i < words.size(); ++i) {
+    EXPECT_EQ(vocabulary.Intern(words[i]), i);  // grows the table en route
+  }
+  EXPECT_EQ(vocabulary.Intern("w7"), 7u);
+  EXPECT_EQ(vocabulary.size(), words.size());
+  const Vocabulary copy = vocabulary;
+  for (size_t i = 0; i < words.size(); ++i) {
+    EXPECT_EQ(vocabulary.Find(words[i]), i);
+    EXPECT_EQ(copy.Find(words[i]), i);
+    EXPECT_EQ(copy.word(static_cast<WordId>(i)), words[i]);
+  }
+  EXPECT_EQ(copy.Find("w1000"), kUnknownWord);
+  EXPECT_EQ(copy.Find(""), kUnknownWord);
+}
+
+TEST(KnowledgeBaseTest, AliasLookupNeedsTheWholeAlias) {
+  KnowledgeBase kb(DomainTaxonomy::FromNames({"A"}));
+  Concept c;
+  c.title = "X";
+  c.domain_indicator = {1};
+  auto id = kb.AddConcept(c);
+  ASSERT_TRUE(kb.AddAlias("one two three", id.value()).ok());
+  EXPECT_TRUE(kb.HasAlias("One, two; THREE"));
+  EXPECT_FALSE(kb.HasAlias("one two"));          // a prefix, not an alias
+  EXPECT_FALSE(kb.HasAlias("one two three four"));
+  EXPECT_FALSE(kb.HasAlias("one zzz three"));    // unknown word
+  EXPECT_FALSE(kb.HasAlias(""));
+  EXPECT_TRUE(kb.LookupAlias("two three").empty());
+  EXPECT_FALSE(kb.AddAlias("?!", id.value()).ok());  // no words
+  EXPECT_EQ(kb.num_aliases(), 1u);
+}
+
+TEST(KnowledgeBaseTest, ForEachAliasVisitsNormalizedAliasesInEntryOrder) {
+  KnowledgeBase kb(DomainTaxonomy::FromNames({"A"}));
+  std::vector<ConceptId> ids;
+  for (const char* title : {"P", "Q", "R"}) {
+    Concept c;
+    c.title = title;
+    c.domain_indicator = {1};
+    ids.push_back(kb.AddConcept(c).value());
+  }
+  ASSERT_TRUE(kb.AddAlias("New York", ids[2], 0.5).ok());
+  ASSERT_TRUE(kb.AddAlias("new york city", ids[1]).ok());
+  ASSERT_TRUE(kb.AddAlias("NEW-YORK", ids[0], 0.25).ok());
+  ASSERT_TRUE(kb.AddAlias("york", ids[1]).ok());
+  ASSERT_TRUE(kb.AddAlias("new york", ids[2], 0.75).ok());  // keeps the max
+  std::vector<std::pair<std::string, KnowledgeBase::AliasEntry>> visited;
+  kb.ForEachAlias([&](const std::string& alias,
+                      const KnowledgeBase::AliasEntry& entry) {
+    visited.emplace_back(alias, entry);
+  });
+  ASSERT_EQ(visited.size(), 4u);
+  std::vector<std::pair<std::string, ConceptId>> new_york;
+  for (const auto& [alias, entry] : visited) {
+    if (alias == "new york") new_york.emplace_back(alias, entry.id);
+    if (alias == "new york" && entry.id == ids[2]) {
+      EXPECT_EQ(entry.prior, 0.75);
+    }
+  }
+  // Entries keep their registration order: the linker sums in it.
+  EXPECT_EQ(new_york, (std::vector<std::pair<std::string, ConceptId>>{
+                          {"new york", ids[2]}, {"new york", ids[0]}}));
+  EXPECT_EQ(kb.num_aliases(), 3u);
+  EXPECT_EQ(kb.max_alias_words(), 3u);
+}
+
+TEST(KnowledgeBaseTest, CopiedKbKeepsItsIndex) {
+  KnowledgeBase original(DomainTaxonomy::FromNames({"A"}));
+  Concept c;
+  c.title = "X";
+  c.domain_indicator = {1};
+  c.context_keywords = {"beta", "alpha", "Not-A-Word", "alpha"};
+  auto id = original.AddConcept(c);
+  ASSERT_TRUE(original.AddAlias("golden state", id.value()).ok());
+  const KnowledgeBase copy = original;
+  ASSERT_EQ(copy.LookupAlias("Golden State").size(), 1u);
+  std::vector<WordId> words;
+  copy.TokenizeToIds("Golden State warriors", &words);
+  ASSERT_EQ(words.size(), 3u);
+  EXPECT_EQ(words[2], kUnknownWord);
+  const std::vector<KnowledgeBase::AliasEntry>* entries = nullptr;
+  EXPECT_EQ(copy.MatchAlias(words, &entries), 2u);
+  ASSERT_NE(entries, nullptr);
+  EXPECT_EQ(entries->front().id, id.value());
+  // Keyword ids are sorted with repeats kept; "Not-A-Word" has none.
+  const auto keywords = copy.KeywordIds(id.value());
+  ASSERT_EQ(keywords.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(keywords.begin(), keywords.end()));
+  EXPECT_EQ(copy.vocabulary().word(copy.vocabulary().Find("alpha")), "alpha");
 }
 
 // --- Synthetic KB -----------------------------------------------------------

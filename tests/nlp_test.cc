@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/math_utils.h"
+#include "datasets/dataset.h"
+#include "kb/kb_io.h"
 #include "kb/synthetic_kb.h"
 #include "nlp/entity_linker.h"
+#include "reference_linker.h"
 
 namespace docs::nlp {
 namespace {
@@ -196,6 +205,237 @@ TEST_F(EntityLinkerTest, AmbiguousCurryAliasHasBothSenses) {
   // In a food context the food sense should win over any distractor.
   const auto& top = entities[0].candidates[0];
   EXPECT_EQ(kb_->knowledge_base.GetConcept(top.concept_id).title, "Curry");
+}
+
+// --- Equivalence with the string-window oracle --------------------------------
+//
+// The linker runs on word ids, an alias trie and sorted keyword id lists;
+// testing::ReferenceLinker is the string-window linker it replaced. Every
+// field must match bit for bit, probabilities included: the candidate order
+// fixes the summation order of each mention's score total.
+
+::testing::AssertionResult SameLinks(const std::vector<LinkedEntity>& got,
+                                     const std::vector<LinkedEntity>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " mentions, oracle has " << want.size();
+  }
+  for (size_t e = 0; e < got.size(); ++e) {
+    const LinkedEntity& a = got[e];
+    const LinkedEntity& b = want[e];
+    if (a.mention != b.mention || a.token_begin != b.token_begin ||
+        a.token_end != b.token_end ||
+        a.candidates.size() != b.candidates.size()) {
+      return ::testing::AssertionFailure()
+             << "mention " << e << ": \"" << a.mention << "\" ["
+             << a.token_begin << ", " << a.token_end << ") with "
+             << a.candidates.size() << " candidates, oracle \"" << b.mention
+             << "\" [" << b.token_begin << ", " << b.token_end << ") with "
+             << b.candidates.size();
+    }
+    for (size_t j = 0; j < a.candidates.size(); ++j) {
+      if (a.candidates[j].concept_id != b.candidates[j].concept_id ||
+          std::bit_cast<uint64_t>(a.candidates[j].probability) !=
+              std::bit_cast<uint64_t>(b.candidates[j].probability)) {
+        return ::testing::AssertionFailure()
+               << "mention \"" << a.mention << "\" candidate " << j << ": ("
+               << a.candidates[j].concept_id << ", "
+               << a.candidates[j].probability << "), oracle ("
+               << b.candidates[j].concept_id << ", "
+               << b.candidates[j].probability << ")";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<EntityLinkerOptions> OptionSweep() {
+  std::vector<EntityLinkerOptions> sweep;
+  for (size_t top_c : {20u, 10u, 3u}) {
+    for (double coherence : {0.0, 1.5}) {
+      EntityLinkerOptions options;
+      options.max_candidates = top_c;
+      options.coherence_weight = coherence;
+      sweep.push_back(options);
+    }
+  }
+  return sweep;
+}
+
+// Links every text with both linkers under every option set; stops at the
+// first mismatch of each option set.
+void ExpectMatchesOracle(const kb::KnowledgeBase& knowledge_base,
+                         const std::vector<std::string>& texts) {
+  for (const EntityLinkerOptions& options : OptionSweep()) {
+    EntityLinker linker(&knowledge_base, options);
+    testing::ReferenceLinker oracle(&knowledge_base, options);
+    for (const std::string& text : texts) {
+      const auto result = SameLinks(linker.Link(text), oracle.Link(text));
+      if (!result) {
+        ADD_FAILURE() << "c = " << options.max_candidates << ", coherence "
+                      << options.coherence_weight << ", text \"" << text
+                      << "\": " << result.message();
+        break;
+      }
+    }
+  }
+}
+
+TEST_F(EntityLinkerTest, MatchesOracleOnTheFourDatasets) {
+  const std::vector<datasets::Dataset> all = {
+      datasets::MakeItemDataset(*kb_), datasets::MakeFourDomainDataset(*kb_),
+      datasets::MakeQaDataset(*kb_, 4000, 3), datasets::MakeSfvDataset(*kb_)};
+  std::vector<std::string> texts;
+  size_t mentions = 0;
+  EntityLinker linker(&kb_->knowledge_base);
+  for (const auto& dataset : all) {
+    for (const auto& task : dataset.tasks) {
+      texts.push_back(task.text);
+      mentions += linker.Link(task.text).size();
+    }
+  }
+  ASSERT_EQ(texts.size(), 360u + 400u + 4000u + 328u);
+  ASSERT_GT(mentions, texts.size());  // the sweep exercises real mentions
+  ExpectMatchesOracle(kb_->knowledge_base, texts);
+}
+
+TEST_F(EntityLinkerTest, MatchesOracleOnAdversarialTexts) {
+  ExpectMatchesOracle(
+      kb_->knowledge_base,
+      {"", "?!", "MICHAEL JORDAN!!! and Kobe-Bryant, NBA.",
+       "michael zzqx jordan plays basketball",
+       "Golden State", "Golden State Warriors Golden State Warriors",
+       "Which is higher, K2 or Mount Everest",
+       "Caf\xc3\xa9 Michael\xe9Jordan \xff\x80 NBA \xc3\xa9t\xc3\xa9",
+       "Michael Jordan and Scottie Pippen and Kobe Bryant and Curry"});
+}
+
+// A small KB whose aliases and keywords hit every corner of the matcher:
+// case and punctuation, shared prefixes, overlaps, a prefix with no alias,
+// a five-word alias, bytes >= 0x80 and keywords that are not one word.
+class AdversarialKbTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    kb_ = std::make_unique<kb::KnowledgeBase>(
+        kb::DomainTaxonomy::FromNames({"A", "B", "C"}));
+    add("Shaquille O'Neal", {1, 0, 0}, 0.9,
+        {"basketball", "lakers", "Center", "o'neal", "basketball"});
+    add("New York", {0, 1, 0}, 0.8, {"city", "state"});
+    add("New York City", {0, 1, 1}, 0.7, {"city", "manhattan", "new york"});
+    add("York City", {1, 0, 0}, 0.5, {"football", "club", "city"});
+    add("One Two Three", {0, 0, 1}, 0.4, {"counting"});
+    add("Alpha Beta Gamma Delta Epsilon", {1, 1, 0}, 0.6, {"greek"});
+    add("Caf\xc3\xa9 Noir", {0, 0, 1}, 0.3, {"coffee", "\xc3\xa9t\xc3\xa9", ""});
+    add("Jordan River", {0, 0, 1}, 0.2, {"water"});
+    add("Jordan", {0, 1, 0}, 0.6, {"country", "amman"});
+    ASSERT_TRUE(kb_->AddAlias("SHAQ", 0, 0.5).ok());
+    ASSERT_TRUE(kb_->AddAlias("new-york", 2, 0.1).ok());
+    ASSERT_TRUE(kb_->AddAlias("jordan", 0, 0.05).ok());
+    ASSERT_TRUE(kb_->AddAlias("york", 1, 0.3).ok());
+  }
+
+  void add(const std::string& title, std::vector<uint8_t> indicator,
+           double popularity, std::vector<std::string> keywords) {
+    kb::Concept c;
+    c.title = title;
+    c.domain_indicator = std::move(indicator);
+    c.popularity = popularity;
+    c.context_keywords = std::move(keywords);
+    auto id = kb_->AddConcept(std::move(c));
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(kb_->AddAlias(title, id.value()).ok());
+  }
+
+  std::unique_ptr<kb::KnowledgeBase> kb_;
+};
+
+const std::vector<std::string>& AdversarialTexts() {
+  static const std::vector<std::string> texts = {
+      "",                                                // empty
+      "SHAQUILLE O'NEAL plays BASKETBALL for the Lakers!",  // case, punct
+      "shaquille xyzzy o neal basketball",  // unknown word inside an alias
+      "one two four counting",              // alias prefix, no terminal
+      "I love New York City and York City football club",  // overlaps
+      "the city of new york",               // alias at the end of the text
+      "alpha beta gamma delta epsilon alpha beta gamma delta epsilon zeta",
+      "one two three one two three one two three one two",  // long runs
+      "caf\xc3\xa9 noir coffee \xc3\xa9t\xc3\xa9 \xff\x80shaq\x80",  // bytes >= 0x80
+      "jordan river jordan amman jordan",
+      "NEW-YORK new york-city york",
+      "...,,,!!!",
+  };
+  return texts;
+}
+
+TEST_F(AdversarialKbTest, MatchesOracle) {
+  ExpectMatchesOracle(*kb_, AdversarialTexts());
+}
+
+TEST_F(AdversarialKbTest, UnknownWordBreaksAliasAndPrefixIsNoMatch) {
+  EntityLinker linker(kb_.get());
+  auto broken = linker.Link("shaquille xyzzy o neal");
+  EXPECT_TRUE(broken.empty());
+  auto prefix = linker.Link("one two four");
+  EXPECT_TRUE(prefix.empty());
+  auto longest = linker.Link("new york city");
+  ASSERT_EQ(longest.size(), 1u);
+  EXPECT_EQ(longest[0].mention, "new york city");
+}
+
+TEST_F(AdversarialKbTest, KeywordsThatAreNotOneWordNeverMatch) {
+  // "Center" (upper case), "o'neal" (punctuation) and "new york" (two
+  // words) can never equal a text word, so they get no id; "basketball"
+  // is listed twice and counts twice.
+  const auto shaq_keywords = kb_->KeywordIds(0);
+  ASSERT_EQ(shaq_keywords.size(), 3u);
+  EXPECT_EQ(kb_->vocabulary().word(shaq_keywords[0]),
+            kb_->vocabulary().word(shaq_keywords[1]));
+  EXPECT_EQ(kb_->KeywordIds(2).size(), 2u);
+  EXPECT_EQ(kb_->KeywordIds(6).size(), 1u);  // "coffee" only
+}
+
+TEST_F(AdversarialKbTest, AliasAddedAfterLinkIsSeen) {
+  EntityLinker linker(kb_.get());
+  const std::string text = "the amman citadel overlooks jordan";
+  EXPECT_TRUE(SameLinks(linker.Link(text),
+                        testing::ReferenceLinker(kb_.get()).Link(text)));
+  const size_t before = linker.Link(text).size();
+  ASSERT_TRUE(kb_->AddAlias("Amman Citadel", 8, 0.4).ok());
+  ASSERT_TRUE(kb_->AddAlias("overlooks", 3, 0.2).ok());
+  EXPECT_EQ(linker.Link(text).size(), before + 2);
+  EXPECT_TRUE(SameLinks(linker.Link(text),
+                        testing::ReferenceLinker(kb_.get()).Link(text)));
+  ExpectMatchesOracle(*kb_, AdversarialTexts());
+}
+
+TEST(EntityLinkerKbIoTest, LoadedKbLinksLikeTheOriginal) {
+  kb::SyntheticKbOptions options;
+  options.filler_concepts_per_domain = 5;
+  options.minor_persons_per_sphere = 20;
+  const kb::SyntheticKb synthetic = kb::BuildSyntheticKb(options);
+  const std::string path = ::testing::TempDir() + "/nlp_kb_roundtrip.txt";
+  ASSERT_TRUE(kb::SaveKnowledgeBase(synthetic.knowledge_base, path).ok());
+  auto loaded = kb::LoadKnowledgeBase(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::remove(path.c_str());
+
+  std::vector<std::string> texts;
+  for (const auto& task : datasets::MakeQaDataset(synthetic, 300, 3).tasks) {
+    texts.push_back(task.text);
+  }
+  for (const auto& task : datasets::MakeSfvDataset(synthetic).tasks) {
+    texts.push_back(task.text);
+  }
+  ExpectMatchesOracle(*loaded, texts);
+  EntityLinker original(&synthetic.knowledge_base);
+  EntityLinker reloaded(&*loaded);
+  size_t mentions = 0;
+  for (const std::string& text : texts) {
+    const auto want = original.Link(text);
+    mentions += want.size();
+    ASSERT_TRUE(SameLinks(reloaded.Link(text), want)) << text;
+  }
+  EXPECT_GT(mentions, texts.size());
 }
 
 }  // namespace
