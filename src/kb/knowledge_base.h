@@ -33,7 +33,8 @@ struct Concept {
   /// Link-frequency prior in (0, 1]; larger values make the concept a more
   /// likely referent for an ambiguous alias, all else equal.
   double popularity = 1.0;
-  /// Bag of lowercase context words associated with the concept.
+  /// Bag of lowercase context words associated with the concept. Only an
+  /// entry that is one word (ForEachWord) can match a word of a task text.
   std::vector<std::string> context_keywords;
 };
 
@@ -134,9 +135,9 @@ class KnowledgeBase {
   static constexpr uint32_t kNoNode = static_cast<uint32_t>(-1);
 
   /// A node of the alias trie; the path from kRoot spells the words of an
-  /// alias. The root's children are indexed by
-  /// word (root_children_); a deeper node's children form a sibling list,
-  /// since few aliases share a word prefix.
+  /// alias. The root's children are indexed by word (root_children_); a
+  /// deeper node's children form a sibling list, since few aliases share a
+  /// word prefix.
   struct AliasNode {
     WordId word = kUnknownWord;
     uint32_t first_child = kNoNode;

@@ -5,26 +5,25 @@
 
 namespace docs::kb {
 
-size_t Vocabulary::SlotOf(std::string_view word) const {
+size_t Vocabulary::SlotOf(std::string_view key) const {
   const size_t mask = slots_.size() - 1;
-  for (size_t slot = std::hash<std::string_view>{}(word) & mask;;
+  for (size_t slot = std::hash<std::string_view>{}(key) & mask;;
        slot = (slot + 1) & mask) {
     const WordId id = slots_[slot];
-    if (id == kUnknownWord || words_[id] == word) return slot;
+    if (id == kUnknownWord || word(id) == key) return slot;
   }
 }
 
-WordId Vocabulary::Intern(std::string_view word) {
-  if (2 * (words_.size() + 1) > slots_.size()) {
+WordId Vocabulary::Intern(std::string_view key) {
+  if (2 * (size() + 1) > slots_.size()) {
     slots_.assign(std::max<size_t>(16, 2 * slots_.size()), kUnknownWord);
-    for (WordId id = 0; id < words_.size(); ++id) {
-      slots_[SlotOf(words_[id])] = id;
-    }
+    for (WordId id = 0; id < size(); ++id) slots_[SlotOf(word(id))] = id;
   }
-  WordId& id = slots_[SlotOf(word)];
+  WordId& id = slots_[SlotOf(key)];
   if (id == kUnknownWord) {
-    id = static_cast<WordId>(words_.size());
-    words_.emplace_back(word);
+    id = static_cast<WordId>(size());
+    chars_ += key;
+    ends_.push_back(static_cast<uint32_t>(chars_.size()));
   }
   return id;
 }

@@ -5,10 +5,6 @@
 
 namespace docs::nlp {
 
-EntityLinker::EntityLinker(const kb::KnowledgeBase* knowledge_base,
-                           EntityLinkerOptions options)
-    : kb_(knowledge_base), options_(options) {}
-
 namespace {
 
 // Counts the entries of `keywords` (sorted, repeats kept) that occur in
@@ -27,15 +23,18 @@ size_t CountOverlap(std::span<const kb::WordId> keywords,
 
 }  // namespace
 
+EntityLinker::EntityLinker(const kb::KnowledgeBase* knowledge_base,
+                           EntityLinkerOptions options)
+    : kb_(knowledge_base), options_(options) {}
+
 std::vector<LinkedEntity> EntityLinker::Link(std::string_view text) const {
   std::vector<kb::WordId> words;
   kb_->TokenizeToIds(text, &words);
-  // The text's distinct known words, for the keyword overlap. An unknown
-  // word equals no keyword, since every one-word keyword is interned.
-  std::vector<kb::WordId> known(words);
-  std::sort(known.begin(), known.end());
-  known.erase(std::unique(known.begin(), known.end()), known.end());
-  if (!known.empty() && known.back() == kb::kUnknownWord) known.pop_back();
+  // The text's distinct words, for the keyword overlap. kUnknownWord
+  // matches no keyword id, since every one-word keyword is interned.
+  std::vector<kb::WordId> distinct(words);
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
 
   std::vector<LinkedEntity> entities;
   const size_t max_words = std::max<size_t>(1, kb_->max_alias_words());
@@ -69,7 +68,7 @@ std::vector<LinkedEntity> EntityLinker::Link(std::string_view text) const {
       // Context overlap: how many of the concept's keywords appear in the
       // task text (the mention's own tokens count, mirroring Wikifier's
       // string-similarity feature).
-      const size_t overlap = CountOverlap(kb_->KeywordIds(id), known);
+      const size_t overlap = CountOverlap(kb_->KeywordIds(id), distinct);
       double score = entry.prior * kb_->GetConcept(id).popularity *
                      (1.0 + options_.context_weight * static_cast<double>(overlap));
       entity.candidates.push_back({id, score});

@@ -328,7 +328,10 @@ class AdversarialKbTest : public ::testing::Test {
     add("Caf\xc3\xa9 Noir", {0, 0, 1}, 0.3, {"coffee", "\xc3\xa9t\xc3\xa9", ""});
     add("Jordan River", {0, 0, 1}, 0.2, {"water"});
     add("Jordan", {0, 1, 0}, 0.6, {"country", "amman"});
+    // Ambiguous aliases, so that keyword counts move probabilities.
     ASSERT_TRUE(kb_->AddAlias("SHAQ", 0, 0.5).ok());
+    ASSERT_TRUE(kb_->AddAlias("shaq", 3, 0.5).ok());
+    ASSERT_TRUE(kb_->AddAlias("Shaquille O'Neal", 7, 0.2).ok());
     ASSERT_TRUE(kb_->AddAlias("new-york", 2, 0.1).ok());
     ASSERT_TRUE(kb_->AddAlias("jordan", 0, 0.05).ok());
     ASSERT_TRUE(kb_->AddAlias("york", 1, 0.3).ok());
@@ -353,6 +356,7 @@ const std::vector<std::string>& AdversarialTexts() {
   static const std::vector<std::string> texts = {
       "",                                                // empty
       "SHAQUILLE O'NEAL plays BASKETBALL for the Lakers!",  // case, punct
+      "shaq, basketball, football",         // a keyword listed twice
       "shaquille xyzzy o neal basketball",  // unknown word inside an alias
       "one two four counting",              // alias prefix, no terminal
       "I love New York City and York City football club",  // overlaps
