@@ -13,6 +13,7 @@
 #include <string>
 #include <utility>
 
+#include "bench_common.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/docs_system.h"
@@ -483,6 +484,122 @@ void BM_ServeRequestTasksColdIndexed(benchmark::State& state) {
 BENCHMARK(BM_ServeRequestTasksColdIndexed)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(40);
+
+// --- The periodic full inference on campaign states ------------------------
+// One IncrementalTruthInference::RunFullInference (z = 100's EM pass plus the
+// refresh of M̂, M and s) on the real QA-4000 domain vectors, one thread.
+//   PerfbenchState — the state perfbench's campaigns reach: its crowd (60
+//                    workers from benchutil::PoolFor) in sessions of k = 20
+//                    served by DocsSystem (20 golden tasks, a full inference
+//                    every 100 answers) up to 3440 answers, so most tasks
+//                    have no answer and most answered ones have one.
+//   Mature         — 10 answers on every task from the same crowd: every
+//                    task has several answers.
+// Counters give the task mix by answer count.
+
+struct CampaignCrowd {
+  datasets::Dataset dataset;
+  std::vector<crowd::SimulatedWorker> workers;
+};
+
+const CampaignCrowd& PerfbenchCrowd() {
+  static const CampaignCrowd* kCrowd = [] {
+    auto* crowd_state = new CampaignCrowd;
+    crowd_state->dataset = datasets::MakeQaDataset(ServingKb(), 4000, 3);
+    crowd_state->workers = benchutil::PoolFor(crowd_state->dataset, 60, 1234);
+    return crowd_state;
+  }();
+  return *kCrowd;
+}
+
+void ReportAnswerMix(benchmark::State& state,
+                     const core::IncrementalTruthInference& engine) {
+  double counts[3] = {0, 0, 0};
+  for (size_t i = 0; i < engine.num_tasks(); ++i) {
+    size_t answered = 0;
+    for (size_t w = 0; w < engine.num_workers() && answered < 2; ++w) {
+      if (engine.HasAnswered(w, i)) ++answered;
+    }
+    counts[answered] += 1;
+  }
+  state.counters["tasks_0"] = counts[0];
+  state.counters["tasks_1"] = counts[1];
+  state.counters["tasks_2+"] = counts[2];
+  state.counters["answers"] = static_cast<double>(engine.num_answers());
+}
+
+void BM_RunFullInferencePerfbenchState(benchmark::State& state) {
+  const CampaignCrowd& crowd_state = PerfbenchCrowd();
+  const datasets::Dataset& dataset = crowd_state.dataset;
+  std::vector<core::TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  const std::vector<size_t> truths = dataset.Truths();
+  core::DocsSystemOptions options;
+  options.golden_count = 20;
+  options.reinfer_every = 100;
+  options.num_threads = 1;
+  core::DocsSystem system(&ServingKb().knowledge_base, options);
+  Status status = system.AddTasks(inputs, &truths);
+  DOCS_CHECK(status.ok()) << status.ToString();
+  std::vector<double> activity;
+  for (const auto& worker : crowd_state.workers) {
+    activity.push_back(worker.activity);
+  }
+  Rng rng(5);
+  while (system.inference().num_answers() < 3440) {
+    const size_t w = rng.SampleDiscrete(activity);
+    const size_t worker = system.WorkerIndex(crowd_state.workers[w].id);
+    for (size_t task : system.SelectTasks(worker, 20)) {
+      const auto& spec = dataset.tasks[task];
+      system.OnAnswer(worker, task,
+                      crowd::GenerateAnswer(crowd_state.workers[w],
+                                            spec.true_domain, spec.truth,
+                                            spec.num_choices(), rng));
+    }
+  }
+  system.RunFullInference();
+  for (auto _ : state) system.RunFullInference();
+  ReportAnswerMix(state, system.inference());
+}
+BENCHMARK(BM_RunFullInferencePerfbenchState)->Unit(benchmark::kMillisecond);
+
+void BM_RunFullInferenceMature(benchmark::State& state) {
+  const CampaignCrowd& crowd_state = PerfbenchCrowd();
+  const datasets::Dataset& dataset = crowd_state.dataset;
+  std::vector<core::TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  core::DocsSystemOptions options;
+  options.golden_count = 0;
+  options.num_threads = 1;
+  core::DocsSystem system(&ServingKb().knowledge_base, options);
+  Status status = system.AddTasks(inputs);
+  DOCS_CHECK(status.ok()) << status.ToString();
+  core::TruthInferenceOptions ti_options;
+  ti_options.num_threads = 1;
+  core::IncrementalTruthInference engine(system.tasks(), ti_options);
+  const size_t num_workers = crowd_state.workers.size();
+  Rng rng(6);
+  for (size_t i = 0; i < dataset.tasks.size(); ++i) {
+    const auto& spec = dataset.tasks[i];
+    for (size_t a = 0; a < 10; ++a) {
+      const size_t w = (i * 7 + a * 13) % num_workers;
+      DOCS_CHECK(engine
+                     .OnAnswer(w, i,
+                               crowd::GenerateAnswer(
+                                   crowd_state.workers[w], spec.true_domain,
+                                   spec.truth, spec.num_choices(), rng))
+                     .ok());
+    }
+  }
+  engine.RunFullInference(nullptr);
+  for (auto _ : state) engine.RunFullInference(nullptr);
+  ReportAnswerMix(state, engine);
+}
+BENCHMARK(BM_RunFullInferenceMature)->Unit(benchmark::kMillisecond);
 
 // WorkerStore in-memory put+merge throughput.
 void BM_WorkerStoreMerge(benchmark::State& state) {

@@ -83,8 +83,11 @@ ctest --test-dir "$ROOT/build-perfbench" --output-on-failure --no-tests=error
 # Scoped to the suites that hit the contract-instrumented paths hardest;
 # check_test runs here with DOCS_DEBUG_CHECKS on (it also runs in every
 # other config with them off — both halves of its matrix get covered).
+# determinism/docs_system/persistence/inference_service run the EM loop with
+# its contracts live through the serving loop, checkpoint replay and the
+# async service.
 run_config strict \
-  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test" \
+  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|determinism_test|docs_system_test|persistence_test|inference_service_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON
 run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=ON
 # Gateway smoke: start the TCP server on an ephemeral port, run real client

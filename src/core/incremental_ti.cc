@@ -229,12 +229,16 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   seeds.reserve(workers_.size());
   for (const auto& state : workers_) seeds.push_back(state.seed);
 
-  TruthInference engine(options_);
-  TruthInferenceResult result =
-      engine.Run(tasks_, workers_.size(), answers_, &seeds, pool);
+  // One step-1 kernel serves the EM iterations and the refresh below. The
+  // EM runs on the engine's own answer lists and builds no M^(i): only its
+  // qualities are kept.
+  TruthStepKernel step1(tasks_, answers_of_task_, workers_.size());
+  std::vector<WorkerQuality> qualities =
+      TruthInference(options_).EstimateQualities(
+          tasks_, answers_of_task_, workers_.size(), &seeds, &step1, pool);
 
   for (size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w].stats = result.worker_quality[w];
+    workers_[w].stats = qualities[w];
   }
   // O(1) invalidation: the batch re-run replaces every quality vector and
   // every posterior at once, so instead of walking all task and worker
@@ -248,13 +252,21 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   // Rebuild M̂, M and s of every task from the converged qualities so later
   // OnAnswer calls continue from that state: one more step-1 pass of the
   // shared kernel. No epoch bump: the generation bump above already stales
-  // every cached score in O(1).
-  TruthStepKernel step1(tasks_, answers_of_task_, workers_.size());
-  step1.Run(result.worker_quality, options_.quality_clamp, pool,
-            &truth_matrices_, &task_truth_, &log_numerators_);
-  ParallelFor(pool, tasks_.size(), [this](size_t i) {
+  // every cached score in O(1). An unanswered task's state depends only on
+  // r_i and l_i, and a task never loses its answers, so after the first
+  // pass has written them (the constructor's rows are 1/l, not the
+  // kernel's softmax of zeros) later passes refresh the answered tasks only.
+  step1.Run(qualities, options_.quality_clamp, pool, &truth_matrices_,
+            &task_truth_, &log_numerators_,
+            /*write_unanswered=*/!unanswered_refreshed_);
+  const std::vector<size_t>& answered = step1.answered_tasks();
+  const size_t refreshed =
+      unanswered_refreshed_ ? answered.size() : tasks_.size();
+  ParallelFor(pool, refreshed, [&](size_t a) {
+    const size_t i = unanswered_refreshed_ ? answered[a] : a;
     truth_entropy_[i] = Entropy(task_truth_[i]);
   });
+  unanswered_refreshed_ = true;
 }
 
 std::vector<size_t> IncrementalTruthInference::InferredChoices() const {

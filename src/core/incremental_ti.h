@@ -172,6 +172,9 @@ class IncrementalTruthInference {
   uint64_t mutation_log_begin_ = 0;
   std::vector<std::vector<Answer>> answers_of_task_;
   std::vector<Answer> answers_;
+  /// True once RunFullInference wrote every unanswered task's state; later
+  /// passes leave those tasks as they are (see RunFullInference).
+  bool unanswered_refreshed_ = false;
   std::vector<WorkerState> workers_;
   /// OnAnswer scratch (the facade serializes OnAnswer callers, so single
   /// buffers suffice): s̃_i snapshot and the per-domain log-numerator row.

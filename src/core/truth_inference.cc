@@ -132,6 +132,7 @@ TruthStepKernel::TruthStepKernel(
   entry_begin_.reserve(n + 1);
   entry_begin_.push_back(0);
   row_source_.assign(n, 0);
+  size_t multi_answer_tasks = 0;
   for (size_t i = 0; i < n; ++i) {
     const size_t l = tasks[i].num_choices;
     for (const Answer& answer : answers_of_task[i]) {
@@ -142,7 +143,10 @@ TruthStepKernel::TruthStepKernel(
       entries_.push_back({answer.choice, slot, wrong});
     }
     entry_begin_.push_back(entries_.size());
-    if (answers_of_task[i].empty()) {
+    if (!answers_of_task[i].empty()) answered_.push_back(i);
+    if (answers_of_task[i].size() >= 2) {
+      row_source_[i] = multi_answer_tasks++;
+    } else if (answers_of_task[i].empty()) {
       const size_t index = IndexOrAppend(&uniform_choice_counts, l);
       if (index == uniform_rows_.size()) {
         uniform_rows_.emplace_back(1, l);
@@ -169,6 +173,7 @@ TruthStepKernel::TruthStepKernel(
       row_source_[i] = found;
     }
   }
+  multi_blocks_.resize(multi_answer_tasks);
 }
 
 void TruthStepKernel::AccumulateRow(const Entry* begin, const Entry* end,
@@ -184,16 +189,19 @@ void TruthStepKernel::AccumulateRow(const Entry* begin, const Entry* end,
   }
 }
 
-void TruthStepKernel::Run(const std::vector<WorkerQuality>& qualities,
-                          double quality_clamp, ThreadPool* pool,
-                          std::vector<Matrix>* truth_matrices,
-                          std::vector<std::vector<double>>* task_truth,
-                          std::vector<Matrix>* log_numerators) {
-  const std::vector<Task>& tasks = *tasks_;
-  const size_t n = tasks.size();
-  DOCS_CHECK_EQ(truth_matrices->size(), n);
-  DOCS_CHECK_EQ(task_truth->size(), n);
-  if (log_numerators != nullptr) DOCS_CHECK_EQ(log_numerators->size(), n);
+void TruthStepKernel::CopyRows(size_t i, Matrix* truth_matrix) const {
+  const bool answered = entry_begin_[i + 1] != entry_begin_[i];
+  const Matrix& source = answered ? memo_blocks_[row_source_[i]]
+                                  : uniform_rows_[row_source_[i]];
+  for (size_t k = 0; k < truth_matrix->rows(); ++k) {
+    for (size_t j = 0; j < truth_matrix->cols(); ++j) {
+      (*truth_matrix)(k, j) = source(answered ? k : 0, j);
+    }
+  }
+}
+
+void TruthStepKernel::Prepare(const std::vector<WorkerQuality>& qualities,
+                              double quality_clamp, ThreadPool* pool) {
   m_ = workers_.empty() ? 0 : qualities[workers_[0]].quality.size();
 
   // (1) Log tables, one row per (worker, domain): worker-owned slots.
@@ -228,9 +236,105 @@ void TruthStepKernel::Run(const std::vector<WorkerQuality>& qualities,
       SoftmaxRowInto(log_row, k, &block);
     }
   });
+}
 
-  // (3) Per-task M^(i) and s_i: task-owned slots.
+void TruthStepKernel::Iterate(const std::vector<WorkerQuality>& qualities,
+                              double quality_clamp, ThreadPool* pool,
+                              std::vector<std::vector<double>>* task_truth) {
+  const std::vector<Task>& tasks = *tasks_;
+  DOCS_CHECK_EQ(task_truth->size(), tasks.size());
+  Prepare(qualities, quality_clamp, pool);
+
+  // s_i of each answered task: task- and block-owned slots.
+  ParallelFor(pool, answered_.size(), [&](size_t a) {
+    // Per-thread scratch; it carries nothing across (task, domain) steps.
+    thread_local std::vector<double> log_row;
+    const size_t i = answered_[a];
+    const std::vector<double>& r = tasks[i].domain_vector;
+    const size_t m = r.size();
+    const size_t l = tasks[i].num_choices;
+    const Entry* begin = entries_.data() + entry_begin_[i];
+    const Entry* end = entries_.data() + entry_begin_[i + 1];
+    DOCS_DCHECK_LE(m, m_);
+    const Matrix* rows;
+    if (end - begin == 1) {
+      rows = &memo_blocks_[row_source_[i]];
+    } else {
+      Matrix& block = multi_blocks_[row_source_[i]];
+      block.Resize(m, l);
+      for (size_t k = 0; k < m; ++k) {
+        if (r[k] == 0.0) continue;  // a row the product below skips
+        AccumulateRow(begin, end, k, l, &log_row);
+        SoftmaxRowInto(log_row, k, &block);
+      }
+      rows = &block;
+    }
+    // s_i = r_i M^(i) over `rows`: the products and the summation order of
+    // Matrix::LeftMultiplyInto, which skips the rows with r_k = 0.
+    std::vector<double>& truth = (*task_truth)[i];
+    truth.assign(l, 0.0);
+    for (size_t k = 0; k < m; ++k) {
+      const double rk = r[k];
+      if (rk == 0.0) continue;
+      for (size_t j = 0; j < l; ++j) truth[j] += rk * (*rows)(k, j);
+    }
+    // The domain vector always sums to 1 for the wrapper-produced tasks,
+    // but guard against callers passing sub-normalized vectors.
+    NormalizeInPlace(truth);
+    DOCS_DCHECK_SIMPLEX(truth, 1e-6, "inferred task truth (Eq. 4)");
+  });
+}
+
+void TruthStepKernel::BuildTruthMatrices(
+    ThreadPool* pool, std::vector<Matrix>* truth_matrices,
+    std::vector<std::vector<double>>* task_truth) {
+  const std::vector<Task>& tasks = *tasks_;
+  const size_t n = tasks.size();
+  DOCS_CHECK_EQ(truth_matrices->size(), n);
+  DOCS_CHECK_EQ(task_truth->size(), n);
   ParallelFor(pool, n, [&](size_t i) {
+    thread_local std::vector<double> log_row;
+    const Task& task = tasks[i];
+    const std::vector<double>& r = task.domain_vector;
+    const Entry* begin = entries_.data() + entry_begin_[i];
+    const Entry* end = entries_.data() + entry_begin_[i + 1];
+    Matrix& truth_matrix = (*truth_matrices)[i];
+    if (end - begin >= 2) {
+      truth_matrix = multi_blocks_[row_source_[i]];
+      for (size_t k = 0; k < r.size(); ++k) {
+        if (r[k] != 0.0) continue;  // Iterate() wrote this row
+        AccumulateRow(begin, end, k, task.num_choices, &log_row);
+        SoftmaxRowInto(log_row, k, &truth_matrix);
+      }
+    } else {
+      truth_matrix.Resize(r.size(), task.num_choices);
+      CopyRows(i, &truth_matrix);
+      if (begin == end) {
+        truth_matrix.LeftMultiplyInto(r, &(*task_truth)[i]);
+        NormalizeInPlace((*task_truth)[i]);
+        DOCS_DCHECK_SIMPLEX((*task_truth)[i], 1e-6,
+                            "inferred task truth (Eq. 4)");
+      }
+    }
+    DOCS_DCHECK_FINITE(truth_matrix, "truth matrix (Eq. 3)");
+  });
+}
+
+void TruthStepKernel::Run(const std::vector<WorkerQuality>& qualities,
+                          double quality_clamp, ThreadPool* pool,
+                          std::vector<Matrix>* truth_matrices,
+                          std::vector<std::vector<double>>* task_truth,
+                          std::vector<Matrix>* log_numerators,
+                          bool write_unanswered) {
+  const std::vector<Task>& tasks = *tasks_;
+  const size_t n = tasks.size();
+  DOCS_CHECK_EQ(truth_matrices->size(), n);
+  DOCS_CHECK_EQ(task_truth->size(), n);
+  if (log_numerators != nullptr) DOCS_CHECK_EQ(log_numerators->size(), n);
+  Prepare(qualities, quality_clamp, pool);
+
+  // Per-task M^(i) and s_i: task-owned slots.
+  auto write_task = [&](size_t i) {
     // Per-thread scratch; it carries nothing across (task, domain) steps.
     thread_local std::vector<double> log_row;
     const Task& task = tasks[i];
@@ -247,15 +351,8 @@ void TruthStepKernel::Run(const std::vector<WorkerQuality>& qualities,
     if (count <= 1) {
       // Rows that do not depend on this task: copy them. An unanswered
       // task's rows are all the same uniform row.
-      const bool answered = count == 1;
-      const Matrix& source = answered ? memo_blocks_[row_source_[i]]
-                                      : uniform_rows_[row_source_[i]];
-      for (size_t k = 0; k < m; ++k) {
-        for (size_t j = 0; j < l; ++j) {
-          truth_matrix(k, j) = source(answered ? k : 0, j);
-        }
-      }
-      if (!answered && log_numer != nullptr) log_numer->Fill(0.0);
+      CopyRows(i, &truth_matrix);
+      if (count == 0 && log_numer != nullptr) log_numer->Fill(0.0);
     }
     if (count >= 2 || (count == 1 && log_numer != nullptr)) {
       for (size_t k = 0; k < m; ++k) {
@@ -272,7 +369,13 @@ void TruthStepKernel::Run(const std::vector<WorkerQuality>& qualities,
     // but guard against callers passing sub-normalized vectors.
     NormalizeInPlace((*task_truth)[i]);
     DOCS_DCHECK_SIMPLEX((*task_truth)[i], 1e-6, "inferred task truth (Eq. 4)");
-  });
+  };
+  if (write_unanswered) {
+    ParallelFor(pool, n, write_task);
+  } else {
+    ParallelFor(pool, answered_.size(),
+                [&](size_t a) { write_task(answered_[a]); });
+  }
 }
 
 std::vector<WorkerQuality> InitializeQualityFromGolden(
@@ -352,17 +455,11 @@ TruthInferenceResult TruthInference::Run(
              threads > 1 ? pool_.get() : nullptr);
 }
 
-TruthInferenceResult TruthInference::Run(
-    const std::vector<Task>& tasks, size_t num_workers,
-    const std::vector<Answer>& answers,
-    const std::vector<WorkerQuality>* initial_quality, ThreadPool* pool) const {
-  const size_t n = tasks.size();
-  const size_t m = n == 0 ? 0 : tasks[0].domain_vector.size();
-
+void TruthInference::CheckInputs(const std::vector<Task>& tasks) const {
   // Caller contracts (programming errors, not recoverable input): options in
   // range and every TI prior a valid domain vector (Eq. 1). Tasks whose
-  // dimension differs from tasks[0] are tolerated (their answers are skipped
-  // below), but each vector's entries must still be probabilities.
+  // dimension differs from tasks[0] are tolerated by Run() (their answers
+  // are skipped), but each vector's entries must still be probabilities.
   CheckUnitInterval(options_.default_quality, 0.0, "default quality");
   DOCS_CHECK_GE(options_.quality_clamp, 0.0);
   DOCS_CHECK_LE(options_.quality_clamp, 0.5);
@@ -370,6 +467,33 @@ TruthInferenceResult TruthInference::Run(
     CheckUnitInterval(task.domain_vector, 1e-9,
                       "task domain vector (TI prior)");
   }
+}
+
+std::vector<WorkerQuality> TruthInference::SeedQualities(
+    size_t num_workers, size_t m,
+    const std::vector<WorkerQuality>* initial_quality) const {
+  std::vector<WorkerQuality> qualities(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
+    if (initial_quality != nullptr && w < initial_quality->size() &&
+        (*initial_quality)[w].quality.size() == m) {
+      CheckUnitInterval((*initial_quality)[w].quality, 1e-9,
+                        "seeded worker quality (Eq. 5)");
+      qualities[w] = (*initial_quality)[w];
+    } else {
+      qualities[w].quality.assign(m, options_.default_quality);
+      qualities[w].weight.assign(m, 0.0);
+    }
+  }
+  return qualities;
+}
+
+TruthInferenceResult TruthInference::Run(
+    const std::vector<Task>& tasks, size_t num_workers,
+    const std::vector<Answer>& answers,
+    const std::vector<WorkerQuality>* initial_quality, ThreadPool* pool) const {
+  const size_t n = tasks.size();
+  const size_t m = n == 0 ? 0 : tasks[0].domain_vector.size();
+  CheckInputs(tasks);
 
   TruthInferenceResult result;
   result.task_truth.resize(n);
@@ -395,7 +519,53 @@ TruthInferenceResult TruthInference::Run(
                       << " out-of-range answer(s)";
   }
 
-  // Per-worker answer lists for step 2, in the same global order the
+  result.worker_quality = SeedQualities(num_workers, m, initial_quality);
+  TruthStepKernel step1(tasks, answers_of_task, num_workers);
+  RunIterations(tasks, answers_of_task, num_workers, &step1, pool, &result);
+  // M^(i) of the last step 1, built once. With no iteration run the result
+  // keeps its empty s_i and M^(i).
+  if (result.iterations_run > 0) {
+    step1.BuildTruthMatrices(pool, &result.truth_matrices, &result.task_truth);
+  }
+
+  for (size_t i = 0; i < n; ++i) {
+    if (!result.task_truth[i].empty()) {
+      result.inferred_choice[i] = ArgMax(result.task_truth[i]);
+    }
+  }
+  return result;
+}
+
+std::vector<WorkerQuality> TruthInference::EstimateQualities(
+    const std::vector<Task>& tasks,
+    const std::vector<std::vector<Answer>>& answers_of_task,
+    size_t num_workers, const std::vector<WorkerQuality>* initial_quality,
+    TruthStepKernel* step1, ThreadPool* pool) const {
+  const size_t n = tasks.size();
+  const size_t m = n == 0 ? 0 : tasks[0].domain_vector.size();
+  CheckInputs(tasks);
+  DOCS_CHECK_EQ(answers_of_task.size(), n);
+  for (size_t i : step1->answered_tasks()) {
+    DOCS_CHECK_EQ(tasks[i].domain_vector.size(), m)
+        << "answered task " << i << " has another domain count than task 0";
+  }
+
+  TruthInferenceResult result;
+  result.task_truth.resize(n);
+  result.worker_quality = SeedQualities(num_workers, m, initial_quality);
+  RunIterations(tasks, answers_of_task, num_workers, step1, pool, &result);
+  return std::move(result.worker_quality);
+}
+
+void TruthInference::RunIterations(
+    const std::vector<Task>& tasks,
+    const std::vector<std::vector<Answer>>& answers_of_task,
+    size_t num_workers, TruthStepKernel* step1, ThreadPool* pool,
+    TruthInferenceResult* result) const {
+  const size_t n = tasks.size();
+  const size_t m = n == 0 ? 0 : tasks[0].domain_vector.size();
+
+  // Per-worker answer lists for step 2 (CSR), in the same global order the
   // sequential sweep visits them (task-major, then submission order within a
   // task): each worker's evidence accumulates in exactly that order, so the
   // parallel per-worker reduction is bit-identical to the sequential one.
@@ -403,62 +573,60 @@ TruthInferenceResult TruthInference::Run(
     size_t task;
     size_t choice;
   };
-  std::vector<std::vector<TaskChoice>> answers_of_worker(num_workers);
-  for (size_t i = 0; i < n; ++i) {
-    for (const Answer& answer : answers_of_task[i]) {
-      answers_of_worker[answer.worker].push_back({i, answer.choice});
-    }
+  std::vector<size_t> worker_begin(num_workers + 1, 0);
+  for (const std::vector<Answer>& task_answers : answers_of_task) {
+    for (const Answer& answer : task_answers) ++worker_begin[answer.worker + 1];
   }
-
-  // Worker qualities: seeded from `initial_quality` or the default.
-  result.worker_quality.resize(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
-    if (initial_quality != nullptr && w < initial_quality->size() &&
-        (*initial_quality)[w].quality.size() == m) {
-      CheckUnitInterval((*initial_quality)[w].quality, 1e-9,
-                        "seeded worker quality (Eq. 5)");
-      result.worker_quality[w] = (*initial_quality)[w];
-    } else {
-      result.worker_quality[w].quality.assign(m, options_.default_quality);
-      result.worker_quality[w].weight.assign(m, 0.0);
+    worker_begin[w + 1] += worker_begin[w];
+  }
+  std::vector<TaskChoice> worker_answers(worker_begin[num_workers]);
+  {
+    std::vector<size_t> next(worker_begin.begin(), worker_begin.end() - 1);
+    for (size_t i = 0; i < n; ++i) {
+      for (const Answer& answer : answers_of_task[i]) {
+        worker_answers[next[answer.worker]++] = {i, answer.choice};
+      }
     }
   }
-  const std::vector<WorkerQuality> seeded_quality = result.worker_quality;
 
+  // The convergence check's truth term count: step 1 once wrote l_i entries
+  // of s_i for every task, answered or not.
+  size_t truth_terms = 0;
+  for (const Task& task : tasks) truth_terms += task.num_choices;
+
+  const std::vector<WorkerQuality> seeded_quality = result->worker_quality;
   // Previous-iteration snapshots for the convergence check. Both are rotated
-  // by swap, not copied: step 1 overwrites every task_truth entry and step 2
-  // every quality entry, so the stale contents left in `result` by a swap are
-  // never read — only their storage is reused. Byte-identical to the
-  // copy-based rotation (determinism_test covers this).
+  // by swap, not copied: step 1 overwrites every answered task's s_i and
+  // step 2 every quality entry, so the stale contents left in `result` by a
+  // swap are never read — only their storage is reused. Unanswered tasks'
+  // entries stay empty in both buffers.
   std::vector<std::vector<double>> prev_truth(n);
-  std::vector<WorkerQuality> prev_quality = result.worker_quality;
-
-  // Step 1's answer layout is fixed across iterations; only its log tables
-  // are rebuilt from the qualities each time.
-  TruthStepKernel step1(tasks, answers_of_task, num_workers);
+  std::vector<WorkerQuality> prev_quality = result->worker_quality;
 
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
     // Rotate: prev_truth takes the last iteration's truth, and step 1 below
-    // refills result.task_truth (through buffers recycled from two
+    // refills result->task_truth (through buffers recycled from two
     // iterations ago). On break the freshly written truth stays in `result`.
-    std::swap(prev_truth, result.task_truth);
+    std::swap(prev_truth, result->task_truth);
 
     // --- Step 1: infer the truth from qualities (Eq. 2-4). ----------------
-    step1.Run(result.worker_quality, options_.quality_clamp, pool,
-              &result.truth_matrices, &result.task_truth);
+    step1->Iterate(result->worker_quality, options_.quality_clamp, pool,
+                   &result->task_truth);
 
     // --- Step 2: estimate worker qualities from the truth (Eq. 5). --------
     // Parallel over workers: the Eq. 5 numerator/denominator of worker w sum
     // only w's own answers, accumulated in the same order as the sequential
     // task-major sweep — no cross-thread reduction is needed and the result
     // is identical for every thread count.
-    std::swap(prev_quality, result.worker_quality);
+    std::swap(prev_quality, result->worker_quality);
     ParallelFor(pool, num_workers, [&](size_t w) {
       std::vector<double> numer(m, 0.0);
       std::vector<double> denom(m, 0.0);
-      for (const TaskChoice& tc : answers_of_worker[w]) {
+      for (size_t a = worker_begin[w]; a < worker_begin[w + 1]; ++a) {
+        const TaskChoice& tc = worker_answers[a];
         const auto& r = tasks[tc.task].domain_vector;
-        const double s_iv = result.task_truth[tc.task][tc.choice];
+        const double s_iv = result->task_truth[tc.task][tc.choice];
         for (size_t k = 0; k < m; ++k) {
           numer[k] += r[k] * s_iv;
           denom[k] += r[k];
@@ -480,6 +648,7 @@ TruthInferenceResult TruthInference::Run(
       const double overall_quality =
           overall_denom > 0.0 ? overall_numer / overall_denom
                               : options_.default_quality;
+      WorkerQuality& quality = result->worker_quality[w];
       for (size_t k = 0; k < m; ++k) {
         // Seed evidence counts at its stored weight; the hierarchical pull
         // has quality_prior_strength pseudo-counts.
@@ -491,36 +660,37 @@ TruthInferenceResult TruthInference::Run(
             seed_mass + options_.quality_prior_strength;
         const double total_mass = denom[k] + prior_mass;
         if (total_mass > 0.0) {
-          result.worker_quality[w].quality[k] =
-              (numer[k] + prior_numer) / total_mass;
+          quality.quality[k] = (numer[k] + prior_numer) / total_mass;
         } else {
           // Pure paper formula (prior strength 0) with no data: keep seed.
-          result.worker_quality[w].quality[k] = seeded_quality[w].quality[k];
+          quality.quality[k] = seeded_quality[w].quality[k];
         }
-        result.worker_quality[w].weight[k] = denom[k] + seed_mass;
+        quality.weight[k] = denom[k] + seed_mass;
       }
-      DOCS_DCHECK_UNIT_INTERVAL(result.worker_quality[w].quality, 1e-9,
+      DOCS_DCHECK_UNIT_INTERVAL(quality.quality, 1e-9,
                                 "worker quality (Eq. 5)");
     });
 
     // --- Convergence check (Delta of Section 6.3). -------------------------
     // Kept sequential: it is O(n l + |W| m) against the O(n m l R) steps
     // above, and a serial sum keeps the early-exit decision (and therefore
-    // the iteration count) bit-identical to the historical behavior.
+    // the iteration count) bit-identical to the historical behavior. An
+    // unanswered task's s_i is the same every iteration, so its terms are
+    // exactly 0; adding +0.0 to the non-negative sum leaves it unchanged, and
+    // the sum runs over the answered tasks alone, in task order.
     double delta = 0.0;
     if (iter > 0) {
       double truth_change = 0.0;
-      size_t truth_terms = 0;
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < result.task_truth[i].size(); ++j) {
-          truth_change += std::fabs(result.task_truth[i][j] - prev_truth[i][j]);
-          ++truth_terms;
+      for (size_t i : step1->answered_tasks()) {
+        const std::vector<double>& truth = result->task_truth[i];
+        for (size_t j = 0; j < truth.size(); ++j) {
+          truth_change += std::fabs(truth[j] - prev_truth[i][j]);
         }
       }
       double quality_change = 0.0;
       for (size_t w = 0; w < num_workers; ++w) {
         for (size_t k = 0; k < m; ++k) {
-          quality_change += std::fabs(result.worker_quality[w].quality[k] -
+          quality_change += std::fabs(result->worker_quality[w].quality[k] -
                                       prev_quality[w].quality[k]);
         }
       }
@@ -529,18 +699,11 @@ TruthInferenceResult TruthInference::Run(
               (num_workers * m > 0
                    ? quality_change / static_cast<double>(num_workers * m)
                    : 0.0);
-      result.delta_history.push_back(delta);
+      result->delta_history.push_back(delta);
     }
-    result.iterations_run = iter + 1;
+    result->iterations_run = iter + 1;
     if (iter > 0 && delta < options_.tolerance) break;
   }
-
-  for (size_t i = 0; i < n; ++i) {
-    if (!result.task_truth[i].empty()) {
-      result.inferred_choice[i] = ArgMax(result.task_truth[i]);
-    }
-  }
-  return result;
 }
 
 }  // namespace docs::core

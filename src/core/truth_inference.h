@@ -69,20 +69,24 @@ Matrix ComputeTruthMatrix(const Task& task,
                           size_t* skipped_answers = nullptr);
 
 /// Step 1 of Section 4.1 (Eq. 3-4) over every task of a fixed answer set:
-/// the one kernel behind each EM iteration of TruthInference::Run and the
-/// post-EM refresh of IncrementalTruthInference. The constructor lays out
-/// the answer set once; each Run() then
+/// the one kernel behind each EM iteration of TruthInference and the post-EM
+/// refresh of IncrementalTruthInference. The constructor lays out the answer
+/// set once. Each pass over qualities
 ///   1. builds log(clamp(q_wk)) and log((1 - clamp(q_wk)) / (l - 1)) once
 ///      per (worker, domain) for every worker with answers and every choice
 ///      count l that worker answered, instead of twice per (answer, domain);
-///   2. copies a precomputed uniform row (per l) into unanswered tasks;
-///   3. copies a softmax block memoized per (worker, l, choice) into tasks
-///      with exactly one answer;
-///   4. sums table lookups and takes the softmax for the other tasks.
+///   2. takes the softmax block of each (worker, l, choice) that answers a
+///      task alone, once for all the tasks it answers;
+///   3. sums table lookups and takes the softmax for the other tasks.
+/// An unanswered task's rows are the softmax of zeros, built here once.
 /// Every value comes from the same expression, accumulated from 0.0 in the
 /// same answer order, as ComputeTruthMatrix — the output is bit-identical
 /// to it, and (all writes are worker-, memo- or task-owned slots) for any
 /// thread count. No step does more log/exp work than the per-task form.
+///
+/// Iterate() computes only what an EM iteration reads (s_i of the answered
+/// tasks); BuildTruthMatrices() then completes M^(i) once, after the last
+/// iteration. Run() is the full step in one call (DESIGN.md §4).
 class TruthStepKernel {
  public:
   /// `answers_of_task[i]` lists task i's answers in the order they are to
@@ -92,16 +96,39 @@ class TruthStepKernel {
                   const std::vector<std::vector<Answer>>& answers_of_task,
                   size_t num_workers);
 
-  /// Recomputes M^(i) into (*truth_matrices)[i] (reshaped to m_i x l_i) and
-  /// s_i = normalize(r_i M^(i)) into (*task_truth)[i] for every task, from
+  /// The tasks with at least one answer, ascending.
+  const std::vector<size_t>& answered_tasks() const { return answered_; }
+
+  /// Step 1 as one EM iteration needs it: rebuilds the tables from
   /// `qualities` (indexed by worker; every answering worker's vector has the
-  /// same dimension, at least that of the tasks the worker answered). When
-  /// `log_numerators` is non-null its matrices (already m_i x l_i) receive
-  /// the log numerators M̂^(i) as well.
+  /// same dimension, at least that of the tasks the worker answered) and
+  /// writes s_i = normalize(r_i M^(i)) into (*task_truth)[i] for every
+  /// answered task. Single-answer tasks read their memo block in place; a
+  /// multi-answer task computes only its rows with r_k != 0, the rows the
+  /// product reads. Unanswered tasks' entries are left as they are.
+  void Iterate(const std::vector<WorkerQuality>& qualities,
+               double quality_clamp, ThreadPool* pool,
+               std::vector<std::vector<double>>* task_truth);
+
+  /// Completes the last Iterate(): writes M^(i) of every task into
+  /// (*truth_matrices)[i] (reshaped to m_i x l_i), filling the r_k = 0 rows
+  /// of multi-answer tasks from the tables that Iterate() left, and s_i of
+  /// every unanswered task into (*task_truth)[i].
+  void BuildTruthMatrices(ThreadPool* pool,
+                          std::vector<Matrix>* truth_matrices,
+                          std::vector<std::vector<double>>* task_truth);
+
+  /// The full step in one call: tables from `qualities` as in Iterate(),
+  /// then M^(i) and s_i of every task. When `log_numerators` is non-null its
+  /// matrices (already m_i x l_i) receive the log numerators M̂^(i) as well.
+  /// With `write_unanswered` false the unanswered tasks' entries are left
+  /// as they are: they depend on nothing but r_i and l_i, so a caller that
+  /// wrote them once may skip them.
   void Run(const std::vector<WorkerQuality>& qualities, double quality_clamp,
            ThreadPool* pool, std::vector<Matrix>* truth_matrices,
            std::vector<std::vector<double>>* task_truth,
-           std::vector<Matrix>* log_numerators = nullptr);
+           std::vector<Matrix>* log_numerators = nullptr,
+           bool write_unanswered = true);
 
  private:
   /// One answer as the kernel reads it: its choice and the table slots of
@@ -111,15 +138,23 @@ class TruthStepKernel {
     size_t correct_slot;
     size_t wrong_slot;
   };
+  /// Builds the log tables and the memo blocks from `qualities`.
+  void Prepare(const std::vector<WorkerQuality>& qualities,
+               double quality_clamp, ThreadPool* pool);
   /// Sums the log terms of domain k over [begin, end) into `row` (size l),
   /// starting from 0.0.
   void AccumulateRow(const Entry* begin, const Entry* end, size_t k,
                      size_t l, std::vector<double>* row) const;
+  /// Copies task i's rows (it has at most one answer) from its uniform row
+  /// or memo block into `truth_matrix`, already m_i x l_i.
+  void CopyRows(size_t i, Matrix* truth_matrix) const;
 
   const std::vector<Task>* tasks_;
   std::vector<size_t> entry_begin_;  // CSR over entries_, n + 1 offsets
   std::vector<Entry> entries_;
-  /// Per task: index into uniform_rows_ (no answers) or memos_ (one).
+  std::vector<size_t> answered_;  // see answered_tasks()
+  /// Per task: index into uniform_rows_ (no answers), memos_ (one) or
+  /// multi_blocks_ (more).
   std::vector<size_t> row_source_;
   std::vector<Matrix> uniform_rows_;  // 1 x l softmax of zeros, per l
   std::vector<size_t> workers_;       // correct slot -> worker id
@@ -128,12 +163,14 @@ class TruthStepKernel {
   /// The (worker, l, choice) keys of single-answer tasks; a wrong slot
   /// names both the worker and l.
   std::vector<Entry> memos_;
-  /// Per-Run state: the tables (m_ entries per slot) and the m_ x l softmax
-  /// block of each memo.
+  /// Per-pass state: the tables (m_ entries per slot), the m_ x l softmax
+  /// block of each memo, and the m_i x l_i block of each multi-answer task
+  /// (Iterate() writes its r_k != 0 rows).
   size_t m_ = 0;
   std::vector<double> log_correct_;
   std::vector<double> log_wrong_;
   std::vector<Matrix> memo_blocks_;
+  std::vector<Matrix> multi_blocks_;
 };
 
 /// Initializes worker qualities from their answers to golden tasks
@@ -176,9 +213,40 @@ class TruthInference {
                            const std::vector<WorkerQuality>* initial_quality,
                            ThreadPool* pool) const;
 
+  /// The iterations of Run() alone, for a caller that keeps its own per-task
+  /// answer lists and needs only the final qualities
+  /// (IncrementalTruthInference's periodic re-run): bit-identical to
+  /// Run(...).worker_quality over the same answers. No M^(i) is built.
+  /// `answers_of_task[i]` lists task i's answers in submission order; every
+  /// answer must be in bounds and every answered task must have tasks[0]'s
+  /// domain count (Run() filters its answers to such lists). `step1` must
+  /// be built from the same tasks, lists and `num_workers`; on return it
+  /// holds the tables of the last iteration. `pool == nullptr` runs
+  /// sequentially.
+  std::vector<WorkerQuality> EstimateQualities(
+      const std::vector<Task>& tasks,
+      const std::vector<std::vector<Answer>>& answers_of_task,
+      size_t num_workers, const std::vector<WorkerQuality>* initial_quality,
+      TruthStepKernel* step1, ThreadPool* pool) const;
+
   const TruthInferenceOptions& options() const { return options_; }
 
  private:
+  /// Caller contracts shared by Run() and EstimateQualities().
+  void CheckInputs(const std::vector<Task>& tasks) const;
+  /// The starting qualities: `initial_quality` where it has dimension m,
+  /// options().default_quality elsewhere.
+  std::vector<WorkerQuality> SeedQualities(
+      size_t num_workers, size_t m,
+      const std::vector<WorkerQuality>* initial_quality) const;
+  /// The EM loop. Reads the seeded result->worker_quality and writes the
+  /// final qualities, s_i of every answered task (result->task_truth has n
+  /// entries), delta_history and iterations_run.
+  void RunIterations(const std::vector<Task>& tasks,
+                     const std::vector<std::vector<Answer>>& answers_of_task,
+                     size_t num_workers, TruthStepKernel* step1,
+                     ThreadPool* pool, TruthInferenceResult* result) const;
+
   TruthInferenceOptions options_;
   /// Lazily built pool of options().num_threads threads, reused across Run()
   /// calls. Mutable because Run() is logically const; TruthInference itself

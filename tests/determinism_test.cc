@@ -380,5 +380,104 @@ TEST_F(DocsSystemDeterminismTest, GatewayServingSweepIsIdenticalAcrossReactors) 
   }
 }
 
+/// FNV-1a over the bytes of each fed value, for the serving-state pin below.
+class Fnv1a {
+ public:
+  void Feed(uint64_t value) {
+    unsigned char bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    FeedBytes(bytes, sizeof(bytes));
+  }
+  void Feed(double value) {
+    unsigned char bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    FeedBytes(bytes, sizeof(bytes));
+  }
+  void Feed(const std::vector<double>& values) {
+    for (double value : values) Feed(value);
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  void FeedBytes(const unsigned char* bytes, size_t size) {
+    for (size_t b = 0; b < size; ++b) {
+      hash_ ^= bytes[b];
+      hash_ *= 1099511628211ULL;  // FNV-1a prime
+    }
+  }
+  uint64_t hash_ = 14695981039346656037ULL;  // FNV-1a offset basis
+};
+
+/// Pins the serving state of a small DocsSystem campaign: QA at 400 tasks,
+/// 12 workers, a full inference every z = 25 answers, HITs of 5. The hash
+/// covers every granted HIT and the final s, M, M̂, H(s) and worker
+/// qualities, bit for bit. The async campaign drains after every session,
+/// so each request sees every earlier answer in its snapshot, and the run
+/// matches the sync one bit for bit: both pin the same value. It was
+/// computed before the EM loop stopped building M^(i) on every iteration;
+/// any change to the periodic inference or to selection that is not
+/// bit-identical moves it.
+TEST_F(DocsSystemDeterminismTest, ServingStateIsPinned) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 400, 3);
+  const auto truths = dataset.Truths();
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  crowd::WorkerPoolOptions pool_options;
+  pool_options.num_workers = 12;
+  const auto workers = crowd::MakeWorkerPool(
+      kb_->knowledge_base.num_domains(), dataset.label_to_domain, pool_options,
+      77);
+
+  auto campaign_hash = [&](bool async) {
+    DocsSystemOptions options;
+    options.golden_count = 10;
+    options.reinfer_every = 25;
+    options.num_threads = 1;
+    options.async_inference = async;
+    ConcurrentDocsSystem system(&kb_->knowledge_base, options);
+    EXPECT_TRUE(system.AddTasks(inputs, &truths).ok());
+    Fnv1a hash;
+    Rng rng(23);
+    for (size_t session = 0; session < 60; ++session) {
+      const size_t w = rng.UniformInt(12);
+      const std::string id = "w" + std::to_string(w);
+      const std::vector<size_t> hit = system.RequestTasks(id, 5);
+      hash.Feed(uint64_t{hit.size()});
+      for (size_t task : hit) {
+        hash.Feed(uint64_t{task});
+        const size_t choice = crowd::GenerateAnswer(
+            workers[w], dataset.tasks[task].true_domain,
+            dataset.tasks[task].truth, dataset.tasks[task].num_choices(), rng);
+        const Status submitted = system.SubmitAnswer(id, task, choice);
+        EXPECT_TRUE(submitted.ok()) << submitted.ToString();
+      }
+      system.Drain();
+    }
+    system.WithLocked([&](DocsSystem& inner) {
+      const IncrementalTruthInference& engine = inner.inference();
+      EXPECT_GT(engine.num_answers(), 200u);
+      for (size_t i = 0; i < engine.num_tasks(); ++i) {
+        hash.Feed(engine.task_truth(i));
+        hash.Feed(engine.truth_matrix(i).data());
+        hash.Feed(engine.log_numerator(i).data());
+        hash.Feed(engine.truth_entropy(i));
+      }
+      for (size_t w = 0; w < engine.num_workers(); ++w) {
+        hash.Feed(engine.worker_quality(w).quality);
+        hash.Feed(engine.worker_quality(w).weight);
+      }
+    });
+    return hash.hash();
+  };
+  const uint64_t sync_hash = campaign_hash(false);
+  const uint64_t async_hash = campaign_hash(true);
+  EXPECT_EQ(sync_hash, 0x3a1c097a90e48bbeULL)
+      << "sync: 0x" << std::hex << sync_hash;
+  EXPECT_EQ(async_hash, 0x3a1c097a90e48bbeULL)
+      << "async: 0x" << std::hex << async_hash;
+}
+
 }  // namespace
 }  // namespace docs::core

@@ -579,5 +579,91 @@ TEST(IncrementalTiTest, FullInferenceStateContinuesBitwiseIntoOnAnswer) {
   }
 }
 
+/// After each of three periodic re-runs the engine's whole state must equal
+/// a reconstruction from the public API, bit for bit: the qualities of
+/// TruthInference::Run on the stored answers and seeds, then one full
+/// TruthStepKernel::Run (with log numerators) on those qualities. Tasks with
+/// exact r_k = 0 entries, tasks that stay unanswered across every re-run and
+/// tasks first answered between re-runs are all covered.
+TEST(IncrementalTiTest, EveryFullInferenceMatchesPublicRunThenKernelStep) {
+  const size_t n = 180, m = 5, num_workers = 30;
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    Rng rng(41);
+    std::vector<Task> tasks = MixedTasks(n, m, rng);
+    for (size_t i = 0; i < n; i += 3) {
+      // Zero out two domains and renormalize: exact zeros in r.
+      std::vector<double>& r = tasks[i].domain_vector;
+      r[i % m] = 0.0;
+      r[(i + 2) % m] = 0.0;
+      NormalizeInPlace(r);
+    }
+    TruthInferenceOptions options;
+    options.num_threads = threads;
+    IncrementalTruthInference engine(tasks, options);
+    WorkerQuality seed;
+    seed.quality = {0.9, 0.6, 0.8, 0.7, 0.75};
+    seed.weight = {3.0, 1.0, 2.0, 0.5, 0.0};
+    ASSERT_TRUE(engine.SetWorkerQuality(4, seed).ok());
+
+    for (size_t pass = 0; pass < 3; ++pass) {
+      SCOPED_TRACE(pass);
+      // Multi-answer tasks at the front, then scattered single answers over
+      // the first two thirds; the last third stays unanswered throughout.
+      for (size_t a = 0; a < 40; ++a) {
+        const size_t w = rng.UniformInt(num_workers);
+        const size_t i = a < 20 ? a % 6 : rng.UniformInt(2 * n / 3);
+        if (engine.HasAnswered(w, i)) continue;
+        ASSERT_TRUE(
+            engine.OnAnswer(w, i, rng.UniformInt(tasks[i].num_choices)).ok());
+      }
+      engine.RunFullInference();
+
+      std::vector<WorkerQuality> seeds;
+      for (size_t w = 0; w < engine.num_workers(); ++w) {
+        seeds.push_back(engine.worker_seed(w));
+      }
+      const TruthInferenceResult reference =
+          TruthInference(options).Run(tasks, engine.num_workers(),
+                                      engine.answers(), &seeds);
+      for (size_t w = 0; w < engine.num_workers(); ++w) {
+        EXPECT_TRUE(SameBits(engine.worker_quality(w).quality,
+                             reference.worker_quality[w].quality))
+            << "worker " << w;
+        EXPECT_TRUE(SameBits(engine.worker_quality(w).weight,
+                             reference.worker_quality[w].weight))
+            << "worker " << w;
+      }
+
+      std::vector<std::vector<Answer>> answers_of_task(n);
+      for (const Answer& answer : engine.answers()) {
+        answers_of_task[answer.task].push_back(answer);
+      }
+      std::vector<Matrix> truth_matrices(n);
+      std::vector<std::vector<double>> task_truth(n);
+      std::vector<Matrix> log_numerators;
+      for (const Task& task : tasks) {
+        log_numerators.emplace_back(m, task.num_choices, 0.0);
+      }
+      TruthStepKernel kernel(tasks, answers_of_task, engine.num_workers());
+      kernel.Run(reference.worker_quality, options.quality_clamp, nullptr,
+                 &truth_matrices, &task_truth, &log_numerators);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(SameBits(engine.log_numerator(i).data(),
+                             log_numerators[i].data()))
+            << "task " << i;
+        EXPECT_TRUE(SameBits(engine.truth_matrix(i).data(),
+                             truth_matrices[i].data()))
+            << "task " << i;
+        EXPECT_TRUE(SameBits(engine.task_truth(i), task_truth[i]))
+            << "task " << i;
+        const double entropy = Entropy(task_truth[i]);
+        EXPECT_TRUE(SameBits({engine.truth_entropy(i)}, {entropy}))
+            << "task " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace docs::core

@@ -624,6 +624,76 @@ TEST(TruthStepKernelTest, ZeroClampWithExtremeQualitiesMatchesBitwise) {
   }
 }
 
+TEST(TruthStepKernelTest, IterateThenBuildMatchesRunBitwise) {
+  // Exact r_k = 0 entries, so Iterate() skips rows that the build fills.
+  KernelInstance instance = MakeKernelInstance(6, 106);
+  for (size_t i = 0; i < instance.tasks.size(); i += 2) {
+    std::vector<double>& r = instance.tasks[i].domain_vector;
+    r[i % 6] = 0.0;
+    r[(i + 1) % 6] = 0.0;
+    NormalizeInPlace(r);
+  }
+  const size_t n = instance.tasks.size();
+  for (size_t threads : kThreadSweep) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<ThreadPool> pool =
+        threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+    TruthStepKernel kernel(instance.tasks, instance.answers_of_task,
+                           instance.qualities.size());
+    const KernelOutput expected =
+        RunKernel(kernel, instance, instance.qualities, 0.01, pool.get());
+
+    std::vector<std::vector<double>> task_truth(n);
+    kernel.Iterate(instance.qualities, 0.01, pool.get(), &task_truth);
+    for (size_t i = 0; i < n; ++i) {
+      if (instance.answers_of_task[i].empty()) {
+        EXPECT_TRUE(task_truth[i].empty()) << "task " << i;
+      } else {
+        EXPECT_TRUE(SameBits(task_truth[i], expected.task_truth[i]))
+            << "task " << i;
+      }
+    }
+    std::vector<Matrix> truth_matrices(n);
+    kernel.BuildTruthMatrices(pool.get(), &truth_matrices, &task_truth);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(SameBits(task_truth[i], expected.task_truth[i]))
+          << "task " << i;
+      EXPECT_TRUE(SameBits(truth_matrices[i].data(),
+                           expected.truth_matrices[i].data()))
+          << "task " << i;
+    }
+
+    // write_unanswered = false leaves the unanswered tasks' entries alone
+    // and writes the answered ones as before.
+    KernelOutput partial;
+    partial.truth_matrices.resize(n);
+    partial.task_truth.assign(n, {-1.0});
+    for (const Task& task : instance.tasks) {
+      partial.log_numerators.emplace_back(task.domain_vector.size(),
+                                          task.num_choices, -1.0);
+    }
+    kernel.Run(instance.qualities, 0.01, pool.get(), &partial.truth_matrices,
+               &partial.task_truth, &partial.log_numerators,
+               /*write_unanswered=*/false);
+    for (size_t i = 0; i < n; ++i) {
+      if (instance.answers_of_task[i].empty()) {
+        EXPECT_TRUE(partial.truth_matrices[i].empty()) << "task " << i;
+        EXPECT_EQ(partial.task_truth[i], std::vector<double>{-1.0});
+        for (double v : partial.log_numerators[i].data()) EXPECT_EQ(v, -1.0);
+      } else {
+        EXPECT_TRUE(SameBits(partial.truth_matrices[i].data(),
+                             expected.truth_matrices[i].data()))
+            << "task " << i;
+        EXPECT_TRUE(SameBits(partial.task_truth[i], expected.task_truth[i]))
+            << "task " << i;
+        EXPECT_TRUE(SameBits(partial.log_numerators[i].data(),
+                             expected.log_numerators[i].data()))
+            << "task " << i;
+      }
+    }
+  }
+}
+
 /// TruthInference::Run with step 1 done the pre-kernel way (one
 /// ReferenceTruthMatrix per task per iteration); everything else copies Run.
 TruthInferenceResult ReferenceRun(const TruthInferenceOptions& options,
@@ -809,6 +879,114 @@ TEST(TruthStepKernelTest, RunMatchesPreKernelEmBitwiseAtEveryThreadCount) {
         EXPECT_TRUE(SameBits(got.worker_quality[w].weight,
                              expected.worker_quality[w].weight))
             << "worker " << w;
+      }
+    }
+  }
+}
+
+/// Every field of two EM results, bit for bit.
+void ExpectSameRun(const TruthInferenceResult& got,
+                   const TruthInferenceResult& expected) {
+  EXPECT_EQ(got.iterations_run, expected.iterations_run);
+  EXPECT_TRUE(SameBits(got.delta_history, expected.delta_history));
+  EXPECT_EQ(got.inferred_choice, expected.inferred_choice);
+  ASSERT_EQ(got.task_truth.size(), expected.task_truth.size());
+  ASSERT_EQ(got.truth_matrices.size(), expected.truth_matrices.size());
+  for (size_t i = 0; i < expected.task_truth.size(); ++i) {
+    EXPECT_TRUE(SameBits(got.task_truth[i], expected.task_truth[i]))
+        << "task " << i;
+    EXPECT_EQ(got.truth_matrices[i].rows(), expected.truth_matrices[i].rows())
+        << "task " << i;
+    EXPECT_TRUE(SameBits(got.truth_matrices[i].data(),
+                         expected.truth_matrices[i].data()))
+        << "task " << i;
+  }
+  ASSERT_EQ(got.worker_quality.size(), expected.worker_quality.size());
+  for (size_t w = 0; w < expected.worker_quality.size(); ++w) {
+    EXPECT_TRUE(SameBits(got.worker_quality[w].quality,
+                         expected.worker_quality[w].quality))
+        << "worker " << w;
+    EXPECT_TRUE(SameBits(got.worker_quality[w].weight,
+                         expected.worker_quality[w].weight))
+        << "worker " << w;
+  }
+}
+
+TEST(TruthStepKernelTest, RunMatchesPreKernelEmBitwiseOnEdgeCases) {
+  // Exact r_k = 0 entries on tasks with 0, 1 and 5+ answers; one task whose
+  // dimension differs from tasks[0] (its answers are dropped as stray).
+  const size_t n = 90, m = 6, num_workers = 40;
+  Rng rng(105);
+  std::vector<Task> tasks(n);
+  for (size_t i = 0; i < n; ++i) {
+    tasks[i].domain_vector = rng.Dirichlet(m, 0.5);
+    if (i % 3 != 2) {
+      std::vector<double>& r = tasks[i].domain_vector;
+      r[i % m] = 0.0;
+      r[(i + 3) % m] = 0.0;
+      if (i % 3 == 1) r[(i + 1) % m] = 0.0;
+      NormalizeInPlace(r);
+    }
+    tasks[i].num_choices = i % 4 == 0 ? 3 : (i % 7 == 0 ? 5 : 2);
+  }
+  tasks[7].domain_vector.assign(m, 0.0);
+  tasks[7].domain_vector[4] = 1.0;  // one-hot, with 5+ answers
+  tasks[40].domain_vector.assign(m, 0.0);
+  tasks[40].domain_vector[0] = 1.0;  // one-hot, unanswered
+  const size_t odd_task = 50;
+  tasks[odd_task].domain_vector = rng.Dirichlet(m + 2, 1.0);
+  std::vector<Answer> answers;
+  auto answer = [&](size_t i, size_t w) {
+    answers.push_back({i, w, rng.UniformInt(tasks[i].num_choices)});
+  };
+  for (size_t i = 0; i < 12; ++i) {
+    for (size_t a = 0; a < 5 + i % 4; ++a) {
+      answer(i, (i * 5 + a * 3) % num_workers);
+    }
+  }
+  for (size_t i = 12; i < 36; ++i) answer(i, rng.UniformInt(num_workers));
+  answer(odd_task, 1);
+  answer(odd_task, 2);
+  std::vector<WorkerQuality> seeds(num_workers / 2);
+  for (auto& seed : seeds) {
+    seed.quality.resize(m);
+    for (auto& q : seed.quality) q = rng.UniformDoubleRange(0.4, 0.95);
+    seed.weight.assign(m, 1.5);
+  }
+
+  struct Case {
+    size_t max_iterations;
+    double tolerance;
+  };
+  // tolerance 1e9 stops the loop at its first convergence check, after
+  // iteration 1.
+  const Case cases[] = {{0, 1e-7}, {1, 1e-7}, {2, 0.0}, {20, 0.0}, {20, 1e9}};
+  const std::vector<Answer> no_answers;
+  const std::vector<Answer>* const answer_sets[] = {&answers, &no_answers};
+  for (const std::vector<Answer>* answer_set : answer_sets) {
+    for (const Case& c : cases) {
+      TruthInferenceOptions options;
+      options.max_iterations = c.max_iterations;
+      options.tolerance = c.tolerance;
+      const TruthInferenceResult expected =
+          ReferenceRun(options, tasks, num_workers, *answer_set, &seeds);
+      if (c.tolerance > 1.0) {
+        EXPECT_EQ(expected.iterations_run, 2u);
+      }
+      if (c.max_iterations == 0) {
+        EXPECT_TRUE(expected.task_truth[0].empty());
+        EXPECT_TRUE(expected.truth_matrices[0].empty());
+      }
+      for (size_t threads : kThreadSweep) {
+        SCOPED_TRACE(testing::Message()
+                     << (answer_set == &answers ? "answered" : "unanswered")
+                     << ", max_iterations " << c.max_iterations
+                     << ", tolerance " << c.tolerance << ", threads "
+                     << threads);
+        options.num_threads = threads;
+        ExpectSameRun(TruthInference(options).Run(tasks, num_workers,
+                                                  *answer_set, &seeds),
+                      expected);
       }
     }
   }
