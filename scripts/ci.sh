@@ -85,9 +85,10 @@ ctest --test-dir "$ROOT/build-perfbench" --output-on-failure --no-tests=error
 # other config with them off — both halves of its matrix get covered).
 # determinism/docs_system/persistence/inference_service run the EM loop with
 # its contracts live through the serving loop, checkpoint replay and the
-# async service.
+# async service; concurrency_test runs the submission-book writes and the
+# striped serve loop with them live under the sync hammer.
 run_config strict \
-  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|determinism_test|docs_system_test|persistence_test|inference_service_test" \
+  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|determinism_test|docs_system_test|persistence_test|inference_service_test|concurrency_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON
 run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=ON
 # Gateway smoke: start the TCP server on an ephemeral port, run real client

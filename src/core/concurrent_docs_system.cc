@@ -42,10 +42,6 @@ Status ConcurrentDocsSystem::AddTasks(const std::vector<TaskInput>& inputs,
 }
 
 void ConcurrentDocsSystem::StartAsyncLocked() {
-  {
-    MutexLock assign(&assign_mutex_);
-    system_.RebuildAsyncBooks();
-  }
   // Built eagerly: once serving starts, the pool may only be built under
   // pool_mutex_, and the exclusive-path callers below this layer do not
   // take it in sync mode.
@@ -73,8 +69,10 @@ std::shared_ptr<const InferenceSnapshot> ConcurrentDocsSystem::ApplyBatch(
   MutexLock pool(&pool_mutex_);
   for (const PendingAnswer& answer : batch) {
     if (async_apply_hook_) async_apply_hook_(answer);
+    // The books were written at ack time under the assign lock, which this
+    // thread does not hold: ApplyAnswer reads none of them.
     Status status =
-        system_.ApplyAsyncAnswer(answer.worker, answer.task, answer.choice);
+        system_.ApplyAnswer(answer.worker, answer.task, answer.choice);
     if (!status.ok()) {
       // Unreachable for a correctly booked answer; surfaced, not silently
       // dropped, if it ever fires.
@@ -97,7 +95,7 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
     ReaderLock state(&state_mutex_);
     const std::optional<size_t> worker = system_.FindWorker(worker_id);
     if (worker.has_value() && system_.CanServeSharded(*worker)) {
-      return ServeShardedLocked(*worker, k);
+      return ServeStriped(*worker, k, nullptr);
     }
   }
   // Slow path: first contact (registration grows shared structure), golden
@@ -105,7 +103,12 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
   // The eligibility re-check happens inside SelectTasks, so losing the lock
   // between the probe above and here costs a detour, never correctness.
   WriterLock lock(&state_mutex_);
-  return system_.SelectTasks(system_.WorkerIndex(worker_id), k);
+  return system_.SelectTasks(RegisterWorkerLocked(worker_id), k);
+}
+
+size_t ConcurrentDocsSystem::RegisterWorkerLocked(const std::string& worker_id) {
+  MutexLock assign(&assign_mutex_);
+  return system_.WorkerIndex(worker_id);
 }
 
 std::vector<size_t> ConcurrentDocsSystem::RequestTasksAsync(
@@ -122,7 +125,7 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasksAsync(
     std::shared_ptr<const InferenceSnapshot> snap = service_->snapshot();
     if (snap != nullptr && *worker < snap->workers.size() &&
         snap->workers[*worker] != nullptr && snap->workers[*worker]->servable) {
-      return ServeSnapshot(*snap, *worker, k);
+      return ServeStriped(*worker, k, snap.get());
     }
   }
   // Cold path: first contact, golden probes, or a worker not yet servable in
@@ -131,7 +134,7 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasksAsync(
   // same worker writes her cache row under it), the assign lock (lease books
   // + submission books), and the pool lock (snapshot scorers try-lock it).
   WriterLock lock(&state_mutex_);
-  const size_t index = system_.WorkerIndex(worker_id);
+  const size_t index = RegisterWorkerLocked(worker_id);
   SyncRegistryFromStateLocked();
   MutexLock shard_lock(&shards_[index % kNumShards].mutex);
   MutexLock assign(&assign_mutex_);
@@ -139,35 +142,8 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasksAsync(
   return system_.SelectTasks(index, k);
 }
 
-std::vector<size_t> ConcurrentDocsSystem::ServeSnapshot(
-    const InferenceSnapshot& snap, size_t worker, size_t k) {
-  // Mirrors ServeShardedLocked, with the published snapshot standing in for
-  // the live engine — no state lock anywhere on this path, so a concurrent
-  // retro-update fan-out or full EM pass never blocks it.
-  WorkerShard& shard = shards_[worker % kNumShards];
-  MutexLock shard_lock(&shard.mutex);
-  for (int attempt = 0;; ++attempt) {
-    {
-      MutexLock assign(&assign_mutex_);
-      AsyncSystem().BeginShardedSelect(worker, &shard.scratch.eligible);
-    }
-    const bool pool_locked = pool_mutex_.TryLock();
-    ThreadPool* pool = pool_locked ? AsyncSystem().ScoringPool() : nullptr;
-    std::vector<size_t> selected =
-        AsyncSystem().ScoreAndRankSnapshot(snap, worker, shard.scratch, k, pool);
-    if (pool_locked) pool_mutex_.Unlock();
-    {
-      MutexLock assign(&assign_mutex_);
-      const bool force = attempt >= 2;
-      if (AsyncSystem().CommitShardedSelect(worker, &selected, force)) {
-        return selected;
-      }
-    }
-  }
-}
-
-std::vector<size_t> ConcurrentDocsSystem::ServeShardedLocked(size_t worker,
-                                                             size_t k) {
+std::vector<size_t> ConcurrentDocsSystem::ServeStriped(
+    size_t worker, size_t k, const InferenceSnapshot* snap) {
   WorkerShard& shard = shards_[worker % kNumShards];
   // The shard lock serializes same-row cache access and hands this request
   // exclusive use of the shard's scoring scratch.
@@ -175,7 +151,7 @@ std::vector<size_t> ConcurrentDocsSystem::ServeShardedLocked(size_t worker,
   for (int attempt = 0;; ++attempt) {
     {
       MutexLock assign(&assign_mutex_);
-      system_.BeginShardedSelect(worker, &shard.scratch.eligible);
+      StripedSystem().BeginShardedSelect(worker, &shard.scratch.eligible);
     }
     // One deterministic pool, many would-be users: the winner of the
     // try-lock fans the scoring pass out, everyone else scores serially.
@@ -184,9 +160,9 @@ std::vector<size_t> ConcurrentDocsSystem::ServeShardedLocked(size_t worker,
     // on the tracked boolean (not a scoped guard): the analysis follows the
     // branch on a try-acquire result, so both paths check out.
     const bool pool_locked = pool_mutex_.TryLock();
-    ThreadPool* pool = pool_locked ? system_.ScoringPool() : nullptr;
+    ThreadPool* pool = pool_locked ? StripedSystem().ScoringPool() : nullptr;
     std::vector<size_t> selected =
-        system_.ScoreAndRankSharded(worker, shard.scratch, k, pool);
+        StripedSystem().ScoreAndRank(worker, shard.scratch, k, pool, snap);
     if (pool_locked) pool_mutex_.Unlock();
     {
       MutexLock assign(&assign_mutex_);
@@ -194,7 +170,7 @@ std::vector<size_t> ConcurrentDocsSystem::ServeShardedLocked(size_t worker,
       // selected task mid-scoring; rescore from a fresh snapshot, and after
       // two clean retries force through without the conflicted tasks.
       const bool force = attempt >= 2;
-      if (system_.CommitShardedSelect(worker, &selected, force)) {
+      if (StripedSystem().CommitShardedSelect(worker, &selected, force)) {
         return selected;
       }
     }
@@ -219,14 +195,14 @@ Status ConcurrentDocsSystem::SubmitAnswer(const std::string& worker_id,
     }
     // Validate + book under assign, then enqueue with no lock held (Enqueue
     // blocks on a full queue — backpressure must not pin the lease books).
-    // The books make the sync-path side effects (duplicate rejection, cap
+    // The books make the acceptance side effects (duplicate rejection, cap
     // accounting, lease release) visible at ack time, before the engine
     // absorbs the answer.
     {
       MutexLock assign(&assign_mutex_);
-      Status status = AsyncSystem().ValidateAsyncSubmission(*worker, task, choice);
+      Status status = StripedSystem().ValidateAnswer(*worker, task, choice);
       if (!status.ok()) return status;
-      AsyncSystem().RecordAsyncSubmission(*worker, task);
+      StripedSystem().RecordAnswer(*worker, task);
     }
     service_->Enqueue({*worker, task, choice});
     return OkStatus();
@@ -284,7 +260,7 @@ std::vector<ExpiredLease> ConcurrentDocsSystem::ExpireLeases(uint64_t now) {
     std::vector<ExpiredLease> expired;
     {
       MutexLock assign(&assign_mutex_);
-      expired = AsyncSystem().ExpireLeases(now);
+      expired = StripedSystem().ExpireLeases(now);
     }
     last_sweep_epoch_.store(epoch, std::memory_order_relaxed);
     return expired;
@@ -304,6 +280,7 @@ Status ConcurrentDocsSystem::LoadWorker(const std::string& worker_id,
     Status status;
     {
       WriterLock lock(&state_mutex_);
+      MutexLock assign(&assign_mutex_);  // LoadWorker may register
       status = system_.LoadWorker(worker_id, store);
       if (status.ok()) SyncRegistryFromStateLocked();
     }
@@ -311,6 +288,7 @@ Status ConcurrentDocsSystem::LoadWorker(const std::string& worker_id,
     return status;
   }
   WriterLock lock(&state_mutex_);
+  MutexLock assign(&assign_mutex_);  // LoadWorker may register
   return system_.LoadWorker(worker_id, store);
 }
 
@@ -320,7 +298,7 @@ uint64_t ConcurrentDocsSystem::lease_clock() {
   // stall a reactor behind a running EM pass.
   if (async_) {
     MutexLock assign(&assign_mutex_);
-    return AsyncSystem().lease_clock();
+    return StripedSystem().lease_clock();
   }
   ReaderLock state(&state_mutex_);
   MutexLock assign(&assign_mutex_);
@@ -335,7 +313,7 @@ size_t ConcurrentDocsSystem::num_tasks() {
 size_t ConcurrentDocsSystem::outstanding_leases() {
   if (async_) {
     MutexLock assign(&assign_mutex_);
-    return AsyncSystem().outstanding_leases();
+    return StripedSystem().outstanding_leases();
   }
   ReaderLock state(&state_mutex_);
   MutexLock assign(&assign_mutex_);
@@ -431,6 +409,7 @@ Status ConcurrentDocsSystem::SaveCheckpoint(const std::string& path) {
 
 Status ConcurrentDocsSystem::LoadCheckpoint(const std::string& path) {
   WriterLock lock(&state_mutex_);
+  MutexLock assign(&assign_mutex_);  // the replay registers and books
   Status status = system_.LoadCheckpoint(path);
   if (status.ok() && async_) StartAsyncLocked();
   return status;

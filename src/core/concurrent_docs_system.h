@@ -38,35 +38,36 @@ struct AsyncInferenceStats {
 /// system sits behind a web frontend where AMT's callbacks (task requests,
 /// answer submissions) arrive concurrently.
 ///
-/// Sharded locking (DESIGN.md §13): steady-state RequestTasks — a returning,
+/// Striped serving (DESIGN.md §13): steady-state RequestTasks — a returning,
 /// golden-complete worker asking for her next HIT — is the hot path, and its
 /// scoring pass only *reads* the inference posteriors while writing nothing
-/// shared beyond her own benefit-cache row and the lease books. So the facade
-/// runs it under a reader (shared) state lock, with the writes funneled
-/// through two narrow mutexes:
+/// shared beyond her own benefit-cache row and the lease books. One loop,
+/// ServeStriped, serves it in both modes (eligibility snapshot → score →
+/// commit), with the writes funneled through two narrow mutexes:
 ///  - a per-worker shard lock (worker index mod kNumShards) guarding her
 ///    cache row and reusable scoring scratch, so concurrent requests from
 ///    different workers score genuinely in parallel;
 ///  - one assign lock guarding the lease books and logical clock, held only
 ///    for the O(n) eligibility snapshot and the O(k) grant commit.
-/// Everything that mutates shared structure — answer submission (step 2 of
-/// §4.2 touches the task's truth and every co-answering worker's quality),
-/// first-contact registration, golden probes, checkpoint restore, full
-/// inference — takes the state lock exclusively, which by itself excludes
-/// all sharded readers; no finer lock is needed on that path.
+/// The modes differ in what the pass reads and when answers reach it:
+///  - sync: the live engine, under a reader (shared) state lock. Answer
+///    submission applies inline under the exclusive state lock, which by
+///    itself excludes every striped reader.
+///  - async (DESIGN.md §15, DocsSystemOptions::async_inference): the last
+///    published immutable snapshot, with no state lock. SubmitAnswer
+///    validates and books the answer under the assign lock, enqueues it for
+///    the background InferenceService thread and acks — so neither serving
+///    call ever waits on a retro-update fan-out or the periodic full EM.
+/// Both modes accept an answer through DocsSystem::ValidateAnswer and
+/// RecordAnswer. First-contact registration, golden probes, checkpoint
+/// restore and full inference take the state lock exclusively in both
+/// modes; a registration also takes the assign lock, since it appends to
+/// the submission books that async mode guards with it.
 ///
 /// The scoring thread pool stays engine-owned and deterministic (DESIGN.md
-/// §8): sharded scorers try-lock a pool mutex, and the loser of the race
+/// §8): striped scorers try-lock a pool mutex, and the loser of the race
 /// scores serially — bit-identical either way, because the ranking is
 /// thread-count invariant.
-///
-/// Async mode (DESIGN.md §15, DocsSystemOptions::async_inference): inference
-/// absorption moves onto a background InferenceService thread. SubmitAnswer
-/// validates against the submission books under the assign lock, enqueues,
-/// and acks — it never takes the state lock. RequestTasks for a servable
-/// worker scores against the last published immutable snapshot under only
-/// her shard stripe (plus assign for the lease phases) — so neither serving
-/// call ever waits on a retro-update fan-out or the periodic full EM.
 ///
 /// Lock hierarchy (acquire left-to-right, never right-to-left; DESIGN.md
 /// §14, machine-checked via the DOCS_* annotations below):
@@ -86,9 +87,9 @@ class ConcurrentDocsSystem {
                                     nullptr) DOCS_EXCLUDES(state_mutex_);
 
   /// Atomically resolves the worker id and selects her next HIT. Known
-  /// workers past the golden phase are served under the shared state lock
-  /// (parallel across worker shards); first contact and golden probes fall
-  /// back to the exclusive path.
+  /// workers past the golden phase are served by the striped loop (parallel
+  /// across worker shards); first contact and golden probes fall back to the
+  /// exclusive path.
   std::vector<size_t> RequestTasks(const std::string& worker_id, size_t k)
       DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_);
 
@@ -156,14 +157,16 @@ class ConcurrentDocsSystem {
   [[nodiscard]] Status SaveCheckpointWithRetry(
       const std::string& path, const CheckpointRetryOptions& retry = {});
 
-  /// Runs `fn` under the exclusive lock with direct access to the underlying
-  /// system — for setup/inspection that needs several calls to be atomic.
+  /// Runs `fn` under the exclusive state lock and the assign lock, with
+  /// direct access to the underlying system — for setup/inspection that needs
+  /// several calls to be atomic, registration and the books included.
   /// Async-mode callers that read inference state should Drain() first: the
   /// lock serializes against the service thread, but queued answers are
   /// otherwise still in flight.
   template <typename Fn>
-  auto WithLocked(Fn&& fn) DOCS_EXCLUDES(state_mutex_) {
+  auto WithLocked(Fn&& fn) DOCS_EXCLUDES(state_mutex_, assign_mutex_) {
     WriterLock lock(&state_mutex_);
+    MutexLock assign(&assign_mutex_);
     return fn(system_);
   }
 
@@ -205,25 +208,30 @@ class ConcurrentDocsSystem {
     DocsSystem::ShardScratch scratch DOCS_GUARDED_BY(mutex);
   };
 
-  /// The sharded fast path; caller holds the shared state lock and has
-  /// verified CanServeSharded. Snapshot → score → commit, retrying on a
-  /// commit-time redundancy-cap conflict (forced through, dropping only the
-  /// conflicted tasks, on the final attempt so a hot task cannot livelock
-  /// the request).
-  std::vector<size_t> ServeShardedLocked(size_t worker, size_t k)
-      DOCS_REQUIRES_SHARED(state_mutex_)
-          DOCS_EXCLUDES(assign_mutex_, pool_mutex_);
+  /// The striped fast path of both modes: eligibility snapshot → score →
+  /// commit under the worker's shard stripe, retrying on a commit-time
+  /// redundancy-cap conflict (forced through, dropping only the conflicted
+  /// tasks, on the final attempt so a hot task cannot livelock the request).
+  /// `snap` is the pinned published snapshot the pass reads (async mode; the
+  /// caller holds no state lock), or nullptr for the live engine (sync mode;
+  /// the caller holds the shared state lock and has verified
+  /// CanServeSharded). The analysis cannot express that either-or, so the
+  /// state side of the contract is kept by hand.
+  std::vector<size_t> ServeStriped(size_t worker, size_t k,
+                                   const InferenceSnapshot* snap)
+      DOCS_EXCLUDES(assign_mutex_, pool_mutex_);
+
+  /// Registers `worker_id` (or resolves it) under the assign lock, since
+  /// registration appends to the submission books.
+  size_t RegisterWorkerLocked(const std::string& worker_id)
+      DOCS_REQUIRES(state_mutex_) DOCS_EXCLUDES(assign_mutex_);
 
   /// Async serving (DESIGN.md §15). RequestTasksAsync resolves through the
-  /// registry and serves from the published snapshot; ServeSnapshot is the
-  /// lock-free-over-state variant of ServeShardedLocked (shard stripe →
-  /// assign/pool only). ResolveWorkerAsync is the registry-miss fallback for
-  /// workers registered behind the registry's back (checkpoint recovery).
+  /// registry and serves from the published snapshot. ResolveWorkerAsync is
+  /// the registry-miss fallback for workers registered behind the registry's
+  /// back (checkpoint recovery).
   std::vector<size_t> RequestTasksAsync(const std::string& worker_id, size_t k)
       DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_, registry_mutex_);
-  std::vector<size_t> ServeSnapshot(const InferenceSnapshot& snap,
-                                    size_t worker, size_t k)
-      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_);
   std::optional<size_t> ResolveWorkerAsync(const std::string& worker_id)
       DOCS_EXCLUDES(state_mutex_, registry_mutex_);
 
@@ -232,10 +240,10 @@ class ConcurrentDocsSystem {
   void SyncRegistryFromStateLocked() DOCS_REQUIRES(state_mutex_)
       DOCS_EXCLUDES(registry_mutex_);
 
-  /// Books + registry + initial snapshot + service start, after a successful
+  /// Registry + initial snapshot + service start, after a successful
   /// ingest/restore.
   void StartAsyncLocked() DOCS_REQUIRES(state_mutex_)
-      DOCS_EXCLUDES(assign_mutex_, registry_mutex_);
+      DOCS_EXCLUDES(registry_mutex_);
 
   /// The InferenceService's apply callback: runs on the service thread,
   /// applies one FIFO batch under state (exclusive) + pool, and builds the
@@ -245,20 +253,23 @@ class ConcurrentDocsSystem {
       DOCS_EXCLUDES(state_mutex_, pool_mutex_);
 
   /// Narrow, documented escape hatch from system_'s GUARDED_BY(state_mutex_)
-  /// for the async paths that by design run without the state lock. Every
-  /// member they reach is protected by a finer lock the caller holds (assign
-  /// for books/leases, the shard stripe for cache rows) or is immutable
-  /// after ingest (tasks, options) — see the locking notes on each
-  /// DocsSystem async method.
-  DocsSystem& AsyncSystem() DOCS_NO_THREAD_SAFETY_ANALYSIS { return system_; }
+  /// for the striped loop (which holds the state lock shared in sync mode and
+  /// not at all in async mode) and for the async paths that by design run
+  /// without the state lock. Every member they reach is protected by a finer
+  /// lock the caller holds (assign for books/leases, the shard stripe for
+  /// cache rows), is immutable after ingest (tasks, options), or is read
+  /// from a published snapshot — see the locking notes on DocsSystem's
+  /// answer-acceptance and striped-serving methods.
+  DocsSystem& StripedSystem() DOCS_NO_THREAD_SAFETY_ANALYSIS { return system_; }
 
   /// Top of the hierarchy: every other lock here is acquired strictly after
-  /// it (shared for the sharded serve, exclusive for mutators).
+  /// it (shared for the sync striped serve, exclusive for mutators).
   SharedMutex state_mutex_
       DOCS_ACQUIRED_BEFORE(assign_mutex_, pool_mutex_, registry_mutex_);
   /// Lease books + logical clock; taken after state and any shard stripe,
   /// never before one. In async mode also guards the submission books and is
-  /// the ONLY lock the lease paths (sweeps, grants, releases) need.
+  /// the ONLY lock the acceptance and lease paths (sweeps, grants, releases)
+  /// need; registration takes it in both modes.
   Mutex assign_mutex_ DOCS_ACQUIRED_BEFORE(pool_mutex_);
   /// Scoring-pool try-lock (DESIGN.md §13): the loser scores serially.
   Mutex pool_mutex_;
@@ -280,8 +291,9 @@ class ConcurrentDocsSystem {
   std::atomic<uint64_t> last_sweep_epoch_{0};
   /// The wrapped engine. Hold state_mutex_ — shared on read-mostly serving
   /// paths (per-shard writes are funneled through the stripe mutexes),
-  /// exclusive for anything that mutates shared structure. Async paths go
-  /// through AsyncSystem() under the finer-lock contract documented there.
+  /// exclusive for anything that mutates shared structure. The striped loop
+  /// and the async paths go through StripedSystem() under the finer-lock
+  /// contract documented there.
   DocsSystem system_ DOCS_GUARDED_BY(state_mutex_);
   /// The background inference thread; constructed (not started) in the
   /// constructor when async mode is on, so the pointer is immutable while

@@ -359,9 +359,9 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
     // entries (an answered task's bound is H(s_i)) they would sit near the
     // top and be skipped by every walk. The list only grows via her own
     // submissions, each of which bumps her worker epoch and forces the next
-    // rebuild. A snapshot pass reads the list as of its publish (the
-    // assign-guarded async books run ahead of it; the eligibility predicate
-    // skips the difference).
+    // rebuild. A snapshot pass reads the list as of its publish (the books
+    // run ahead of it by the queue depth; the eligibility predicate skips
+    // the difference).
     const std::vector<size_t>* exclude =
         snap == nullptr ? &inference_->answered_tasks(worker)
                         : &snap->workers[worker]->answered;
@@ -490,6 +490,7 @@ size_t DocsSystem::WorkerIndex(const std::string& external_id) {
   profile.golden_correct.assign(kb_->num_domains(), 0.0);
   profile.golden_total.assign(kb_->num_domains(), 0.0);
   workers_.push_back(std::move(profile));
+  answered_.emplace_back();
   inference_->EnsureWorker(index);
   return index;
 }
@@ -550,15 +551,18 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   WorkerProfile& profile = workers_[worker];
 
   // Golden phase first: probe the new worker's per-domain quality. The
-  // answered view runs through the submission books in async mode, so an
-  // acked-but-unapplied golden answer is not re-granted.
+  // books run ahead of the engine in async mode, so an acked-but-unapplied
+  // golden answer is not re-granted. At most k are granted, k = 0 included.
   if (!profile.golden_done) {
     std::vector<size_t> pending;
+    bool unanswered = false;
     for (size_t idx : golden_.tasks) {
-      if (!HasAnsweredView(worker, idx)) pending.push_back(idx);
+      if (HasAnswered(worker, idx)) continue;
+      unanswered = true;
       if (pending.size() == k) break;
+      pending.push_back(idx);
     }
-    if (!pending.empty()) {
+    if (unanswered) {
       GrantLeases(worker, pending);
       return pending;
     }
@@ -573,7 +577,7 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   // visits — an O(n) bitmap build here would swamp the O(k log n) walk); the
   // full bitmap is built lazily, only when the pass falls back to the scan.
   auto eligible_one = [this, worker](size_t task) {
-    return !HasAnsweredView(worker, task) && !AtAnswerCap(task);
+    return !HasAnswered(worker, task) && !AtAnswerCap(task);
   };
   auto eligible_bitmap = [this, worker]() -> const std::vector<uint8_t>& {
     BuildEligibilityBitmap(worker, &serve_scratch_.eligible);
@@ -593,12 +597,12 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
 
 void DocsSystem::BuildEligibilityBitmap(size_t worker,
                                         std::vector<uint8_t>* eligible) {
-  // Starts all-eligible and masks the worker's answered list in O(|T(w)|) —
+  // Starts all-eligible and masks the worker's booked tasks in O(|T(w)|) —
   // no per-task membership probes — in reusable storage so a warm scan pass
-  // allocates nothing. The answered view runs through the submission books
-  // in async mode, so an acked-but-unapplied answer is not re-granted.
+  // allocates nothing. The books run ahead of the engine in async mode, so
+  // an acked-but-unapplied answer is not re-granted.
   eligible->assign(tasks_.size(), 1);
-  for (size_t answered : AnsweredView(worker)) {
+  for (size_t answered : answered_[worker]) {
     (*eligible)[answered] = 0;
   }
   if (options_.max_answers_per_task > 0) {
@@ -634,18 +638,28 @@ void DocsSystem::BeginShardedSelect(size_t worker,
   BuildEligibilityBitmap(worker, eligible);
 }
 
-std::vector<size_t> DocsSystem::ScoreAndRankSharded(size_t worker,
-                                                    ShardScratch& scratch,
-                                                    size_t k,
-                                                    ThreadPool* pool) {
-  // CanServeSharded guaranteed the rows are sized; no CacheRow/IndexRow here —
-  // those paths may resize, which only the exclusive lock permits.
-  std::vector<CachedBenefit>* cache =
-      options_.benefit_cache ? &benefit_cache_[worker] : nullptr;
-  BenefitIndex* index = (cache != nullptr && options_.benefit_index)
-                            ? &benefit_index_[worker]
-                            : nullptr;
-  ScoringPass pass = LivePass(worker, cache, &scratch);
+std::vector<size_t> DocsSystem::ScoreAndRank(size_t worker,
+                                             ShardScratch& scratch, size_t k,
+                                             ThreadPool* pool,
+                                             const InferenceSnapshot* snap) {
+  // The rows are already sized (CanServeSharded, or BuildSnapshot for a
+  // published worker); no CacheRow/IndexRow here — those may resize, which
+  // only the exclusive lock permits. A snapshot pass reaches the rows
+  // through the pointers its publish carries.
+  ScoringPass pass;
+  BenefitIndex* index = nullptr;
+  if (snap == nullptr) {
+    std::vector<CachedBenefit>* cache =
+        options_.benefit_cache ? &benefit_cache_[worker] : nullptr;
+    if (cache != nullptr && options_.benefit_index) {
+      index = &benefit_index_[worker];
+    }
+    pass = LivePass(worker, cache, &scratch);
+  } else {
+    const WorkerSnapshot& view = *snap->workers[worker];
+    pass = SnapshotPass(*snap, view, &scratch);
+    if (pass.cache != nullptr) index = view.index;
+  }
   // Eligibility was frozen into the scratch bitmap under the assign lock
   // (BeginShardedSelect); both the index walk and the scan fallback read that
   // same frozen view, so the two paths pick from an identical candidate set.
@@ -784,7 +798,9 @@ Status DocsSystem::ValidateAnswer(size_t worker, size_t task,
   if (inference_ == nullptr) {
     return FailedPreconditionError("no tasks ingested");
   }
-  if (worker >= workers_.size()) {
+  // The books' worker count, not workers_: in async mode this runs under the
+  // assign lock alone, and registration appends to the books under it too.
+  if (worker >= answered_.size()) {
     return InvalidArgumentError("unknown worker " + std::to_string(worker));
   }
   // Bounds come first: a malformed task index must never reach
@@ -798,7 +814,7 @@ Status DocsSystem::ValidateAnswer(size_t worker, size_t task,
                            " with " + std::to_string(tasks_[task].num_choices) +
                            " choices");
   }
-  if (inference_->HasAnswered(worker, task)) {
+  if (HasAnswered(worker, task)) {
     return AlreadyExistsError("duplicate answer from worker " +
                               std::to_string(worker) + " for task " +
                               std::to_string(task));
@@ -806,50 +822,42 @@ Status DocsSystem::ValidateAnswer(size_t worker, size_t task,
   return OkStatus();
 }
 
-const std::vector<size_t>& DocsSystem::AnsweredView(size_t worker) const {
-  if (options_.async_inference) {
-    static const std::vector<size_t> kEmpty;
-    if (worker >= async_answered_.size()) return kEmpty;
-    return async_answered_[worker];
-  }
-  return inference_->answered_tasks(worker);
-}
-
-bool DocsSystem::HasAnsweredView(size_t worker, size_t task) const {
-  if (options_.async_inference) {
-    const std::vector<size_t>& answered = AnsweredView(worker);
-    return std::binary_search(answered.begin(), answered.end(), task);
-  }
-  return inference_->HasAnswered(worker, task);
-}
-
-size_t DocsSystem::AnsweredCountView(size_t task) const {
-  if (options_.async_inference) {
-    return task < async_answers_per_task_.size() ? async_answers_per_task_[task]
-                                                 : 0;
-  }
-  return answers_per_task_[task];
+bool DocsSystem::HasAnswered(size_t worker, size_t task) const {
+  const std::vector<size_t>& answered = answered_[worker];
+  return std::binary_search(answered.begin(), answered.end(), task);
 }
 
 bool DocsSystem::AtAnswerCap(size_t task) const {
   return options_.max_answers_per_task > 0 &&
-         AnsweredCountView(task) + lease_count_[task] >=
+         answers_per_task_[task] + lease_count_[task] >=
              options_.max_answers_per_task;
 }
 
-bool DocsSystem::AbsorbAnswerCore(size_t worker, size_t task, size_t choice) {
-  WorkerProfile& profile = workers_[worker];
-  const bool golden_answer =
-      is_golden_[task] && known_truth_[task] >= 0 && !profile.golden_done;
+void DocsSystem::RecordAnswer(size_t worker, size_t task) {
+  std::vector<size_t>& answered = answered_[worker];
+  answered.insert(std::upper_bound(answered.begin(), answered.end(), task),
+                  task);
+  ++answers_per_task_[task];
+  ReleaseLease(worker, task);
+}
 
+Status DocsSystem::AbsorbAnswer(size_t worker, size_t task, size_t choice) {
+  // Hard guard before anything is indexed: the engine range-checks the task
+  // and the choice and refuses a duplicate. (No worker registers before
+  // ingest, so this also covers a system without an engine.)
+  if (worker >= workers_.size()) {
+    return InternalError("answer from unregistered worker " +
+                         std::to_string(worker));
+  }
+  WorkerProfile& profile = workers_[worker];
+  const bool probing = !profile.golden_done;
   Status status = inference_->OnAnswer(worker, task, choice);
   if (!status.ok()) {
-    // Unreachable after ValidateAnswer; kept as a hard guard.
-    DOCS_LOG(Warning) << "inference rejected answer: " << status.ToString();
-    return false;
+    return InternalError("inference rejected an accepted answer: " +
+                         status.ToString());
   }
 
-  if (golden_answer) {
+  if (probing && is_golden_[task] && known_truth_[task] >= 0) {
     const auto& r = tasks_[task].domain_vector;
     const bool correct = static_cast<int>(choice) == known_truth_[task];
     for (size_t k = 0; k < r.size(); ++k) {
@@ -861,95 +869,30 @@ bool DocsSystem::AbsorbAnswerCore(size_t worker, size_t task, size_t choice) {
       FinishGoldenPhase(worker);
     }
   }
-  return true;
+  return OkStatus();
 }
 
-void DocsSystem::AbsorbAnswer(size_t worker, size_t task, size_t choice) {
-  if (!AbsorbAnswerCore(worker, task, choice)) return;
-  ++answers_per_task_[task];
-  ReleaseLease(worker, task);
+Status DocsSystem::ApplyAnswer(size_t worker, size_t task, size_t choice) {
+  Status status = AbsorbAnswer(worker, task, choice);
+  if (!status.ok()) return status;
+  // Delayed full inference every z answers (Section 4.2), on the shared
+  // scoring pool — the embedded engine must not stack a second hardware-sized
+  // pool on top of ours. Both modes apply answers in ack order through here,
+  // so the engine sees one operation sequence (DESIGN.md §15).
+  if (options_.reinfer_every > 0 &&
+      ++answers_since_reinfer_ >= options_.reinfer_every) {
+    inference_->RunFullInference(ScoringPool());
+    answers_since_reinfer_ = 0;
+  }
+  return OkStatus();
 }
 
 Status DocsSystem::SubmitAnswer(size_t worker, size_t task, size_t choice) {
   Status status = ValidateAnswer(worker, task, choice);
   if (!status.ok()) return status;
-  AbsorbAnswer(worker, task, choice);
-
-  // Delayed full inference every z submissions (Section 4.2), on the shared
-  // scoring pool — the embedded engine must not stack a second hardware-sized
-  // pool on top of ours.
-  if (options_.reinfer_every > 0 &&
-      ++answers_since_reinfer_ >= options_.reinfer_every) {
-    inference_->RunFullInference(ScoringPool());
-    answers_since_reinfer_ = 0;
-  }
-  return OkStatus();
-}
-
-void DocsSystem::RebuildAsyncBooks() {
-  async_answered_.assign(workers_.size(), {});
-  if (inference_ == nullptr) {
-    async_answers_per_task_.clear();
-    return;
-  }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    async_answered_[w] = inference_->answered_tasks(w);  // Already ascending.
-  }
-  async_answers_per_task_ = answers_per_task_;
-}
-
-Status DocsSystem::ValidateAsyncSubmission(size_t worker, size_t task,
-                                           size_t choice) const {
-  if (inference_ == nullptr) {
-    return FailedPreconditionError("no tasks ingested");
-  }
-  // No unknown-worker check here: the facade resolved `worker` through its
-  // registry before calling (probing workers_ would read state the serving
-  // thread must not touch). Task metadata is immutable after AddTasks, so
-  // the bounds checks below are safe without the state lock. Messages track
-  // ValidateAnswer verbatim — async mode must not change the wire contract.
-  if (task >= tasks_.size()) {
-    return InvalidArgumentError("unknown task " + std::to_string(task));
-  }
-  if (choice >= tasks_[task].num_choices) {
-    return OutOfRangeError("choice " + std::to_string(choice) +
-                           " out of range for task " + std::to_string(task) +
-                           " with " + std::to_string(tasks_[task].num_choices) +
-                           " choices");
-  }
-  if (HasAnsweredView(worker, task)) {
-    return AlreadyExistsError("duplicate answer from worker " +
-                              std::to_string(worker) + " for task " +
-                              std::to_string(task));
-  }
-  return OkStatus();
-}
-
-void DocsSystem::RecordAsyncSubmission(size_t worker, size_t task) {
-  if (async_answered_.size() <= worker) async_answered_.resize(worker + 1);
-  std::vector<size_t>& answered = async_answered_[worker];
-  answered.insert(std::upper_bound(answered.begin(), answered.end(), task),
-                  task);
-  ++async_answers_per_task_[task];
-  ReleaseLease(worker, task);
-}
-
-Status DocsSystem::ApplyAsyncAnswer(size_t worker, size_t task, size_t choice) {
-  // Re-validate against the live engine as a hard guard; a correctly booked
-  // answer can only pass (the books run ahead of the engine, never behind).
-  Status status = ValidateAnswer(worker, task, choice);
+  status = ApplyAnswer(worker, task, choice);
   if (!status.ok()) return status;
-  if (!AbsorbAnswerCore(worker, task, choice)) {
-    return InternalError("inference rejected a booked answer");
-  }
-  ++answers_per_task_[task];
-  // Same periodic full inference as the sync path — identical op sequence,
-  // so post-Drain() state is bitwise-identical (DESIGN.md §15).
-  if (options_.reinfer_every > 0 &&
-      ++answers_since_reinfer_ >= options_.reinfer_every) {
-    inference_->RunFullInference(ScoringPool());
-    answers_since_reinfer_ = 0;
-  }
+  RecordAnswer(worker, task);
   return OkStatus();
 }
 
@@ -1020,25 +963,6 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
     snap->workers[w] = std::move(view);
   }
   return snap;
-}
-
-std::vector<size_t> DocsSystem::ScoreAndRankSnapshot(
-    const InferenceSnapshot& snap, size_t worker, ShardScratch& scratch,
-    size_t k, ThreadPool* pool) {
-  const WorkerSnapshot& view = *snap.workers[worker];
-  ScoringPass pass = SnapshotPass(snap, view, &scratch);
-  BenefitIndex* index = pass.cache != nullptr ? view.index : nullptr;
-  // Same frozen-bitmap discipline as the sharded sync path: eligibility was
-  // captured under the assign lock, and both the index walk and the scan
-  // fallback pick from that one candidate set.
-  auto eligible_one = [&scratch](size_t task) {
-    return scratch.eligible[task] != 0;
-  };
-  auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
-    return scratch.eligible;
-  };
-  return RankWithIndex(worker, index, k, &pass, eligible_one, eligible_bitmap,
-                       pool);
 }
 
 void DocsSystem::OnAnswer(size_t worker, size_t task, size_t choice) {
@@ -1193,11 +1117,12 @@ Status DocsSystem::LoadCheckpoint(const std::string& path) {
   size_t replayed = 0;
   size_t dropped = 0;
   for (const auto& answer : checkpoint->answers) {
-    if (!ValidateAnswer(answer.worker, answer.task, answer.choice).ok()) {
+    if (!ValidateAnswer(answer.worker, answer.task, answer.choice).ok() ||
+        !AbsorbAnswer(answer.worker, answer.task, answer.choice).ok()) {
       ++dropped;
       continue;
     }
-    AbsorbAnswer(answer.worker, answer.task, answer.choice);
+    RecordAnswer(answer.worker, answer.task);
     ++replayed;
   }
   if (dropped > 0) {

@@ -123,13 +123,13 @@ struct DocsSystemOptions {
   /// kQualityBlind rules.
   bool reference_kernel = false;
   /// Decouple inference from serving (DESIGN.md §15): SubmitAnswer validates
-  /// against the submission books and enqueues onto a background inference
-  /// service, and RequestTasks scores against the last published immutable
-  /// snapshot — so an answer burst (retro-update fan-out, the periodic full
-  /// EM) never blocks a concurrent RequestTasks. Consumed by
-  /// ConcurrentDocsSystem; a bare DocsSystem ignores everything but the
-  /// book-keeping switches. Post-Drain() state is bitwise-identical to sync
-  /// mode (tests/inference_service_test.cc).
+  /// and books the answer at ack time, then enqueues it onto a background
+  /// inference service, and RequestTasks scores against the last published
+  /// immutable snapshot — so an answer burst (retro-update fan-out, the
+  /// periodic full EM) never blocks a concurrent RequestTasks. Consumed by
+  /// ConcurrentDocsSystem only; a bare DocsSystem ignores it (it always
+  /// applies inline). Post-Drain() state is bitwise-identical to sync mode
+  /// (tests/inference_service_test.cc).
   bool async_inference = false;
   /// Bound on answers acknowledged but not yet applied by the background
   /// service; submitters block (backpressure) once it is reached.
@@ -195,13 +195,40 @@ class DocsSystem : public AssignmentPolicy {
   /// the session.
   [[nodiscard]] Status LoadCheckpoint(const std::string& path);
 
-  /// Validated answer submission: rejects answers against a system with no
-  /// tasks (FailedPrecondition), unknown workers/tasks (InvalidArgument),
-  /// out-of-range choices (OutOfRange) and duplicate (worker, task)
-  /// submissions (AlreadyExists) — AMT retries and malformed callbacks must
-  /// not corrupt inference state. On success the answer is absorbed and any
-  /// lease the worker held on the task is released.
+  /// Validated answer submission, applied inline: ValidateAnswer, then
+  /// ApplyAnswer, then RecordAnswer. AMT retries and malformed callbacks are
+  /// rejected with ValidateAnswer's status and change nothing.
   [[nodiscard]] Status SubmitAnswer(size_t worker, size_t task, size_t choice);
+
+  // --- Answer acceptance (DESIGN.md §15) -----------------------------------
+  // One path admits every answer, in both serving modes: ValidateAnswer and
+  // RecordAnswer read and write the submission books (who answered what, how
+  // many answers each task has), and ApplyAnswer feeds the engine. Sync mode
+  // runs all three inline; async mode validates and books at ack time and
+  // applies on the service thread, so the books run ahead of the engine by
+  // the queue depth. Eligibility, golden pacing and the redundancy cap read
+  // the books, so they behave the same either way. Locking (enforced by the
+  // facade): the books are guarded by the state lock in sync mode and by
+  // the assign lock in async mode, where registration, which appends a
+  // worker's book, holds both.
+
+  /// Rejects, in this order: a system with no tasks (FailedPrecondition),
+  /// an unknown worker or task (InvalidArgument), an out-of-range choice
+  /// (OutOfRange) and a (worker, task) pair already booked (AlreadyExists).
+  /// Reads only the books and the immutable task metadata.
+  [[nodiscard]] Status ValidateAnswer(size_t worker, size_t task,
+                                      size_t choice) const;
+
+  /// Books one validated answer: marks (worker, task) answered, counts it
+  /// against the redundancy cap and releases the worker's lease on the task.
+  void RecordAnswer(size_t worker, size_t task);
+
+  /// Feeds one validated answer to the engine: incremental TI, golden
+  /// accounting and the periodic full inference every z answers. A hard
+  /// guard rejects an unregistered worker or an answer the engine refuses
+  /// with InternalError before anything is indexed (unreachable after
+  /// ValidateAnswer). Touches no book.
+  [[nodiscard]] Status ApplyAnswer(size_t worker, size_t task, size_t choice);
 
   /// Releases every lease whose deadline is at or before `now` and returns
   /// the reclaimed grants; the freed tasks are immediately assignable again.
@@ -278,15 +305,19 @@ class DocsSystem : public AssignmentPolicy {
   /// and therefore inference's float summation order — are reproduced.
   std::vector<std::string> WorkerIds() const;
 
-  // --- Sharded serving plumbing (DESIGN.md §13) ----------------------------
+  // --- Striped serving plumbing (DESIGN.md §13, §15) ----------------------
   // These split the steady-state SelectTasks into snapshot → score → commit
   // phases so ConcurrentDocsSystem can run the scoring phase of several
-  // workers genuinely in parallel under a shared (reader) state lock.
+  // workers genuinely in parallel, in both modes: the pass reads the live
+  // engine under a shared (reader) state lock in sync mode, or a published
+  // snapshot with no state lock in async mode.
   // Locking contract (enforced by the facade, not checked here):
-  //  - CanServeSharded / ScoreAndRankSharded: shared state lock held, plus
-  //    the worker's shard lock (the pass reads and refreshes her cache row).
-  //  - BeginShardedSelect / CommitShardedSelect: the facade's assign lock on
-  //    top of the shared state lock (they touch the lease books and clock).
+  //  - CanServeSharded: shared state lock held.
+  //  - ScoreAndRank: the worker's shard lock (the pass reads and refreshes
+  //    her cache row and index), plus the shared state lock on a live pass.
+  //  - BeginShardedSelect / CommitShardedSelect: the facade's assign lock
+  //    (they touch the books, the lease books and the clock), on top of the
+  //    shared state lock in sync mode.
 
   /// Reusable per-shard scoring buffers; guarded by the owning shard lock.
   struct ShardScratch {
@@ -307,11 +338,14 @@ class DocsSystem : public AssignmentPolicy {
   /// eligibility bitmap into `eligible` (answered mask + redundancy cap).
   void BeginShardedSelect(size_t worker, std::vector<uint8_t>* eligible);
 
-  /// Phase 2: scores the snapshot and returns the provisional top-k.
+  /// Phase 2: scores `scratch.eligible` and returns the provisional top-k.
+  /// `snap` is the published snapshot to read the posteriors from (async
+  /// mode), or nullptr for the live engine (CanServeSharded must hold).
   /// `pool` is the shared scoring pool when the caller won it, nullptr to
   /// score serially — results are bit-identical either way (DESIGN.md §8).
-  std::vector<size_t> ScoreAndRankSharded(size_t worker, ShardScratch& scratch,
-                                          size_t k, ThreadPool* pool);
+  std::vector<size_t> ScoreAndRank(size_t worker, ShardScratch& scratch,
+                                   size_t k, ThreadPool* pool,
+                                   const InferenceSnapshot* snap);
 
   /// Phase 3: re-validates the selection against leases granted since the
   /// snapshot and commits the grants. False (nothing committed) when a
@@ -327,40 +361,7 @@ class DocsSystem : public AssignmentPolicy {
   /// facade's pool lock; exclusive callers need no extra lock.
   ThreadPool* ScoringPool();
 
-  // --- Async inference plumbing (DESIGN.md §15) ---------------------------
-  // With options.async_inference the facade splits SubmitAnswer into a
-  // synchronous half (validate + book + lease release, under its assign
-  // lock) and an asynchronous half (inference absorption on the service
-  // thread, under its exclusive state lock). The submission books reproduce
-  // the sync-mode timeline of "who answered what" at ack time, so
-  // validation, eligibility, golden pacing, and redundancy caps behave
-  // exactly as if the answer had been applied inline.
-
-  /// Sizes the books from current inference state (registered workers'
-  /// answered lists, per-task counts). Exclusive state lock + assign lock;
-  /// called at ingest/restore time before the service starts.
-  void RebuildAsyncBooks();
-
-  /// Mirrors ValidateAnswer (same status codes and ordering) against the
-  /// submission books instead of live inference state, so a duplicate is
-  /// rejected synchronously even while the original is still queued.
-  /// Assign lock held.
-  [[nodiscard]] Status ValidateAsyncSubmission(size_t worker, size_t task,
-                                               size_t choice) const;
-
-  /// Books one validated submission: marks (worker, task) answered, counts
-  /// it against the redundancy cap, releases the worker's lease — the
-  /// sync-path side effects that must be visible at ack time. Assign lock
-  /// held.
-  void RecordAsyncSubmission(size_t worker, size_t task);
-
-  /// Applies one queued answer on the service thread: inference absorption,
-  /// golden accounting, and the same periodic full-inference trigger as the
-  /// sync path — so the engine sees the identical operation sequence and
-  /// post-Drain() state is bitwise-identical. Exclusive state lock held
-  /// (plus the facade's pool lock, for the EM fan-out).
-  [[nodiscard]] Status ApplyAsyncAnswer(size_t worker, size_t task,
-                                        size_t choice);
+  // --- Snapshot publishing (DESIGN.md §15) --------------------------------
 
   /// Builds the next snapshot copy-on-write against `prev`: tasks and
   /// workers whose inference epochs are unchanged share the previous
@@ -369,14 +370,6 @@ class DocsSystem : public AssignmentPolicy {
   /// lock held.
   std::shared_ptr<const InferenceSnapshot> BuildSnapshot(
       const InferenceSnapshot* prev);
-
-  /// Scores `scratch.eligible` against `snap` (never touching live
-  /// inference state) and returns the provisional top-k. Caller holds the
-  /// worker's shard lock — NOT the state lock; that is the point.
-  std::vector<size_t> ScoreAndRankSnapshot(const InferenceSnapshot& snap,
-                                           size_t worker,
-                                           ShardScratch& scratch, size_t k,
-                                           ThreadPool* pool);
 
   /// External id of a registered worker (state lock held).
   const std::string& worker_external_id(size_t worker) const {
@@ -526,24 +519,15 @@ class DocsSystem : public AssignmentPolicy {
   /// disabled.
   BenefitIndex* IndexRow(size_t worker);
 
-  /// Shared validation for live submissions and checkpoint replay.
-  [[nodiscard]] Status ValidateAnswer(size_t worker, size_t task, size_t choice) const;
-  /// Absorbs one validated answer: inference update, redundancy counter,
-  /// lease release, golden-phase accounting. Does not trigger the periodic
-  /// re-inference (the caller decides; replay defers to one final run).
-  void AbsorbAnswer(size_t worker, size_t task, size_t choice);
-  /// The inference-side half of AbsorbAnswer (OnAnswer + golden accounting)
-  /// without the redundancy counter or lease release — in async mode those
-  /// already happened at book time on the serving thread. False when the
-  /// engine rejected the answer (unreachable after validation).
-  bool AbsorbAnswerCore(size_t worker, size_t task, size_t choice);
+  /// ApplyAnswer without the periodic full inference (checkpoint replay
+  /// defers to one final run): the hard guard, the engine's OnAnswer and the
+  /// golden accounting.
+  [[nodiscard]] Status AbsorbAnswer(size_t worker, size_t task, size_t choice);
 
-  /// Eligibility reads routed through the submission books in async mode
-  /// (they lead live inference state by the queue depth) and through the
-  /// engine otherwise.
-  const std::vector<size_t>& AnsweredView(size_t worker) const;
-  bool HasAnsweredView(size_t worker, size_t task) const;
-  size_t AnsweredCountView(size_t task) const;
+  /// Book reads: whether `worker` has a booked answer for `task`, and
+  /// whether `task`'s booked answers plus outstanding leases reach the
+  /// redundancy cap.
+  bool HasAnswered(size_t worker, size_t task) const;
   bool AtAnswerCap(size_t task) const;
 
   /// Lease bookkeeping (no-ops while options_.lease_duration == 0).
@@ -566,6 +550,10 @@ class DocsSystem : public AssignmentPolicy {
   std::unique_ptr<IncrementalTruthInference> inference_;
   std::unordered_map<std::string, size_t> worker_index_;
   std::vector<WorkerProfile> workers_;
+  /// The submission books (see "Answer acceptance" above): per registered
+  /// worker, her booked tasks in ascending order; per task, its booked
+  /// answer count. Written by RecordAnswer, grown by WorkerIndex.
+  std::vector<std::vector<size_t>> answered_;
   std::vector<size_t> answers_per_task_;
   size_t answers_since_reinfer_ = 0;
   uint64_t lease_clock_ = 0;
@@ -573,12 +561,6 @@ class DocsSystem : public AssignmentPolicy {
   std::unordered_map<uint64_t, uint64_t> leases_;
   /// Outstanding leases per task (kept in sync with leases_).
   std::vector<uint32_t> lease_count_;
-  /// Async submission books (empty in sync mode): per-worker sorted answered
-  /// task lists and per-task acked-answer counts, updated at ack time on the
-  /// serving thread — they run AHEAD of the engine by the queue depth and
-  /// reproduce the sync-mode eligibility timeline. Facade's assign lock.
-  std::vector<std::vector<size_t>> async_answered_;
-  std::vector<size_t> async_answers_per_task_;
   std::unique_ptr<ThreadPool> pool_;  // see ScoringPool()
   /// Per-worker rows of the epoch-tagged benefit cache, lazily sized on the
   /// worker's first scoring pass (DESIGN.md §11). Entries self-invalidate by

@@ -38,8 +38,9 @@ struct WorkerSnapshot {
   /// the snapshot scoring path carry it, so they self-invalidate the moment
   /// a newer snapshot (or the exclusive path) observes a later epoch.
   uint64_t epoch = 0;
-  /// True when the snapshot path may serve this worker: registered, past the
-  /// golden probe, cache row sized (the same gate as CanServeSharded).
+  /// True when the striped loop may serve this worker from the snapshot: she
+  /// is past the golden probe. (BuildSnapshot sizes her cache and index rows
+  /// at every publish, so unlike CanServeSharded it need not check them.)
   bool servable = false;
   std::vector<CachedBenefit>* cache_row = nullptr;
   /// The worker's live benefit index (DESIGN.md §16), published by pointer

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <set>
 
+#include "core/concurrent_docs_system.h"
 #include "core/docs_system.h"
 #include "crowd/worker_pool.h"
 #include "datasets/dataset.h"
@@ -114,6 +115,51 @@ TEST_F(DocsSystemTest, NewWorkerGetsGoldenTasksFirst) {
   std::set<size_t> golden(system->golden_tasks().begin(),
                           system->golden_tasks().end());
   for (size_t task : selected) EXPECT_TRUE(golden.count(task)) << task;
+}
+
+// k = 0 during the golden phase grants nothing and leases nothing, and the
+// worker stays in the golden phase. (The cap used to be checked after the
+// append, so k = 0 granted and leased every pending golden task.) Checked on
+// a bare system and through the facade in both serving modes.
+TEST_F(DocsSystemTest, GoldenPhaseHonorsZeroK) {
+  auto dataset = datasets::MakeItemDataset(*kb_);
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  const auto truths = dataset.Truths();
+  DocsSystemOptions options;
+  options.golden_count = 10;
+  options.lease_duration = 5;
+  options.num_threads = 1;
+  // Golden selection is deterministic, so the facades below pick this set.
+  std::set<size_t> golden;
+  {
+    DocsSystem system(&kb_->knowledge_base, options);
+    ASSERT_TRUE(system.AddTasks(inputs, &truths).ok());
+    golden.insert(system.golden_tasks().begin(), system.golden_tasks().end());
+    ASSERT_EQ(golden.size(), 10u);
+    const size_t worker = system.WorkerIndex("w0");
+    EXPECT_TRUE(system.SelectTasks(worker, 0).empty());
+    EXPECT_EQ(system.outstanding_leases(), 0u);
+    const auto next = system.SelectTasks(worker, 3);
+    ASSERT_EQ(next.size(), 3u);
+    for (size_t task : next) EXPECT_TRUE(golden.count(task)) << task;
+    EXPECT_EQ(system.outstanding_leases(), 3u);
+  }
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async facade" : "sync facade");
+    DocsSystemOptions facade_options = options;
+    facade_options.async_inference = async;
+    ConcurrentDocsSystem system(&kb_->knowledge_base, facade_options);
+    ASSERT_TRUE(system.AddTasks(inputs, &truths).ok());
+    EXPECT_TRUE(system.RequestTasks("w0", 0).empty());
+    EXPECT_EQ(system.outstanding_leases(), 0u);
+    const auto next = system.RequestTasks("w0", 3);
+    ASSERT_EQ(next.size(), 3u);
+    for (size_t task : next) EXPECT_TRUE(golden.count(task)) << task;
+    EXPECT_EQ(system.outstanding_leases(), 3u);
+  }
 }
 
 TEST_F(DocsSystemTest, GoldenPhaseEndsAfterAllGoldenAnswered) {

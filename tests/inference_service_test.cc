@@ -320,6 +320,104 @@ TEST_F(InferenceServiceTest, RejectionsAreSynchronousAndMatchSyncCodes) {
   EXPECT_EQ(async_system.num_answers(), 1u);
 }
 
+/// The rejection contract one acceptance path keeps (ValidateAnswer): every
+/// rejection class gets the same StatusCode and message from a bare
+/// DocsSystem, a sync facade and an async facade. Two classes are decided
+/// before the system sees the answer: the facades resolve the external id
+/// first, so before ingest and for an unknown id they answer "unknown
+/// worker '<id>'", where the bare system, called by index, names the index.
+/// Those two are pinned per layer, with the facades equal to each other.
+TEST_F(InferenceServiceTest, RejectionContractIsOneAcrossBareSyncAndAsync) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 40, 13);
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  DocsSystemOptions options;
+  options.golden_count = 0;
+  options.reinfer_every = 0;
+  options.num_threads = 1;
+  DocsSystemOptions async_options = options;
+  async_options.async_inference = true;
+  DocsSystem bare(&kb_->knowledge_base, options);
+  ConcurrentDocsSystem sync_system(&kb_->knowledge_base, options);
+  ConcurrentDocsSystem async_system(&kb_->knowledge_base, async_options);
+  std::atomic<bool> gate{false};
+  std::atomic<bool> parked{false};
+  async_system.SetAsyncApplyHookForTest([&](const PendingAnswer&) {
+    if (!gate.load(std::memory_order_acquire)) return;
+    parked.store(true, std::memory_order_release);
+    while (gate.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const std::string unknown_w =
+      "unknown worker 'w': never seen by RequestTasks/LoadWorker";
+
+  // No tasks.
+  EXPECT_EQ(bare.SubmitAnswer(0, 0, 0),
+            Status(StatusCode::kFailedPrecondition, "no tasks ingested"));
+  EXPECT_EQ(sync_system.SubmitAnswer("w", 0, 0),
+            Status(StatusCode::kInvalidArgument, unknown_w));
+  EXPECT_EQ(async_system.SubmitAnswer("w", 0, 0),
+            Status(StatusCode::kInvalidArgument, unknown_w));
+
+  ASSERT_TRUE(bare.AddTasks(inputs).ok());
+  ASSERT_TRUE(sync_system.AddTasks(inputs).ok());
+  ASSERT_TRUE(async_system.AddTasks(inputs).ok());
+
+  // Unknown worker.
+  EXPECT_EQ(bare.SubmitAnswer(0, 0, 0),
+            Status(StatusCode::kInvalidArgument, "unknown worker 0"));
+  EXPECT_EQ(sync_system.SubmitAnswer("w", 0, 0),
+            Status(StatusCode::kInvalidArgument, unknown_w));
+  EXPECT_EQ(async_system.SubmitAnswer("w", 0, 0),
+            Status(StatusCode::kInvalidArgument, unknown_w));
+
+  ASSERT_EQ(bare.WorkerIndex("w"), 0u);
+  ASSERT_FALSE(sync_system.RequestTasks("w", 2).empty());
+  ASSERT_FALSE(async_system.RequestTasks("w", 2).empty());
+
+  // Every class past the id resolution: one expected status for all three.
+  const auto expect_all = [&](size_t task, size_t choice,
+                              const Status& expected) {
+    EXPECT_EQ(bare.SubmitAnswer(0, task, choice), expected);
+    EXPECT_EQ(sync_system.SubmitAnswer("w", task, choice), expected);
+    EXPECT_EQ(async_system.SubmitAnswer("w", task, choice), expected);
+  };
+  expect_all(9999, 0,
+             Status(StatusCode::kInvalidArgument, "unknown task 9999"));
+  const size_t choices = inputs[3].num_choices;
+  expect_all(3, 999,
+             Status(StatusCode::kOutOfRange,
+                    "choice 999 out of range for task 3 with " +
+                        std::to_string(choices) + " choices"));
+  expect_all(3, 0, OkStatus());
+  async_system.Drain();
+  const Status duplicate_of_3(StatusCode::kAlreadyExists,
+                              "duplicate answer from worker 0 for task 3");
+  expect_all(3, 1, duplicate_of_3);
+
+  // Async only: a duplicate whose original is still queued. The apply
+  // thread is parked on the original, so the engine has not absorbed it;
+  // the books reject the retry all the same.
+  ASSERT_TRUE(bare.SubmitAnswer(0, 5, 0).ok());
+  gate.store(true, std::memory_order_release);
+  ASSERT_TRUE(async_system.SubmitAnswer("w", 5, 0).ok());
+  while (!parked.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const Status duplicate_of_5(StatusCode::kAlreadyExists,
+                              "duplicate answer from worker 0 for task 5");
+  EXPECT_EQ(bare.SubmitAnswer(0, 5, 1), duplicate_of_5);
+  EXPECT_EQ(async_system.SubmitAnswer("w", 5, 1), duplicate_of_5);
+  EXPECT_EQ(async_system.async_stats().service.answers_applied, 1u);
+  gate.store(false, std::memory_order_release);
+  async_system.Drain();
+  EXPECT_EQ(async_system.num_answers(), 2u);
+  EXPECT_EQ(bare.inference().num_answers(), 2u);
+}
+
 /// Staleness observability: the counters expose exactly how far behind the
 /// published snapshot is, and a drain settles them to zero-pending with the
 /// epoch advanced past every acked answer.
