@@ -18,11 +18,14 @@ Checks, over every C++ file in src/, tests/, bench/ and examples/:
      the annotated docs::Mutex/MutexLock/CondVar wrappers so clang's
      -Wthread-safety analysis (DESIGN.md §14) sees every acquisition.
   6. Lock-order heuristic for the serving hierarchy (state -> shard ->
-     assign/pool): a shard-stripe lock (`<expr>.mutex` / `<expr>->mutex`)
-     acquired while a `MutexLock` on assign_mutex_ is still in scope is an
-     inversion against ConcurrentDocsSystem's documented order and gets
-     flagged. Textual and scope-approximate by design: the real checker is
-     the clang analysis; this catches the mistake on gcc-only machines.
+     assign -> pool): a shard-stripe lock (`<expr>.mutex` / `<expr>->mutex`)
+     or a state_mutex_ guard (`ReaderLock` / `WriterLock`) acquired while a
+     `MutexLock` on assign_mutex_ is still in scope is an inversion against
+     ConcurrentDocsSystem's documented order and gets flagged. The assign
+     lock alone guards the worker table, books, leases and clock, so paths
+     that take it first and the state lock second are the likely mistake.
+     Textual and scope-approximate by design: the real checker is the clang
+     analysis; this catches the mistake on gcc-only machines.
   7. IncrementalTruthInference mutators (OnAnswer, RunFullInference,
      SetWorkerQuality, EnsureWorker) may only be called on `inference_`
      inside src/core/docs_system.cc. In async mode (DESIGN.md §15) every
@@ -112,6 +115,7 @@ LOCK_ACQUIRE_RE = re.compile(
     r"\b(?:MutexLock|WriterLock|ReaderLock)\s+\w+\s*"
     r"\(\s*&\s*([A-Za-z_][\w.\->\[\]]*)\s*[,)]")
 SHARD_STRIPE_RE = re.compile(r"(?:\.|->)mutex$")
+STATE_GUARD_RE = re.compile(r"\b(?:WriterLock|ReaderLock)\s")
 LINE_COMMENT_RE = re.compile(r"//.*$")
 
 
@@ -152,7 +156,8 @@ def check_header_guard(path, lines, findings):
 
 
 def check_lock_order(path, lines, findings):
-    """Flags a shard stripe acquired while assign_mutex_ is scoped-locked.
+    """Flags a shard stripe or the state lock acquired while assign_mutex_ is
+    scoped-locked.
 
     Scope tracking is brace-depth arithmetic on comment-stripped lines — an
     approximation, but scoped guards in this codebase are always declared
@@ -169,12 +174,21 @@ def check_lock_order(path, lines, findings):
             target = match.group(1)
             if target.endswith("assign_mutex_"):
                 assign_depths.append(depth)
-            elif SHARD_STRIPE_RE.search(target) and assign_depths:
-                findings.append(
-                    (path, i + 1,
-                     f"lock-order inversion: shard stripe {target} acquired "
-                     "while assign_mutex_ is held (hierarchy is state -> "
-                     "shard -> assign, DESIGN.md §14)"))
+                continue
+            if not assign_depths:
+                continue
+            if SHARD_STRIPE_RE.search(target):
+                what = f"shard stripe {target}"
+            elif (target.endswith("state_mutex_")
+                  and STATE_GUARD_RE.match(code, match.start())):
+                what = f"state lock {target}"
+            else:
+                continue
+            findings.append(
+                (path, i + 1,
+                 f"lock-order inversion: {what} acquired while "
+                 "assign_mutex_ is held (hierarchy is state -> shard -> "
+                 "assign -> pool, DESIGN.md §14)"))
         depth += code.count("{") - code.count("}")
         while assign_depths and depth < assign_depths[-1]:
             assign_depths.pop()

@@ -36,36 +36,28 @@ ConcurrentDocsSystem::~ConcurrentDocsSystem() {
 Status ConcurrentDocsSystem::AddTasks(const std::vector<TaskInput>& inputs,
                                       const std::vector<size_t>* known_truths) {
   WriterLock lock(&state_mutex_);
+  MutexLock assign(&assign_mutex_);  // sizes the submission and lease books
   Status status = system_.AddTasks(inputs, known_truths);
-  if (status.ok() && async_) StartAsyncLocked();
+  if (status.ok()) StartServiceLocked();
   return status;
 }
 
-void ConcurrentDocsSystem::StartAsyncLocked() {
+void ConcurrentDocsSystem::StartServiceLocked() {
+  if (!async_) return;
   // Built eagerly: once serving starts, the pool may only be built under
   // pool_mutex_, and the exclusive-path callers below this layer do not
-  // take it in sync mode.
+  // all take it.
   system_.ScoringPool();
-  SyncRegistryFromStateLocked();
   service_->Publish(system_.BuildSnapshot(nullptr));
   service_->Start();
-}
-
-void ConcurrentDocsSystem::SyncRegistryFromStateLocked() {
-  const size_t count = system_.inference().num_workers();
-  WriterLock reg(&registry_mutex_);
-  for (size_t w = registered_count_; w < count; ++w) {
-    async_registry_.emplace(system_.worker_external_id(w), w);
-  }
-  registered_count_ = count;
 }
 
 std::shared_ptr<const InferenceSnapshot> ConcurrentDocsSystem::ApplyBatch(
     const std::vector<PendingAnswer>& batch) {
   WriterLock lock(&state_mutex_);
   // The pool lock is held for the whole batch: the periodic full EM inside
-  // ApplyAsyncAnswer fans out on the shared pool, and snapshot scorers
-  // try-lock it (losing the race costs them a serial pass, never a stall).
+  // ApplyAnswer fans out on the shared pool, and snapshot scorers try-lock
+  // it (losing the race costs them a serial pass, never a stall).
   MutexLock pool(&pool_mutex_);
   for (const PendingAnswer& answer : batch) {
     if (async_apply_hook_) async_apply_hook_(answer);
@@ -81,65 +73,57 @@ std::shared_ptr<const InferenceSnapshot> ConcurrentDocsSystem::ApplyBatch(
     }
   }
   std::shared_ptr<const InferenceSnapshot> prev = service_->snapshot();
-  auto next = system_.BuildSnapshot(prev.get());
-  // Workers registered by the exclusive path since the last publish become
-  // resolvable without the state lock from here on.
-  SyncRegistryFromStateLocked();
-  return next;
+  return system_.BuildSnapshot(prev.get());
+}
+
+std::optional<size_t> ConcurrentDocsSystem::FindWorker(
+    const std::string& worker_id) {
+  MutexLock assign(&assign_mutex_);
+  return StripedSystem().FindWorker(worker_id);
 }
 
 std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
     const std::string& worker_id, size_t k) {
-  if (async_) return RequestTasksAsync(worker_id, k);
-  {
-    ReaderLock state(&state_mutex_);
-    const std::optional<size_t> worker = system_.FindWorker(worker_id);
-    if (worker.has_value() && system_.CanServeSharded(*worker)) {
-      return ServeStriped(*worker, k, nullptr);
+  if (const std::optional<size_t> worker = FindWorker(worker_id)) {
+    // The striped pass reads the published snapshot (async) or the live
+    // engine under the shared state lock (sync).
+    if (async_) {
+      // Pin the current snapshot for the whole pass; a publish mid-pass
+      // retires the old epoch without touching it.
+      std::shared_ptr<const InferenceSnapshot> snap = service_->snapshot();
+      if (snap != nullptr && *worker < snap->workers.size() &&
+          snap->workers[*worker] != nullptr &&
+          snap->workers[*worker]->servable) {
+        return ServeStriped(*worker, k, snap.get());
+      }
+    } else {
+      ReaderLock state(&state_mutex_);
+      if (system_.CanServeSharded(*worker)) {
+        return ServeStriped(*worker, k, nullptr);
+      }
     }
   }
-  // Slow path: first contact (registration grows shared structure), golden
-  // probes, or a benefit-cache row not yet sized — all exclusive-lock work.
-  // The eligibility re-check happens inside SelectTasks, so losing the lock
-  // between the probe above and here costs a detour, never correctness.
+  // Slow path, one in both modes: first contact, golden probes, or a worker
+  // whose cache row is not yet sized (sync) or published (async). Exclusive
+  // over state — serialized against the apply thread — plus her shard stripe
+  // (a concurrent snapshot pass for the same worker writes her cache row
+  // under it), the assign lock (books and leases), and the pool lock
+  // (striped scorers try-lock it). The eligibility re-check happens inside
+  // SelectTasks, so losing a race since the probe above costs a detour,
+  // never correctness.
   WriterLock lock(&state_mutex_);
-  return system_.SelectTasks(RegisterWorkerLocked(worker_id), k);
+  // Before ingest there is nothing to grant and no engine to register with.
+  if (system_.tasks().empty()) return {};
+  const size_t index = RegisterWorkerLocked(worker_id);
+  MutexLock shard_lock(&shards_[index % kNumShards].mutex);
+  MutexLock assign(&assign_mutex_);
+  MutexLock pool(&pool_mutex_);
+  return system_.SelectTasks(index, k);
 }
 
 size_t ConcurrentDocsSystem::RegisterWorkerLocked(const std::string& worker_id) {
   MutexLock assign(&assign_mutex_);
   return system_.WorkerIndex(worker_id);
-}
-
-std::vector<size_t> ConcurrentDocsSystem::RequestTasksAsync(
-    const std::string& worker_id, size_t k) {
-  std::optional<size_t> worker;
-  {
-    ReaderLock reg(&registry_mutex_);
-    auto it = async_registry_.find(worker_id);
-    if (it != async_registry_.end()) worker = it->second;
-  }
-  if (worker.has_value()) {
-    // Pin the current snapshot for the whole pass; a publish mid-pass
-    // retires the old epoch without touching it.
-    std::shared_ptr<const InferenceSnapshot> snap = service_->snapshot();
-    if (snap != nullptr && *worker < snap->workers.size() &&
-        snap->workers[*worker] != nullptr && snap->workers[*worker]->servable) {
-      return ServeStriped(*worker, k, snap.get());
-    }
-  }
-  // Cold path: first contact, golden probes, or a worker not yet servable in
-  // the published snapshot. Exclusive over state — serialized against the
-  // apply thread — plus her shard stripe (a concurrent snapshot pass for the
-  // same worker writes her cache row under it), the assign lock (lease books
-  // + submission books), and the pool lock (snapshot scorers try-lock it).
-  WriterLock lock(&state_mutex_);
-  const size_t index = RegisterWorkerLocked(worker_id);
-  SyncRegistryFromStateLocked();
-  MutexLock shard_lock(&shards_[index % kNumShards].mutex);
-  MutexLock assign(&assign_mutex_);
-  MutexLock pool(&pool_mutex_);
-  return system_.SelectTasks(index, k);
 }
 
 std::vector<size_t> ConcurrentDocsSystem::ServeStriped(
@@ -177,64 +161,49 @@ std::vector<size_t> ConcurrentDocsSystem::ServeStriped(
   }
 }
 
-Status ConcurrentDocsSystem::SubmitAnswer(const std::string& worker_id,
-                                          size_t task, size_t choice) {
-  if (async_) {
-    // Resolve without the state lock; fall back to the exclusive path for
-    // workers registered behind the registry's back (checkpoint recovery).
-    std::optional<size_t> worker;
-    {
-      ReaderLock reg(&registry_mutex_);
-      auto it = async_registry_.find(worker_id);
-      if (it != async_registry_.end()) worker = it->second;
-    }
-    if (!worker.has_value()) worker = ResolveWorkerAsync(worker_id);
-    if (!worker.has_value()) {
-      return InvalidArgumentError("unknown worker '" + worker_id +
-                                  "': never seen by RequestTasks/LoadWorker");
-    }
-    // Validate + book under assign, then enqueue with no lock held (Enqueue
-    // blocks on a full queue — backpressure must not pin the lease books).
-    // The books make the acceptance side effects (duplicate rejection, cap
-    // accounting, lease release) visible at ack time, before the engine
-    // absorbs the answer.
-    {
-      MutexLock assign(&assign_mutex_);
-      Status status = StripedSystem().ValidateAnswer(*worker, task, choice);
-      if (!status.ok()) return status;
-      StripedSystem().RecordAnswer(*worker, task);
-    }
-    service_->Enqueue({*worker, task, choice});
-    return OkStatus();
-  }
-  WriterLock lock(&state_mutex_);
-  const std::optional<size_t> worker = system_.FindWorker(worker_id);
+StatusOr<size_t> ConcurrentDocsSystem::BookAnswer(const std::string& worker_id,
+                                                  size_t task, size_t choice) {
+  MutexLock assign(&assign_mutex_);
+  const std::optional<size_t> worker = StripedSystem().FindWorker(worker_id);
   if (!worker.has_value()) {
     return InvalidArgumentError("unknown worker '" + worker_id +
                                 "': never seen by RequestTasks/LoadWorker");
   }
-  return system_.SubmitAnswer(*worker, task, choice);
+  Status status = StripedSystem().ValidateAnswer(*worker, task, choice);
+  if (!status.ok()) return status;
+  StripedSystem().RecordAnswer(*worker, task);
+  return *worker;
 }
 
-std::optional<size_t> ConcurrentDocsSystem::ResolveWorkerAsync(
-    const std::string& worker_id) {
+Status ConcurrentDocsSystem::SubmitAnswer(const std::string& worker_id,
+                                          size_t task, size_t choice) {
+  // The books make the acceptance side effects (duplicate rejection, cap
+  // accounting, lease release) visible at once; ApplyAnswer reads none of
+  // them, so booking before the engine absorbs the answer changes nothing.
+  if (async_) {
+    // Enqueue with no lock held: Enqueue blocks on a full queue, and
+    // backpressure must not pin the books.
+    StatusOr<size_t> worker = BookAnswer(worker_id, task, choice);
+    if (!worker.ok()) return worker.status();
+    service_->Enqueue({*worker, task, choice});
+    return OkStatus();
+  }
   WriterLock lock(&state_mutex_);
-  const std::optional<size_t> worker = system_.FindWorker(worker_id);
-  if (worker.has_value()) SyncRegistryFromStateLocked();
-  return worker;
+  StatusOr<size_t> worker = BookAnswer(worker_id, task, choice);
+  if (!worker.ok()) return worker.status();
+  return system_.ApplyAnswer(*worker, task, choice);
 }
 
 bool ConcurrentDocsSystem::KnowsWorker(const std::string& worker_id) {
-  {
-    ReaderLock reg(&registry_mutex_);
-    if (async_registry_.find(worker_id) != async_registry_.end()) return true;
-  }
-  ReaderLock state(&state_mutex_);
-  return system_.FindWorker(worker_id).has_value();
+  return FindWorker(worker_id).has_value();
 }
 
 void ConcurrentDocsSystem::Drain() {
   if (service_ != nullptr) service_->Drain();
+}
+
+void ConcurrentDocsSystem::Republish() {
+  if (service_ != nullptr) service_->RequestRepublish();
 }
 
 AsyncInferenceStats ConcurrentDocsSystem::async_stats() const {
@@ -246,63 +215,42 @@ AsyncInferenceStats ConcurrentDocsSystem::async_stats() const {
 }
 
 std::vector<ExpiredLease> ConcurrentDocsSystem::ExpireLeases(uint64_t now) {
-  if (async_) {
-    // The async sweep reads only assign-guarded lease books — never live
-    // inference state — so it cannot observe a half-applied retro-update no
-    // matter where the apply thread is. The snapshot epoch is sampled first
-    // and recorded so observers can bound which publish the sweep was
-    // consistent with (tests/gateway_test.cc races sweeps against
-    // publishes; DESIGN.md §15).
-    const uint64_t epoch =
-        service_ != nullptr && service_->snapshot() != nullptr
-            ? service_->snapshot()->epoch
-            : 0;
-    std::vector<ExpiredLease> expired;
-    {
-      MutexLock assign(&assign_mutex_);
-      expired = StripedSystem().ExpireLeases(now);
-    }
-    last_sweep_epoch_.store(epoch, std::memory_order_relaxed);
-    return expired;
+  // The sweep reads only the assign-guarded lease books — never inference
+  // state — so it can neither stall behind an EM pass nor observe a
+  // half-applied retro-update. The published snapshot epoch (0 in sync
+  // mode) is sampled first and recorded so observers can bound which
+  // publish the sweep was consistent with (tests/gateway_test.cc races
+  // sweeps against publishes; DESIGN.md §15).
+  const std::shared_ptr<const InferenceSnapshot> snap =
+      service_ != nullptr ? service_->snapshot() : nullptr;
+  std::vector<ExpiredLease> expired;
+  {
+    MutexLock assign(&assign_mutex_);
+    expired = StripedSystem().ExpireLeases(now);
   }
-  ReaderLock state(&state_mutex_);
-  MutexLock assign(&assign_mutex_);
-  return system_.ExpireLeases(now);
+  last_sweep_epoch_.store(snap != nullptr ? snap->epoch : 0,
+                          std::memory_order_relaxed);
+  return expired;
 }
 
 Status ConcurrentDocsSystem::LoadWorker(const std::string& worker_id,
                                         const storage::WorkerStore& store) {
-  if (async_) {
-    // The seed reshapes the worker's quality out-of-band; drain so it lands
-    // on converged state (sync-mode timing), apply under the exclusive lock,
-    // then force a publish so the snapshot serves the seeded profile.
-    Drain();
-    Status status;
-    {
-      WriterLock lock(&state_mutex_);
-      MutexLock assign(&assign_mutex_);  // LoadWorker may register
-      status = system_.LoadWorker(worker_id, store);
-      if (status.ok()) SyncRegistryFromStateLocked();
-    }
-    if (status.ok()) service_->RequestRepublish();
-    return status;
+  // The seed reshapes the worker's quality out-of-band: drain so it lands on
+  // converged state, and republish so a snapshot serves the seeded profile.
+  Drain();
+  Status status;
+  {
+    WriterLock lock(&state_mutex_);
+    MutexLock assign(&assign_mutex_);  // LoadWorker may register
+    status = system_.LoadWorker(worker_id, store);
   }
-  WriterLock lock(&state_mutex_);
-  MutexLock assign(&assign_mutex_);  // LoadWorker may register
-  return system_.LoadWorker(worker_id, store);
+  if (status.ok()) Republish();
+  return status;
 }
 
 uint64_t ConcurrentDocsSystem::lease_clock() {
-  // Async mode: the clock is assign-guarded and the reactor lease sweeps
-  // read it on their serving threads — taking the state lock here would
-  // stall a reactor behind a running EM pass.
-  if (async_) {
-    MutexLock assign(&assign_mutex_);
-    return StripedSystem().lease_clock();
-  }
-  ReaderLock state(&state_mutex_);
   MutexLock assign(&assign_mutex_);
-  return system_.lease_clock();
+  return StripedSystem().lease_clock();
 }
 
 size_t ConcurrentDocsSystem::num_tasks() {
@@ -311,19 +259,13 @@ size_t ConcurrentDocsSystem::num_tasks() {
 }
 
 size_t ConcurrentDocsSystem::outstanding_leases() {
-  if (async_) {
-    MutexLock assign(&assign_mutex_);
-    return StripedSystem().outstanding_leases();
-  }
-  ReaderLock state(&state_mutex_);
   MutexLock assign(&assign_mutex_);
-  return system_.outstanding_leases();
+  return StripedSystem().outstanding_leases();
 }
 
 std::vector<size_t> ConcurrentDocsSystem::InferredChoices() {
-  // Quiesce first in async mode: the inferred truths must reflect every
-  // acked answer, exactly as the sync path guarantees.
-  if (async_) Drain();
+  // The inferred truths must reflect every acked answer.
+  Drain();
   WriterLock lock(&state_mutex_);
   return system_.InferredChoices();
 }
@@ -334,25 +276,20 @@ size_t ConcurrentDocsSystem::num_answers() {
 }
 
 void ConcurrentDocsSystem::RunFullInference() {
-  if (async_) {
-    // Drain → run on converged state; pool lock because snapshot scorers
-    // try-lock the shared pool; republish so the snapshot serves the result.
-    Drain();
-    {
-      WriterLock lock(&state_mutex_);
-      MutexLock pool(&pool_mutex_);
-      system_.RunFullInference();
-    }
-    service_->RequestRepublish();
-    return;
+  // Runs on converged state; the pool lock because striped scorers try-lock
+  // the shared pool; the republish so a snapshot serves the result.
+  Drain();
+  {
+    WriterLock lock(&state_mutex_);
+    MutexLock pool(&pool_mutex_);
+    system_.RunFullInference();
   }
-  WriterLock lock(&state_mutex_);
-  system_.RunFullInference();
+  Republish();
 }
 
 std::vector<std::string> ConcurrentDocsSystem::WorkerIds() {
-  ReaderLock state(&state_mutex_);
-  return system_.WorkerIds();
+  MutexLock assign(&assign_mutex_);
+  return StripedSystem().WorkerIds();
 }
 
 uint64_t ConcurrentDocsSystem::benefit_cache_hits() {
@@ -396,10 +333,10 @@ uint64_t ConcurrentDocsSystem::benefit_index_generation_invalidations() {
 }
 
 Status ConcurrentDocsSystem::SaveCheckpoint(const std::string& path) {
-  // Async mode quiesces first so the checkpoint contains every acked answer
-  // — the durable layer truncates its WAL after a checkpoint, and an acked
-  // answer must never exist in neither.
-  if (async_) Drain();
+  // Quiesce first so the checkpoint contains every acked answer — the
+  // durable layer truncates its WAL after a checkpoint, and an acked answer
+  // must never exist in neither.
+  Drain();
   // Snapshot state is everything the sharded path only reads (tasks, golden
   // set, seeds, answers) — leases are volatile by contract — so a shared
   // lock suffices and a save never stalls serving.
@@ -411,7 +348,7 @@ Status ConcurrentDocsSystem::LoadCheckpoint(const std::string& path) {
   WriterLock lock(&state_mutex_);
   MutexLock assign(&assign_mutex_);  // the replay registers and books
   Status status = system_.LoadCheckpoint(path);
-  if (status.ok() && async_) StartAsyncLocked();
+  if (status.ok()) StartServiceLocked();
   return status;
 }
 

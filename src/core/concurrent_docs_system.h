@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sync.h"
@@ -47,22 +46,26 @@ struct AsyncInferenceStats {
 ///  - a per-worker shard lock (worker index mod kNumShards) guarding her
 ///    cache row and reusable scoring scratch, so concurrent requests from
 ///    different workers score genuinely in parallel;
-///  - one assign lock guarding the lease books and logical clock, held only
-///    for the O(n) eligibility snapshot and the O(k) grant commit.
-/// The modes differ in what the pass reads and when answers reach it:
-///  - sync: the live engine, under a reader (shared) state lock. Answer
-///    submission applies inline under the exclusive state lock, which by
-///    itself excludes every striped reader.
-///  - async (DESIGN.md §15, DocsSystemOptions::async_inference): the last
-///    published immutable snapshot, with no state lock. SubmitAnswer
-///    validates and books the answer under the assign lock, enqueues it for
-///    the background InferenceService thread and acks — so neither serving
-///    call ever waits on a retro-update fan-out or the periodic full EM.
+///  - one assign lock, held only for the O(n) eligibility snapshot and the
+///    O(k) grant commit.
+///
+/// One lock rule in both modes: the assign lock guards the worker table,
+/// the submission books, the lease books and the lease clock. Every write
+/// to them holds it (a registration holds the exclusive state lock too), so
+/// worker resolution, answer booking, lease sweeps and the clock run under
+/// the assign lock alone, and there is one slow path — exclusive state plus
+/// shard, assign and pool — for first contact and golden probes. The mode
+/// (DocsSystemOptions::async_inference, DESIGN.md §15) decides only two
+/// things:
+///  - what the striped pass reads: the live engine under a reader (shared)
+///    state lock (sync), or the last published immutable snapshot with no
+///    state lock (async);
+///  - what SubmitAnswer does after booking: apply inline under the
+///    exclusive state lock (sync), or enqueue for the background
+///    InferenceService thread and ack (async) — so neither serving call
+///    ever waits on a retro-update fan-out or the periodic full EM.
 /// Both modes accept an answer through DocsSystem::ValidateAnswer and
-/// RecordAnswer. First-contact registration, golden probes, checkpoint
-/// restore and full inference take the state lock exclusively in both
-/// modes; a registration also takes the assign lock, since it appends to
-/// the submission books that async mode guards with it.
+/// RecordAnswer.
 ///
 /// The scoring thread pool stays engine-owned and deterministic (DESIGN.md
 /// §8): striped scorers try-lock a pool mutex, and the loser of the race
@@ -71,7 +74,7 @@ struct AsyncInferenceStats {
 ///
 /// Lock hierarchy (acquire left-to-right, never right-to-left; DESIGN.md
 /// §14, machine-checked via the DOCS_* annotations below):
-///   state (shared or exclusive) → shard → { assign | pool } → registry.
+///   state (shared or exclusive) → shard → assign → pool.
 /// The InferenceService's queue and snapshot mutexes are leaves held by no
 /// path that also holds any lock above (the service thread holds neither
 /// while applying; producers hold nothing while enqueueing), so the queue
@@ -84,12 +87,14 @@ class ConcurrentDocsSystem {
 
   [[nodiscard]] Status AddTasks(const std::vector<TaskInput>& inputs,
                                 const std::vector<size_t>* known_truths =
-                                    nullptr) DOCS_EXCLUDES(state_mutex_);
+                                    nullptr)
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_);
 
   /// Atomically resolves the worker id and selects her next HIT. Known
   /// workers past the golden phase are served by the striped loop (parallel
   /// across worker shards); first contact and golden probes fall back to the
-  /// exclusive path.
+  /// exclusive path. Before any AddTasks/LoadCheckpoint the grant is empty
+  /// and the worker is not registered.
   std::vector<size_t> RequestTasks(const std::string& worker_id, size_t k)
       DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_);
 
@@ -102,34 +107,34 @@ class ConcurrentDocsSystem {
   /// network delivers.
   [[nodiscard]] Status SubmitAnswer(const std::string& worker_id, size_t task,
                                     size_t choice)
-      DOCS_EXCLUDES(state_mutex_);
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_);
 
   /// Reclaims every lease whose logical deadline is at or before `now`
   /// (workers who accepted a HIT and vanished); the freed tasks are
   /// immediately assignable again. Serving deployments call this on a timer.
-  /// Touches only the lease books, so it runs under the shared state lock
-  /// plus the assign lock — a sweep never stalls in-flight scoring.
+  /// Touches only the lease books, so it runs under the assign lock alone —
+  /// a sweep never waits on scoring or an inference pass.
   std::vector<ExpiredLease> ExpireLeases(uint64_t now)
-      DOCS_EXCLUDES(state_mutex_, assign_mutex_);
+      DOCS_EXCLUDES(assign_mutex_);
 
   /// Seeds a returning worker's quality profile from the persistent store;
   /// the worker is registered and skips the golden probe (Theorem 1 state).
   [[nodiscard]] Status LoadWorker(const std::string& worker_id,
                                   const storage::WorkerStore& store)
-      DOCS_EXCLUDES(state_mutex_);
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_);
 
-  uint64_t lease_clock() DOCS_EXCLUDES(state_mutex_, assign_mutex_);
+  uint64_t lease_clock() DOCS_EXCLUDES(assign_mutex_);
   size_t num_tasks() DOCS_EXCLUDES(state_mutex_);
-  size_t outstanding_leases() DOCS_EXCLUDES(state_mutex_, assign_mutex_);
+  size_t outstanding_leases() DOCS_EXCLUDES(assign_mutex_);
   std::vector<size_t> InferredChoices() DOCS_EXCLUDES(state_mutex_);
   size_t num_answers() DOCS_EXCLUDES(state_mutex_);
 
   /// Forces a full inference pass (the recovery bit-equality oracle; see
   /// DocsSystem::RunFullInference).
-  void RunFullInference() DOCS_EXCLUDES(state_mutex_);
+  void RunFullInference() DOCS_EXCLUDES(state_mutex_, pool_mutex_);
 
   /// Registered worker ids in registration order.
-  std::vector<std::string> WorkerIds() DOCS_EXCLUDES(state_mutex_);
+  std::vector<std::string> WorkerIds() DOCS_EXCLUDES(assign_mutex_);
 
   /// Row- and request-level benefit-cache counters; see DocsSystem for the
   /// distinction (rows are the wrong unit for a hit-rate).
@@ -148,7 +153,7 @@ class ConcurrentDocsSystem {
   [[nodiscard]] Status SaveCheckpoint(const std::string& path)
       DOCS_EXCLUDES(state_mutex_);
   [[nodiscard]] Status LoadCheckpoint(const std::string& path)
-      DOCS_EXCLUDES(state_mutex_);
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_);
 
   /// SaveCheckpoint with bounded retry: sleeps between attempts with
   /// exponential backoff (outside the lock, so serving calls proceed while
@@ -159,7 +164,8 @@ class ConcurrentDocsSystem {
 
   /// Runs `fn` under the exclusive state lock and the assign lock, with
   /// direct access to the underlying system — for setup/inspection that needs
-  /// several calls to be atomic, registration and the books included.
+  /// several calls to be atomic, registration and the books included. A
+  /// worker registered here resolves at once in both modes.
   /// Async-mode callers that read inference state should Drain() first: the
   /// lock serializes against the service thread, but queued answers are
   /// otherwise still in flight.
@@ -170,11 +176,11 @@ class ConcurrentDocsSystem {
     return fn(system_);
   }
 
-  /// True when `worker_id` is already registered (async registry first, then
-  /// the state table). The durable layer gates its lock-free warm path on
-  /// this so registration stays on the recovery-ordered exclusive path.
-  bool KnowsWorker(const std::string& worker_id)
-      DOCS_EXCLUDES(state_mutex_, registry_mutex_);
+  /// True when `worker_id` is already registered, in either mode and however
+  /// she was registered (serving, LoadWorker, checkpoint or WAL replay). The
+  /// durable layer gates its lock-free warm path on this so registration
+  /// stays on the recovery-ordered exclusive path.
+  bool KnowsWorker(const std::string& worker_id) DOCS_EXCLUDES(assign_mutex_);
 
   /// Async-mode quiesce barrier: returns once every answer acked before the
   /// call is applied and visible in a published snapshot. No-op in sync
@@ -221,29 +227,28 @@ class ConcurrentDocsSystem {
                                    const InferenceSnapshot* snap)
       DOCS_EXCLUDES(assign_mutex_, pool_mutex_);
 
-  /// Registers `worker_id` (or resolves it) under the assign lock, since
-  /// registration appends to the submission books.
+  /// Registers `worker_id` (or resolves it) under the assign lock, which
+  /// guards the worker table and the books registration appends to.
   size_t RegisterWorkerLocked(const std::string& worker_id)
       DOCS_REQUIRES(state_mutex_) DOCS_EXCLUDES(assign_mutex_);
 
-  /// Async serving (DESIGN.md §15). RequestTasksAsync resolves through the
-  /// registry and serves from the published snapshot. ResolveWorkerAsync is
-  /// the registry-miss fallback for workers registered behind the registry's
-  /// back (checkpoint recovery).
-  std::vector<size_t> RequestTasksAsync(const std::string& worker_id, size_t k)
-      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_, registry_mutex_);
-  std::optional<size_t> ResolveWorkerAsync(const std::string& worker_id)
-      DOCS_EXCLUDES(state_mutex_, registry_mutex_);
+  /// Resolves `worker_id` without registering it, under the assign lock
+  /// alone; nullopt for an id never registered.
+  std::optional<size_t> FindWorker(const std::string& worker_id)
+      DOCS_EXCLUDES(assign_mutex_);
 
-  /// Mirrors newly registered workers into the async registry (incremental:
-  /// only indices past the last sync).
-  void SyncRegistryFromStateLocked() DOCS_REQUIRES(state_mutex_)
-      DOCS_EXCLUDES(registry_mutex_);
+  /// Resolves, validates and books one answer under the assign lock, and
+  /// returns the worker's index; the engine has not absorbed it yet.
+  StatusOr<size_t> BookAnswer(const std::string& worker_id, size_t task,
+                              size_t choice) DOCS_EXCLUDES(assign_mutex_);
 
-  /// Registry + initial snapshot + service start, after a successful
-  /// ingest/restore.
-  void StartAsyncLocked() DOCS_REQUIRES(state_mutex_)
-      DOCS_EXCLUDES(registry_mutex_);
+  /// Async mode only (a no-op in sync mode): publishes the initial snapshot
+  /// and starts the service, after a successful ingest/restore.
+  void StartServiceLocked() DOCS_REQUIRES(state_mutex_, assign_mutex_);
+
+  /// Forces a snapshot publish after an out-of-band state change; a no-op
+  /// in sync mode, like Drain().
+  void Republish();
 
   /// The InferenceService's apply callback: runs on the service thread,
   /// applies one FIFO batch under state (exclusive) + pool, and builds the
@@ -254,34 +259,25 @@ class ConcurrentDocsSystem {
 
   /// Narrow, documented escape hatch from system_'s GUARDED_BY(state_mutex_)
   /// for the striped loop (which holds the state lock shared in sync mode and
-  /// not at all in async mode) and for the async paths that by design run
-  /// without the state lock. Every member they reach is protected by a finer
-  /// lock the caller holds (assign for books/leases, the shard stripe for
-  /// cache rows), is immutable after ingest (tasks, options), or is read
-  /// from a published snapshot — see the locking notes on DocsSystem's
-  /// answer-acceptance and striped-serving methods.
+  /// not at all in async mode) and for the paths that by design run under
+  /// the assign lock alone. Every member they reach is protected by a finer
+  /// lock the caller holds (assign for the worker table, books and leases;
+  /// the shard stripe for cache rows), is immutable after ingest (tasks,
+  /// options), or is read from a published snapshot — see the locking notes
+  /// on DocsSystem's answer-acceptance and striped-serving methods.
   DocsSystem& StripedSystem() DOCS_NO_THREAD_SAFETY_ANALYSIS { return system_; }
 
   /// Top of the hierarchy: every other lock here is acquired strictly after
   /// it (shared for the sync striped serve, exclusive for mutators).
-  SharedMutex state_mutex_
-      DOCS_ACQUIRED_BEFORE(assign_mutex_, pool_mutex_, registry_mutex_);
-  /// Lease books + logical clock; taken after state and any shard stripe,
-  /// never before one. In async mode also guards the submission books and is
-  /// the ONLY lock the acceptance and lease paths (sweeps, grants, releases)
-  /// need; registration takes it in both modes.
+  SharedMutex state_mutex_ DOCS_ACQUIRED_BEFORE(assign_mutex_, pool_mutex_);
+  /// Worker table, submission books, lease books and logical clock, in both
+  /// modes; taken after state and any shard stripe, never before one. The
+  /// ONLY lock that resolution, acceptance and the lease paths (sweeps,
+  /// grants, releases) need.
   Mutex assign_mutex_ DOCS_ACQUIRED_BEFORE(pool_mutex_);
   /// Scoring-pool try-lock (DESIGN.md §13): the loser scores serially.
   Mutex pool_mutex_;
   WorkerShard shards_[kNumShards];
-  /// Async worker registry: external id → dense index, mirrored from the
-  /// state table so async SubmitAnswer resolves ids without the state lock.
-  /// Writers hold state (exclusive) + registry; readers registry alone.
-  mutable SharedMutex registry_mutex_;
-  std::unordered_map<std::string, size_t> async_registry_
-      DOCS_GUARDED_BY(registry_mutex_);
-  /// Worker count already mirrored (indices < this are in the registry).
-  size_t registered_count_ DOCS_GUARDED_BY(registry_mutex_) = 0;
   /// Fixed at construction (copied before options move into system_).
   const bool async_;
   const size_t async_queue_capacity_;
@@ -292,8 +288,8 @@ class ConcurrentDocsSystem {
   /// The wrapped engine. Hold state_mutex_ — shared on read-mostly serving
   /// paths (per-shard writes are funneled through the stripe mutexes),
   /// exclusive for anything that mutates shared structure. The striped loop
-  /// and the async paths go through StripedSystem() under the finer-lock
-  /// contract documented there.
+  /// and the assign-only paths go through StripedSystem() under the
+  /// finer-lock contract documented there.
   DocsSystem system_ DOCS_GUARDED_BY(state_mutex_);
   /// The background inference thread; constructed (not started) in the
   /// constructor when async mode is on, so the pointer is immutable while

@@ -798,8 +798,8 @@ Status DocsSystem::ValidateAnswer(size_t worker, size_t task,
   if (inference_ == nullptr) {
     return FailedPreconditionError("no tasks ingested");
   }
-  // The books' worker count, not workers_: in async mode this runs under the
-  // assign lock alone, and registration appends to the books under it too.
+  // The books' worker count, not workers_: the facade runs this under the
+  // assign lock alone, which registration holds while it appends a book.
   if (worker >= answered_.size()) {
     return InvalidArgumentError("unknown worker " + std::to_string(worker));
   }

@@ -203,19 +203,21 @@ class DocsSystem : public AssignmentPolicy {
   // --- Answer acceptance (DESIGN.md §15) -----------------------------------
   // One path admits every answer, in both serving modes: ValidateAnswer and
   // RecordAnswer read and write the submission books (who answered what, how
-  // many answers each task has), and ApplyAnswer feeds the engine. Sync mode
-  // runs all three inline; async mode validates and books at ack time and
-  // applies on the service thread, so the books run ahead of the engine by
-  // the queue depth. Eligibility, golden pacing and the redundancy cap read
-  // the books, so they behave the same either way. Locking (enforced by the
-  // facade): the books are guarded by the state lock in sync mode and by
-  // the assign lock in async mode, where registration, which appends a
-  // worker's book, holds both.
+  // many answers each task has), and ApplyAnswer feeds the engine, reading
+  // no book. The facade validates and books under its assign lock in both
+  // modes, then applies inline (sync) or on the service thread (async), so
+  // in async mode the books run ahead of the engine by the queue depth.
+  // Eligibility, golden pacing and the redundancy cap read the books, so
+  // they behave the same either way. Locking (enforced by the facade, one
+  // rule in both modes): the facade's assign lock guards the books, the
+  // worker table, the lease books and the lease clock; registration, which
+  // appends a worker's book, also holds the exclusive state lock.
 
   /// Rejects, in this order: a system with no tasks (FailedPrecondition),
   /// an unknown worker or task (InvalidArgument), an out-of-range choice
   /// (OutOfRange) and a (worker, task) pair already booked (AlreadyExists).
-  /// Reads only the books and the immutable task metadata.
+  /// Reads only the books and the immutable task metadata, so the facade
+  /// runs it under the assign lock alone.
   [[nodiscard]] Status ValidateAnswer(size_t worker, size_t task,
                                       size_t choice) const;
 
@@ -318,6 +320,9 @@ class DocsSystem : public AssignmentPolicy {
   //  - BeginShardedSelect / CommitShardedSelect: the facade's assign lock
   //    (they touch the books, the lease books and the clock), on top of the
   //    shared state lock in sync mode.
+  //  - FindWorker, ExpireLeases, lease_clock, outstanding_leases, WorkerIds:
+  //    the assign lock alone suffices (every write to what they read holds
+  //    it).
 
   /// Reusable per-shard scoring buffers; guarded by the owning shard lock.
   struct ShardScratch {
@@ -370,11 +375,6 @@ class DocsSystem : public AssignmentPolicy {
   /// lock held.
   std::shared_ptr<const InferenceSnapshot> BuildSnapshot(
       const InferenceSnapshot* prev);
-
-  /// External id of a registered worker (state lock held).
-  const std::string& worker_external_id(size_t worker) const {
-    return workers_[worker].external_id;
-  }
 
   // --- AssignmentPolicy -----------------------------------------------------
   std::string name() const override { return options_.display_name; }

@@ -155,6 +155,12 @@ Status DurableDocsSystem::RequestTasks(const std::string& worker_id, size_t k,
     return OkStatus();
   }
 
+  // Before ingest there is nothing to grant, and a logged registration
+  // would leave a WAL that the next Recover() rejects as data loss.
+  if (system_->num_tasks() == 0) {
+    return FailedPreconditionError("no tasks ingested");
+  }
+
   // First contact: the registration must be durable before the index is
   // assigned, or recovery would renumber workers and change inference's
   // summation order.

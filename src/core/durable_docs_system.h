@@ -89,7 +89,8 @@ class DurableDocsSystem {
   /// Serve a task request. Known workers are served lock-free with respect
   /// to the durable layer (facade lock only). A first-contact worker is
   /// durably registered — `reg` record appended + flushed before the index
-  /// is assigned — so recovery reproduces registration order.
+  /// is assigned — so recovery reproduces registration order. With no tasks
+  /// ingested the request fails with FailedPrecondition and logs nothing.
   [[nodiscard]] Status RequestTasks(const std::string& worker_id, size_t k,
                                     std::vector<size_t>* tasks)
       DOCS_EXCLUDES(mutex_);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -158,21 +159,58 @@ TEST_F(ConcurrencyTest, SubmitAnswerRejectsWorkersNeverSeen) {
   EXPECT_TRUE(system.SubmitAnswer("returning", 1, 0).ok());
 }
 
-TEST_F(ConcurrencyTest, ExpireLeasesRacesServingCalls) {
+/// Cases that must hold in both serving modes, run once per mode (the param
+/// is DocsSystemOptions::async_inference).
+class ConcurrencyModeTest : public ConcurrencyTest,
+                            public ::testing::WithParamInterface<bool> {
+ protected:
+  static std::vector<TaskInput> Inputs(const datasets::Dataset& dataset) {
+    std::vector<TaskInput> inputs;
+    for (const auto& task : dataset.tasks) {
+      inputs.push_back({task.text, task.num_choices()});
+    }
+    return inputs;
+  }
+};
+
+TEST_P(ConcurrencyModeTest, RequestBeforeIngestGrantsNothingAndRegistersNone) {
+  auto dataset = datasets::MakeQaDataset(*kb_, 20, 95);
+  DocsSystemOptions options;
+  options.golden_count = 0;
+  options.async_inference = GetParam();
+  ConcurrentDocsSystem system(&kb_->knowledge_base, options);
+
+  // Regression: the slow path used to register through an engine that does
+  // not exist before ingest, and crashed.
+  EXPECT_TRUE(system.RequestTasks("early", 2).empty());
+  EXPECT_FALSE(system.KnowsWorker("early"));
+  EXPECT_TRUE(system.WorkerIds().empty());
+  EXPECT_EQ(system.SubmitAnswer("early", 0, 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(system.lease_clock(), 0u);
+
+  // Ingest still works afterwards, and the same id is then served.
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
+  auto hit = system.RequestTasks("early", 2);
+  ASSERT_EQ(hit.size(), 2u);
+  EXPECT_TRUE(system.SubmitAnswer("early", hit[0], 0).ok());
+  EXPECT_EQ(system.WorkerIds(), std::vector<std::string>{"early"});
+}
+
+TEST_P(ConcurrencyModeTest, ExpireLeasesRacesServingCalls) {
   auto dataset = datasets::MakeItemDataset(*kb_);
   DocsSystemOptions options;
   options.golden_count = 0;
   options.lease_duration = 2;
   options.reinfer_every = 30;
+  options.async_inference = GetParam();
   ConcurrentDocsSystem system(&kb_->knowledge_base, options);
-  std::vector<TaskInput> inputs;
-  for (const auto& task : dataset.tasks) {
-    inputs.push_back({task.text, task.num_choices()});
-  }
-  ASSERT_TRUE(system.AddTasks(inputs).ok());
+  ASSERT_TRUE(system.AddTasks(Inputs(dataset)).ok());
 
   // Serving-shaped load: worker threads request and (mostly) answer while a
-  // reaper thread sweeps expired leases and a reader polls the counters.
+  // reaper thread sweeps expired leases, a reader polls the counters, and a
+  // registrar mints fresh workers and polls resolution and the clock — the
+  // assign-lock-only paths, racing the registrations that write under it.
   // The facade must keep the lease books consistent under any interleaving.
   std::atomic<size_t> answers{0};
   std::atomic<size_t> expired{0};
@@ -203,9 +241,23 @@ TEST_F(ConcurrencyTest, ExpireLeasesRacesServingCalls) {
       EXPECT_LE(system.outstanding_leases(), dataset.tasks.size() * 4);
     }
   });
+  constexpr size_t kFresh = 12;
+  std::thread registrar([&] {
+    uint64_t last_clock = 0;
+    for (size_t i = 0; i < kFresh; ++i) {
+      const std::string id = "fresh" + std::to_string(i);
+      EXPECT_FALSE(system.KnowsWorker(id));
+      EXPECT_EQ(system.RequestTasks(id, 1).size(), 1u);
+      EXPECT_TRUE(system.KnowsWorker(id));
+      const uint64_t clock = system.lease_clock();
+      EXPECT_GT(clock, last_clock);  // her own grant ticked it
+      last_clock = clock;
+    }
+  });
   std::vector<std::thread> threads;
   for (size_t w = 0; w < 4; ++w) threads.emplace_back(serve, w);
   for (auto& thread : threads) thread.join();
+  registrar.join();
   stop.store(true);
   reaper.join();
   reader.join();
@@ -217,6 +269,8 @@ TEST_F(ConcurrencyTest, ExpireLeasesRacesServingCalls) {
           .ExpireLeases(system.lease_clock() + options.lease_duration)
           .size());
   EXPECT_EQ(system.outstanding_leases(), 0u);
+  EXPECT_EQ(system.WorkerIds().size(), 4 + kFresh);
+  system.Drain();  // async: every acked answer reaches the engine
   EXPECT_EQ(system.num_answers(), answers.load());
   // Double accounting would violate per-(worker, task) uniqueness.
   system.WithLocked([&](DocsSystem& inner) {
@@ -227,6 +281,11 @@ TEST_F(ConcurrencyTest, ExpireLeasesRacesServingCalls) {
     return 0;
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, ConcurrencyModeTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& mode) {
+                           return mode.param ? "async" : "sync";
+                         });
 
 TEST_F(ConcurrencyTest, ShardedServingPathHammeredByRequestersAndMutators) {
   // Targets the sharded RequestTasks fast path (DESIGN.md §13): workers are

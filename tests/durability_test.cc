@@ -76,18 +76,20 @@ class DurabilityTest : public ::testing::Test {
     return dir;
   }
 
-  static DocsSystemOptions CampaignOptions() {
+  static DocsSystemOptions CampaignOptions(bool async = false) {
     DocsSystemOptions options;
     options.golden_count = 4;
     options.lease_duration = 0;
     options.reinfer_every = 10;
+    options.async_inference = async;
     return options;
   }
 
-  /// A facade with the item campaign ingested.
-  static std::unique_ptr<ConcurrentDocsSystem> LoadedSystem() {
+  /// A facade with the item campaign ingested (async inference on request).
+  static std::unique_ptr<ConcurrentDocsSystem> LoadedSystem(
+      bool async = false) {
     auto system = std::make_unique<ConcurrentDocsSystem>(
-        &kb_->knowledge_base, CampaignOptions());
+        &kb_->knowledge_base, CampaignOptions(async));
     std::vector<TaskInput> inputs;
     for (const auto& task : dataset_->tasks) {
       inputs.push_back({task.text, task.num_choices()});
@@ -197,6 +199,28 @@ TEST_F(DurabilityTest, WalWithoutCheckpointOrTasksIsDataLoss) {
   EXPECT_EQ(durable.Recover().code(), StatusCode::kDataLoss);
 }
 
+TEST_F(DurabilityTest, RequestBeforeIngestFailsAndLogsNothing) {
+  const std::string dir = FreshDir("dur_pre_ingest");
+  {
+    auto empty = EmptySystem();
+    DurableDocsSystem durable(empty.get(), {dir});
+    ASSERT_TRUE(durable.Recover().ok());  // empty dir, empty system
+    // Regression: the registration used to be logged before the facade
+    // crashed on the missing engine; had it not crashed, the logged record
+    // would have made the next Recover() a DataLoss.
+    std::vector<size_t> tasks;
+    EXPECT_EQ(durable.RequestTasks("w0", 2, &tasks).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_TRUE(tasks.empty());
+    EXPECT_EQ(durable.stats().wal_appends, 0u);
+    EXPECT_EQ(durable.stats().wal_records, 0u);
+    EXPECT_TRUE(empty->WorkerIds().empty());
+  }
+  auto again = EmptySystem();
+  DurableDocsSystem recovered(again.get(), {dir});
+  EXPECT_TRUE(recovered.Recover().ok());
+}
+
 TEST_F(DurabilityTest, ReplayReconstructsBitIdenticalState) {
   const std::string dir = FreshDir("dur_replay");
   std::vector<Acked> acked;
@@ -247,6 +271,69 @@ TEST_F(DurabilityTest, ReplayReconstructsBitIdenticalState) {
   }
   EXPECT_TRUE(BitwiseEqual(Posterior(*replayed), Posterior(*reference)));
   EXPECT_EQ(replayed->InferredChoices(), reference->InferredChoices());
+}
+
+TEST_F(DurabilityTest, AsyncReplayServesReplayedWorkersAndMatchesSync) {
+  const std::string dir = FreshDir("dur_async_replay");
+  std::vector<Acked> acked;
+  uint64_t rid = 0;
+  {
+    auto system = LoadedSystem(/*async=*/true);
+    DurableDocsSystem durable(system.get(), {dir});
+    ASSERT_TRUE(durable.Recover().ok());
+    for (size_t w = 0; w < 3; ++w) {
+      const std::string worker = "worker-" + std::to_string(w);
+      Register(durable, worker);
+      for (size_t i = 0; i < 6; ++i) {
+        const size_t task = w * 6 + i;
+        const size_t choice = task % 2;
+        ASSERT_TRUE(durable.SubmitAnswer(worker, task, choice, ++rid).ok());
+        acked.emplace_back(worker, task, choice);
+      }
+    }
+  }
+
+  // The sync replay of the same WAL is the reference.
+  std::vector<std::vector<double>> sync_posterior;
+  std::vector<size_t> sync_choices;
+  {
+    auto replayed = LoadedSystem();
+    DurableDocsSystem recovered(replayed.get(), {dir});
+    ASSERT_TRUE(recovered.Recover().ok());
+    EXPECT_EQ(RecoveredAnswers(*replayed), acked);
+    sync_posterior = Posterior(*replayed);
+    sync_choices = replayed->InferredChoices();
+  }
+
+  // Replay registers the workers behind the facade (WithLocked); the async
+  // facade must resolve them at once, with no publish or drain in between.
+  auto replayed = LoadedSystem(/*async=*/true);
+  DurableDocsSystem recovered(replayed.get(), {dir});
+  ASSERT_TRUE(recovered.Recover().ok());
+  for (size_t w = 0; w < 3; ++w) {
+    EXPECT_TRUE(replayed->KnowsWorker("worker-" + std::to_string(w)));
+  }
+  EXPECT_EQ(replayed->WorkerIds(),
+            (std::vector<std::string>{"worker-0", "worker-1", "worker-2"}));
+  // A replayed answer is already booked: its retry under a new request id
+  // is a duplicate, decided at ack time.
+  EXPECT_EQ(recovered.SubmitAnswer("worker-0", 0, 0, ++rid).code(),
+            StatusCode::kAlreadyExists);
+  std::vector<size_t> tasks;
+  ASSERT_TRUE(recovered.RequestTasks("worker-1", 2, &tasks).ok());
+  EXPECT_FALSE(tasks.empty());
+  EXPECT_EQ(recovered.stats().wal_appends, 1u);  // the duplicate; no `reg`
+
+  replayed->Drain();
+  EXPECT_EQ(RecoveredAnswers(*replayed), acked);
+  EXPECT_TRUE(BitwiseEqual(Posterior(*replayed), sync_posterior));
+  EXPECT_EQ(replayed->InferredChoices(), sync_choices);
+
+  // A fresh answer from a replayed worker is accepted and applied.
+  const size_t fresh = tasks.front();
+  ASSERT_TRUE(recovered.SubmitAnswer("worker-1", fresh, 0, ++rid).ok());
+  replayed->Drain();
+  EXPECT_EQ(replayed->num_answers(), acked.size() + 1);
 }
 
 // --- WAL edge cases ----------------------------------------------------------
