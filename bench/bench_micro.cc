@@ -309,21 +309,18 @@ BENCHMARK(BM_DveEndToEnd);
 // --- Serving-path RequestTasks benchmarks -----------------------------------
 // One DocsSystem serving SelectTasks(worker, 10) over an n-task QA campaign
 // with a settled answer history. Configurations:
-//   Warm      — benefit cache + index on, fused kernel: repeat requests on a
-//               quiet system pop the top-k off the per-worker benefit index.
+//   Warm      — repeat requests on a quiet system pop the top-k off the
+//               per-worker benefit index. tests/serving_alloc_test.cc pins
+//               the heap allocations of one such request.
 //   WarmSweep — Warm across n = 1k/10k/100k tasks: the DESIGN.md §16
 //               sub-linearity evidence (scripts/bench.sh gates warm ns/op at
 //               100k under 3x the 10k figure; an O(n) warm path would be
 //               ~10x).
-//   WarmScan  — cache on, index off, same n sweep: the O(n) epoch-scan warm
-//               path the index replaced, for the scaling comparison.
-//   Cold      — cache off, allocating reference kernel: the seed-era serving
-//               path, rescoring every eligible task per request.
-//   ColdFused — cache off, fused kernel: full rescoring cost without the
-//               per-task heap churn, isolating the two optimizations.
-// Each reports allocs/op from the counting operator new above; the
-// acceptance bars are Warm at >= 5x fewer allocations than Cold and the
-// WarmSweep sub-linearity gate.
+//   Cold      — Warm's shape with an untimed full inference before each
+//               timed request: its generation bump stales the worker's whole
+//               cache row and index, so every request rebuilds the index
+//               (scripts/bench.sh gates Warm faster than Cold).
+// Each reports allocs/op from the counting operator new above.
 
 const kb::SyntheticKb& ServingKb() {
   static const kb::SyntheticKb* kKb =
@@ -331,10 +328,7 @@ const kb::SyntheticKb& ServingKb() {
   return *kKb;
 }
 
-std::unique_ptr<core::DocsSystem> MakeServingSystem(bool benefit_cache,
-                                                    bool reference_kernel,
-                                                    size_t num_tasks,
-                                                    bool benefit_index) {
+std::unique_ptr<core::DocsSystem> MakeServingSystem(size_t num_tasks) {
   const kb::SyntheticKb& kb = ServingKb();
   const auto dataset = datasets::MakeQaDataset(kb, num_tasks);
   std::vector<core::TaskInput> inputs;
@@ -347,9 +341,6 @@ std::unique_ptr<core::DocsSystem> MakeServingSystem(bool benefit_cache,
   options.reinfer_every = 0;   // no periodic re-inference mid-benchmark
   options.lease_duration = 0;  // no lease bookkeeping in the request loop
   options.num_threads = 1;
-  options.benefit_cache = benefit_cache;
-  options.benefit_index = benefit_index;
-  options.reference_kernel = reference_kernel;
   auto system =
       std::make_unique<core::DocsSystem>(&kb.knowledge_base, options);
   Status status = system->AddTasks(inputs);
@@ -365,39 +356,40 @@ std::unique_ptr<core::DocsSystem> MakeServingSystem(bool benefit_cache,
   return system;
 }
 
-void ServeRequestTasksLoop(benchmark::State& state, bool benefit_cache,
-                           bool reference_kernel, size_t num_tasks = 512,
-                           bool benefit_index = true) {
-  auto system = MakeServingSystem(benefit_cache, reference_kernel, num_tasks,
-                                  benefit_index);
+void ServeRequestTasksLoop(benchmark::State& state, size_t num_tasks,
+                           bool cold) {
+  auto system = MakeServingSystem(num_tasks);
   const size_t worker = system->WorkerIndex("bench_w0");
   // One untimed request warms the cache row, the index heap, and the
   // scratch arenas.
   benchmark::DoNotOptimize(system->SelectTasks(worker, 10));
-  const uint64_t allocs_before = HeapAllocations();
+  uint64_t allocs = 0;
   uint64_t iters = 0;
   for (auto _ : state) {
+    if (cold) {
+      state.PauseTiming();
+      system->RunFullInference();
+      state.ResumeTiming();
+    }
+    const uint64_t allocs_before = HeapAllocations();
     benchmark::DoNotOptimize(system->SelectTasks(worker, 10));
+    allocs += HeapAllocations() - allocs_before;
     ++iters;
   }
   if (iters > 0) {
     state.counters["allocs/op"] =
-        static_cast<double>(HeapAllocations() - allocs_before) /
-        static_cast<double>(iters);
+        static_cast<double>(allocs) / static_cast<double>(iters);
   }
 }
 
 void BM_ServeRequestTasksWarm(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/true,
-                        /*reference_kernel=*/false);
+  ServeRequestTasksLoop(state, /*num_tasks=*/512, /*cold=*/false);
 }
 BENCHMARK(BM_ServeRequestTasksWarm);
 
 void BM_ServeRequestTasksWarmSweep(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/true,
-                        /*reference_kernel=*/false,
-                        /*num_tasks=*/static_cast<size_t>(state.range(0)),
-                        /*benefit_index=*/true);
+  ServeRequestTasksLoop(state, static_cast<size_t>(state.range(0)),
+                        /*cold=*/false);
 }
 BENCHMARK(BM_ServeRequestTasksWarmSweep)
     ->Arg(1000)
@@ -405,41 +397,20 @@ BENCHMARK(BM_ServeRequestTasksWarmSweep)
     ->Arg(100000)
     ->ArgName("n");
 
-void BM_ServeRequestTasksWarmScan(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/true,
-                        /*reference_kernel=*/false,
-                        /*num_tasks=*/static_cast<size_t>(state.range(0)),
-                        /*benefit_index=*/false);
-}
-BENCHMARK(BM_ServeRequestTasksWarmScan)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->ArgName("n");
-
 void BM_ServeRequestTasksCold(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/false,
-                        /*reference_kernel=*/true);
+  ServeRequestTasksLoop(state, /*num_tasks=*/512, /*cold=*/true);
 }
 BENCHMARK(BM_ServeRequestTasksCold);
-
-void BM_ServeRequestTasksColdFused(benchmark::State& state) {
-  ServeRequestTasksLoop(state, /*benefit_cache=*/false,
-                        /*reference_kernel=*/false);
-}
-BENCHMARK(BM_ServeRequestTasksColdFused);
 
 // One worker's full cold OTA pass in the campaign shape the serving
 // benchmark loads: QA-4000 (m = 26, l = 2 and 3), a settled multi-worker
 // state (8 workers' answers plus one full EM), and every task rescored
-// from live state without the cache — the work of a request whose worker
-// epoch or generation moved. Reports CPU ns per scored task and the task
-// mix.
+// from live state — the work of a request whose worker epoch or generation
+// moved. An untimed full inference before each pass bumps the generation,
+// so every cache entry is stale. Reports CPU ns per scored task and the
+// task mix.
 void BM_OtaColdPassCampaignShape(benchmark::State& state) {
-  auto system = MakeServingSystem(/*benefit_cache=*/true,
-                                  /*reference_kernel=*/false,
-                                  /*num_tasks=*/4000, /*benefit_index=*/true);
-  system->RunFullInference();
+  auto system = MakeServingSystem(/*num_tasks=*/4000);
   const size_t worker = system->WorkerIndex("bench_w0");
   const size_t n = system->tasks().size();
   size_t two_choice = 0;
@@ -447,8 +418,10 @@ void BM_OtaColdPassCampaignShape(benchmark::State& state) {
     if (task.num_choices == 2) ++two_choice;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        system->ScoreAllTasks(worker, /*bypass_cache=*/true));
+    state.PauseTiming();
+    system->RunFullInference();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(system->ScoreAllTasks(worker));
   }
   // Inverted per-score rate: CPU seconds per scored task.
   state.counters["per_score"] = benchmark::Counter(
@@ -460,15 +433,13 @@ void BM_OtaColdPassCampaignShape(benchmark::State& state) {
 BENCHMARK(BM_OtaColdPassCampaignShape)->Unit(benchmark::kMillisecond);
 
 // One cold RequestTasks of the serving path as a session meets it: the
-// QA-4000 campaign shape above with the cache and index on, and a full
-// inference (untimed) right before each request, so its generation bump
+// QA-4000 campaign shape above, and a full inference (untimed) right
+// before each request, so its generation bump
 // stales the worker's whole row and index. The request rebuilds the index
 // and ranks k = 20 (the HIT size). Reports the rows the pass rescored per
 // request.
 void BM_ServeRequestTasksColdIndexed(benchmark::State& state) {
-  auto system = MakeServingSystem(/*benefit_cache=*/true,
-                                  /*reference_kernel=*/false,
-                                  /*num_tasks=*/4000, /*benefit_index=*/true);
+  auto system = MakeServingSystem(/*num_tasks=*/4000);
   const size_t worker = system->WorkerIndex("bench_w0");
   const uint64_t misses_before = system->benefit_cache_misses();
   for (auto _ : state) {

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Serving-path benchmark harness (DESIGN.md §11): measures the epoch-tagged
-# benefit cache + fused kernel against the seed-era cold path and emits one
-# merged JSON artifact.
+# Serving-path benchmark harness (DESIGN.md §11): measures the warm request
+# served off the benefit index against the same request made cold by a full
+# inference, and emits one merged JSON artifact.
 #
 #   scripts/bench.sh [--quick] [--out=PATH] [--build-dir=DIR]
 #
 # Runs, from a Release build:
 #   1. bench_micro --benchmark_filter=BM_ServeRequestTasks — ns/op and
-#      allocations/op for the warm cached path, the seed-era cold path
-#      (cache off + allocating reference kernel) and the fused cold path;
+#      allocations/op for the warm request and the cold one (the same shape
+#      after an untimed full inference staled the worker's cache row and
+#      index);
 #   2. bench_server --mode=warm and --mode=mixed — end-to-end wire latency
 #      percentiles (p50/p95/p99) over real TCP;
 #   3. the §13 scaling sweeps: bench_server --mode=mixed over
@@ -20,11 +21,12 @@
 #      periodic full EM churns;
 # then merges 1+2 into BENCH_5.json, 3 into BENCH_7.json, 4 into
 # BENCH_9.json, and the §16 benefit-index scaling sweep (bench_micro
-# BM_ServeRequestTasksWarmSweep/WarmScan over n = 1k/10k/100k tasks, part
-# of run 1) into BENCH_10.json (all at the repo root by default) and gates
-# on the acceptance ratios: the warm path must do at least 5x fewer heap
-# allocations per call than the seed-era cold path and win on wall time
-# (§11); on multi-core hardware mixed throughput must increase
+# BM_ServeRequestTasksWarmSweep over n = 1k/10k/100k tasks, part of run 1)
+# into BENCH_10.json (all at the repo root by default) and gates on the
+# acceptance ratios: the warm request must beat the cold one on wall time
+# (§11; the warm request's heap allocations are pinned exactly by the
+# serving_alloc_test ctest); on multi-core hardware mixed throughput must
+# increase
 # monotonically from 1 reactor to N (§13) and async RequestTasks p99 must
 # stay within 110% of sync's (§15); the index-served warm path must be
 # sub-linear in the task count — ns/op at 100k tasks under 3x the 10k
@@ -135,13 +137,11 @@ def server(path):
     with open(path) as f:
         return json.load(f)
 
-alloc_ratio = cold["allocs_per_op"] / max(warm["allocs_per_op"], 1.0)
 speedup = cold["ns_per_op"] / warm["ns_per_op"]
 artifact = {
     "generated_by": "scripts/bench.sh" + (" --quick" if quick == "1" else ""),
     "micro": benches,
     "derived": {
-        "cold_over_warm_alloc_ratio": alloc_ratio,
         "cold_over_warm_speedup": speedup,
     },
     "server_warm": server(warm_path),
@@ -153,23 +153,20 @@ with open(out_path, "w") as f:
 
 print(f"[bench] warm: {warm['ns_per_op']:.0f} ns/op, "
       f"{warm['allocs_per_op']:.1f} allocs/op")
-print(f"[bench] cold (seed-era): {cold['ns_per_op']:.0f} ns/op, "
+print(f"[bench] cold: {cold['ns_per_op']:.0f} ns/op, "
       f"{cold['allocs_per_op']:.1f} allocs/op")
-print(f"[bench] alloc ratio {alloc_ratio:.1f}x, speedup {speedup:.1f}x "
-      f"-> {out_path}")
+print(f"[bench] speedup {speedup:.1f}x -> {out_path}")
 
-# Acceptance gate (ISSUE 5): >= 5x fewer allocations per warm call and a
-# wall-time win over the seed-era cold path.
-if alloc_ratio < 5.0:
-    sys.exit(f"FAIL: warm path allocates too much ({alloc_ratio:.1f}x < 5x)")
+# Acceptance gate: the warm request wins on wall time over the same request
+# made cold. (Its allocations are pinned by tests/serving_alloc_test.cc.)
 if speedup <= 1.0:
     sys.exit(f"FAIL: warm path is not faster than cold ({speedup:.2f}x)")
 PY
 
 # --- §16 benefit-index scaling sweep -> BENCH_10.json ------------------------
-# Reuses the bench_micro run above: the WarmSweep (index on) and WarmScan
-# (index off) families cover n = 1k/10k/100k tasks. Both are single-threaded
-# runs of the same binary, so the sub-linearity gate applies on any host.
+# Reuses the bench_micro run above: the WarmSweep family covers n = 1k/10k/100k
+# tasks. The runs are single-threaded runs of one binary, so the
+# sub-linearity gate applies on any host.
 python3 - "$TMP/micro.json" "$OUT10" "$QUICK" <<'PY'
 import json
 import sys
@@ -194,21 +191,15 @@ benches = {
 }
 SIZES = (1000, 10000, 100000)
 sweep = {n: benches[f"BM_ServeRequestTasksWarmSweep/n:{n}"] for n in SIZES}
-scan = {n: benches[f"BM_ServeRequestTasksWarmScan/n:{n}"] for n in SIZES}
 
 # The sub-linearity evidence: a 10x task-count step moves the index-served
-# warm path by the growth ratio below (log-ish), while the scan moves ~10x.
+# warm path by the growth ratio below (log-ish); an O(n) path moves ~10x.
 growth_index = sweep[100000]["ns_per_op"] / sweep[10000]["ns_per_op"]
-growth_scan = scan[100000]["ns_per_op"] / scan[10000]["ns_per_op"]
-speedup_100k = scan[100000]["ns_per_op"] / sweep[100000]["ns_per_op"]
 artifact = {
     "generated_by": "scripts/bench.sh" + (" --quick" if quick == "1" else ""),
     "warm_sweep_index": {str(n): sweep[n] for n in SIZES},
-    "warm_sweep_scan": {str(n): scan[n] for n in SIZES},
     "derived": {
         "index_ns_growth_10k_to_100k": growth_index,
-        "scan_ns_growth_10k_to_100k": growth_scan,
-        "index_over_scan_speedup_at_100k": speedup_100k,
     },
     # Single-threaded ns/op comparisons of one binary against itself: no
     # single-core caveat applies (BENCH_7/9 precedent does not transfer).
@@ -219,11 +210,8 @@ with open(out_path, "w") as f:
     f.write("\n")
 
 for n in SIZES:
-    print(f"[bench] warm n={n}: index {sweep[n]['ns_per_op']:.0f} ns/op, "
-          f"scan {scan[n]['ns_per_op']:.0f} ns/op")
-print(f"[bench] 10k->100k growth: index {growth_index:.2f}x, "
-      f"scan {growth_scan:.2f}x; index speedup at 100k "
-      f"{speedup_100k:.0f}x -> {out_path}")
+    print(f"[bench] warm n={n}: {sweep[n]['ns_per_op']:.0f} ns/op")
+print(f"[bench] 10k->100k growth: {growth_index:.2f}x -> {out_path}")
 
 # Acceptance gate (ISSUE 10): the index-served warm path must be sub-linear
 # in n — a 10x task-count step may cost at most 3x the time (a linear warm

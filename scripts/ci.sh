@@ -15,8 +15,9 @@
 #                  server + clients under ASan), then TSan scoped to the
 #                  tests that exercise cross-thread execution.
 #   7. bench     — scripts/bench.sh --quick from the release build: short
-#                  micro + wire runs that gate on the warm serving path
-#                  keeping its allocation/wall-time win (DESIGN.md §11),
+#                  micro + wire runs that gate on the warm serving request
+#                  beating the same request made cold (DESIGN.md §11; its
+#                  allocations are pinned by serving_alloc_test),
 #                  plus the §13 reactor/connection scaling sweeps (the
 #                  monotonic-throughput gate applies on multi-core hosts).
 set -euo pipefail
@@ -86,9 +87,10 @@ ctest --test-dir "$ROOT/build-perfbench" --output-on-failure --no-tests=error
 # determinism/docs_system/persistence/inference_service run the EM loop with
 # its contracts live through the serving loop, checkpoint replay and the
 # async service; concurrency_test runs the submission-book writes and the
-# striped serve loop with them live under the sync hammer.
+# striped serve loop with them live under the sync hammer; serving_alloc_test
+# pins the warm request's heap allocations with the contracts compiled in.
 run_config strict \
-  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|determinism_test|docs_system_test|persistence_test|inference_service_test|concurrency_test" \
+  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|determinism_test|docs_system_test|persistence_test|inference_service_test|concurrency_test|serving_alloc_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON
 run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=ON
 # Gateway smoke: start the TCP server on an ephemeral port, run real client
@@ -109,15 +111,17 @@ echo "=== [sanitize] chaos smoke (crash_recovery under ASan) ==="
 # server thread against client threads; durability_test races checkpoints
 # against submitters and restarts gateways under live clients;
 # inference_service_test races serving calls and producer threads against
-# the background inference thread and its snapshot publication).
+# the background inference thread and its snapshot publication;
+# serving_alloc_test checks its operator new replacement coexists with the
+# TSan runtime).
 run_config tsan \
-  "sync_test|parallel_test|determinism_test|benefit_cache_test|benefit_index_test|inference_service_test|concurrency_test|gateway_test|durability_test|resilient_client_test" \
+  "sync_test|parallel_test|determinism_test|benefit_cache_test|benefit_index_test|inference_service_test|concurrency_test|gateway_test|durability_test|resilient_client_test|serving_alloc_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=thread
 
 echo "=== [bench] serving-path perf smoke (scripts/bench.sh --quick) ==="
 # Short micro + wire runs from the release build; fails the build when the
-# warm serving path loses its allocation/wall-time edge over the seed-era
-# cold path (DESIGN.md §11).
+# warm serving request loses its wall-time edge over the same request made
+# cold by a full inference (DESIGN.md §11).
 "$ROOT/scripts/bench.sh" --quick --build-dir="$ROOT/build-release"
 
 echo "=== CI OK ==="

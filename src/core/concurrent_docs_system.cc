@@ -111,12 +111,29 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
   // (striped scorers try-lock it). The eligibility re-check happens inside
   // SelectTasks, so losing a race since the probe above costs a detour,
   // never correctness.
+  for (;;) {
+    if (std::optional<std::vector<size_t>> granted =
+            ServeExclusive(worker_id, k)) {
+      return *std::move(granted);
+    }
+    // Her last golden answers are acked but not applied (async only): the
+    // seed that closes her probe is in the queue. Drain with no lock held,
+    // then serve her on converged state. A drain applies every booked
+    // answer, so only a new answer of hers racing this request can send
+    // the loop round again.
+    Drain();
+  }
+}
+
+std::optional<std::vector<size_t>> ConcurrentDocsSystem::ServeExclusive(
+    const std::string& worker_id, size_t k) {
   WriterLock lock(&state_mutex_);
   // Before ingest there is nothing to grant and no engine to register with.
-  if (system_.tasks().empty()) return {};
+  if (system_.tasks().empty()) return std::vector<size_t>{};
   const size_t index = RegisterWorkerLocked(worker_id);
   MutexLock shard_lock(&shards_[index % kNumShards].mutex);
   MutexLock assign(&assign_mutex_);
+  if (system_.GoldenAwaitsApply(index)) return std::nullopt;
   MutexLock pool(&pool_mutex_);
   return system_.SelectTasks(index, k);
 }

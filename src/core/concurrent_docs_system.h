@@ -227,6 +227,14 @@ class ConcurrentDocsSystem {
                                    const InferenceSnapshot* snap)
       DOCS_EXCLUDES(assign_mutex_, pool_mutex_);
 
+  /// The one slow path of both modes, under state (exclusive) → shard →
+  /// assign → pool: registers the worker and runs SelectTasks. nullopt,
+  /// with nothing granted, while DocsSystem::GoldenAwaitsApply holds for
+  /// her; the caller drains and retries.
+  std::optional<std::vector<size_t>> ServeExclusive(
+      const std::string& worker_id, size_t k)
+      DOCS_EXCLUDES(state_mutex_, assign_mutex_, pool_mutex_);
+
   /// Registers `worker_id` (or resolves it) under the assign lock, which
   /// guards the worker table and the books registration appends to.
   size_t RegisterWorkerLocked(const std::string& worker_id)

@@ -37,7 +37,6 @@ ThreadPool* DocsSystem::ScoringPool() {
 }
 
 std::vector<CachedBenefit>* DocsSystem::CacheRow(size_t worker) {
-  if (!options_.benefit_cache) return nullptr;
   if (benefit_cache_.size() <= worker) benefit_cache_.resize(worker + 1);
   std::vector<CachedBenefit>* row = &benefit_cache_[worker];
   // Zero-initialized entries carry epoch 0, which live epochs (starting at
@@ -47,7 +46,6 @@ std::vector<CachedBenefit>* DocsSystem::CacheRow(size_t worker) {
 }
 
 BenefitIndex* DocsSystem::IndexRow(size_t worker) {
-  if (!options_.benefit_index || !options_.benefit_cache) return nullptr;
   if (benefit_index_.size() <= worker) benefit_index_.resize(worker + 1);
   return &benefit_index_[worker];
 }
@@ -57,9 +55,9 @@ DocsSystem::ScoringPass DocsSystem::LivePass(
     ShardScratch* scratch) const {
   ScoringPass pass;
   pass.cache = cache;
-  pass.worker_epoch = cache != nullptr ? inference_->worker_epoch(worker) : 0;
+  pass.worker_epoch = inference_->worker_epoch(worker);
   pass.task_epochs = inference_->task_epochs().data();
-  pass.generation = cache != nullptr ? inference_->generation() : 0;
+  pass.generation = inference_->generation();
   StageWorker(inference_->worker_quality(worker).quality, &pass, scratch);
   return pass;
 }
@@ -73,7 +71,7 @@ DocsSystem::ScoringPass DocsSystem::SnapshotPass(
   // snapshot's posteriors would yield.
   ScoringPass pass;
   pass.snap = &snap;
-  pass.cache = options_.benefit_cache ? view.cache_row : nullptr;
+  pass.cache = view.cache_row;
   pass.worker_epoch = view.epoch;
   pass.task_epochs = snap.task_epochs.data();
   pass.generation = snap.generation;
@@ -96,7 +94,6 @@ void DocsSystem::StageWorker(const std::vector<double>& worker_quality,
     scratch->quality.assign(worker_quality.size(), mean);
     pass->quality = &scratch->quality;
   }
-  if (options_.reference_kernel) return;
   // Per request: clamp and wrong-answer factors once per (choice count,
   // domain) instead of once per task.
   pass->factors = &scratch->factors;
@@ -127,10 +124,6 @@ double DocsSystem::Score(const ScoringPass& pass, size_t task) const {
   const Matrix& truth_matrix = pass.snap != nullptr
                                    ? pass.snap->tasks[task]->truth_matrix
                                    : inference_->truth_matrix(task);
-  if (pass.factors == nullptr) {
-    return Benefit(tasks_[task], truth_matrix, truth, *pass.quality,
-                   options_.assigner.quality_clamp);
-  }
   return TaskBenefit(support_, task, tasks_[task], *pass.factors, truth_matrix,
                      truth);
 }
@@ -159,7 +152,6 @@ bool EntryFresh(const CachedBenefit& entry, uint64_t task_epoch,
 }  // namespace
 
 double DocsSystem::ScoreCached(ScoringPass* pass, size_t task) const {
-  DOCS_DCHECK(pass->cache != nullptr);  // index repairs imply the cache
   CachedBenefit& entry = (*pass->cache)[task];
   const uint64_t task_epoch = pass->task_epochs[task];
   if (EntryFresh(entry, task_epoch, pass->worker_epoch, pass->generation)) {
@@ -195,12 +187,6 @@ template <typename EntryT>
 void DocsSystem::ScoreEntries(ScoringPass* pass, std::vector<EntryT>* entries,
                               ThreadPool* pool) const {
   std::vector<EntryT>& scored = *entries;
-  if (pass->cache == nullptr) {
-    ParallelFor(pool, scored.size(), [&](size_t s) {
-      scored[s].value = Score(*pass, scored[s].task);
-    });
-    return;
-  }
   const std::vector<size_t> misses = ProbeCache(pass, entries);
   std::vector<CachedBenefit>& cache = *pass->cache;
   const ScoringPass& key = *pass;
@@ -218,7 +204,7 @@ void DocsSystem::SeedEntries(ScoringPass* pass, size_t k,
                              std::vector<BenefitIndex::Entry>* entries,
                              ThreadPool* pool) const {
   if (pass->factors == nullptr) {
-    // No bounds for this rule (or the reference kernel): exact entries.
+    // No bounds for this rule: exact entries.
     ScoreEntries(pass, entries, pool);
     return;
   }
@@ -362,9 +348,9 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
     // rebuild. A snapshot pass reads the list as of its publish (the books
     // run ahead of it by the queue depth; the eligibility predicate skips
     // the difference).
-    const std::vector<size_t>* exclude =
-        snap == nullptr ? &inference_->answered_tasks(worker)
-                        : &snap->workers[worker]->answered;
+    const std::vector<size_t>& exclude =
+        snap == nullptr ? inference_->answered_tasks(worker)
+                        : snap->workers[worker]->answered;
     const uint64_t cursor =
         snap == nullptr ? inference_->mutation_log_end() : snap->epoch;
     index->Rebuild(n, source, pass->worker_epoch, pass->generation, cursor,
@@ -400,23 +386,18 @@ std::vector<size_t> DocsSystem::RankWithIndex(
     ThreadPool* pool) {
   bool had_candidates = false;
   std::vector<size_t> selected;
-  bool served = false;
-  if (index != nullptr) {
-    auto ranked = TryRankViaIndex(worker, index, k, pass, eligible_one, pool);
-    if (ranked.has_value()) {
-      selected = std::move(*ranked);
-      had_candidates = index->size() > 0;
-      served = true;
-    }
-  }
-  if (!served) {
+  if (auto ranked =
+          TryRankViaIndex(worker, index, k, pass, eligible_one, pool)) {
+    selected = std::move(*ranked);
+    had_candidates = index->size() > 0;
+  } else {
     selected = RankCore(eligible_bitmap(), k, pass, pool, &had_candidates);
   }
   PublishTally(*pass);
   // Request-level accounting: the whole pass — repair phase and scan
   // fallback alike — is one lookup from the serving path's point of view:
   // fully cache-served or not.
-  if (pass->cache != nullptr && had_candidates) {
+  if (had_candidates) {
     if (pass->misses > 0) {
       benefit_cache_request_misses_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -566,7 +547,11 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
       GrantLeases(worker, pending);
       return pending;
     }
-    profile.golden_done = true;  // All golden answered between calls.
+    // Every golden task is answered and the engine has absorbed each answer
+    // (the async facade drains first while GoldenAwaitsApply holds), yet no
+    // seed closed the phase: some golden task has no known truth, which only
+    // a checkpoint can carry (known_truth < 0), so no seed can ever arrive.
+    profile.golden_done = true;
   }
 
   // OTA over T - T(w), honoring the per-task redundancy cap if one is set.
@@ -612,6 +597,16 @@ void DocsSystem::BuildEligibilityBitmap(size_t worker,
   }
 }
 
+bool DocsSystem::GoldenAwaitsApply(size_t worker) const {
+  if (worker >= workers_.size() || workers_[worker].golden_done) return false;
+  bool unapplied = false;
+  for (size_t idx : golden_.tasks) {
+    if (!HasAnswered(worker, idx)) return false;
+    unapplied = unapplied || !inference_->HasAnswered(worker, idx);
+  }
+  return unapplied;
+}
+
 bool DocsSystem::CanServeSharded(size_t worker) const {
   if (inference_ == nullptr || worker >= workers_.size()) return false;
   // The golden probe mutates worker profiles and (on completion) seeds the
@@ -619,15 +614,12 @@ bool DocsSystem::CanServeSharded(size_t worker) const {
   if (!workers_[worker].golden_done) return false;
   // Row sizing mutates shared structure (deque growth, row allocation);
   // only the exclusive path may do it — sharded serving needs the row ready.
-  if (options_.benefit_cache) {
-    if (benefit_cache_.size() <= worker) return false;
-    if (benefit_cache_[worker].size() != tasks_.size()) return false;
-    // The index row, like the cache row, is allocated (deque growth) only on
-    // the exclusive path; the sharded path may mutate its contents under the
-    // worker's stripe but never the container.
-    if (options_.benefit_index && benefit_index_.size() <= worker) return false;
-  }
-  return true;
+  // The index row, like the cache row, is allocated (deque growth) only on
+  // the exclusive path; the sharded path may mutate its contents under the
+  // worker's stripe but never the container.
+  return benefit_cache_.size() > worker &&
+         benefit_cache_[worker].size() == tasks_.size() &&
+         benefit_index_.size() > worker;
 }
 
 void DocsSystem::BeginShardedSelect(size_t worker,
@@ -649,16 +641,12 @@ std::vector<size_t> DocsSystem::ScoreAndRank(size_t worker,
   ScoringPass pass;
   BenefitIndex* index = nullptr;
   if (snap == nullptr) {
-    std::vector<CachedBenefit>* cache =
-        options_.benefit_cache ? &benefit_cache_[worker] : nullptr;
-    if (cache != nullptr && options_.benefit_index) {
-      index = &benefit_index_[worker];
-    }
-    pass = LivePass(worker, cache, &scratch);
+    pass = LivePass(worker, &benefit_cache_[worker], &scratch);
+    index = &benefit_index_[worker];
   } else {
     const WorkerSnapshot& view = *snap->workers[worker];
     pass = SnapshotPass(*snap, view, &scratch);
-    if (pass.cache != nullptr) index = view.index;
+    index = view.index;
   }
   // Eligibility was frozen into the scratch bitmap under the assign lock
   // (BeginShardedSelect); both the index walk and the scan fallback read that
@@ -702,12 +690,10 @@ bool DocsSystem::CommitShardedSelect(size_t worker,
   return true;
 }
 
-std::vector<double> DocsSystem::ScoreAllTasks(size_t worker,
-                                              bool bypass_cache) {
+std::vector<double> DocsSystem::ScoreAllTasks(size_t worker) {
   std::vector<double> scores(tasks_.size(), 0.0);
   if (worker >= workers_.size() || inference_ == nullptr) return scores;
-  ScoringPass pass = LivePass(
-      worker, bypass_cache ? nullptr : CacheRow(worker), &serve_scratch_);
+  ScoringPass pass = LivePass(worker, CacheRow(worker), &serve_scratch_);
   std::vector<ScoredTask> entries(tasks_.size());
   for (size_t i = 0; i < entries.size(); ++i) entries[i].task = i;
   ScoreEntries(&pass, &entries, ScoringPool());

@@ -96,32 +96,6 @@ struct DocsSystemOptions {
   /// 0 = hardware concurrency, 1 = the historical sequential behavior.
   /// Results are bit-identical for every value; see DESIGN.md §8.
   size_t num_threads = 0;
-  /// Epoch-tagged benefit cache (DESIGN.md §11): SelectTasks memoizes each
-  /// (worker, task) score and rescores only pairs whose task or worker
-  /// inference state moved since. Selections are bit-identical with the
-  /// cache on or off (tests/benefit_cache_test.cc proves it); the knob
-  /// exists for that equivalence suite and for benchmarking the cold path.
-  bool benefit_cache = true;
-  /// Per-worker ordered benefit index over the cache rows (DESIGN.md §16): a
-  /// warm RequestTasks reads the top-k eligible tasks off a lazily repaired
-  /// max-heap — O(k log n) — instead of scanning all n cached scores. Under
-  /// kBenefit and kQualityBlind a rebuild seeds every stale row as an upper
-  /// bound of its benefit and scores only the eligible rows that can reach
-  /// the top k (in one batch from the seed's floor, or one by one as the
-  /// walk reaches them), so a cold request scores a few hundred rows, not
-  /// all n. A resolution in the walk is not a visit: only emitted and
-  /// skipped (ineligible) entries count against the walk's scan-fallback
-  /// budget. Requires benefit_cache (silently inert without it). Selections
-  /// are bit-identical with the index on or off
-  /// (tests/benefit_index_test.cc); the knob exists for that suite and for
-  /// benchmarking the scan path.
-  bool benefit_index = true;
-  /// Routes benefit scoring through the allocating reference kernel instead
-  /// of the fused scratch-arena kernel. The two are bit-identical; the
-  /// reference is retained as the spec oracle and as the seed-era baseline
-  /// for the allocation benchmarks. Only meaningful for kBenefit /
-  /// kQualityBlind rules.
-  bool reference_kernel = false;
   /// Decouple inference from serving (DESIGN.md §15): SubmitAnswer validates
   /// and books the answer at ack time, then enqueues it onto a background
   /// inference service, and RequestTasks scores against the last published
@@ -232,6 +206,24 @@ class DocsSystem : public AssignmentPolicy {
   /// ValidateAnswer). Touches no book.
   [[nodiscard]] Status ApplyAnswer(size_t worker, size_t task, size_t choice);
 
+  /// Whether `task`'s booked answers plus outstanding leases reach the
+  /// redundancy cap (never with max_answers_per_task == 0). Reads the books:
+  /// assign lock.
+  bool AtAnswerCap(size_t task) const;
+
+  /// True while `worker` is in the golden probe: SelectTasks grants her
+  /// golden tasks before any OTA ranking. Reads her profile: state lock.
+  bool InGoldenPhase(size_t worker) const {
+    return !workers_[worker].golden_done;
+  }
+
+  /// True while `worker`'s golden phase is open, the books hold an answer
+  /// for every golden task, and the engine has not absorbed them all: async
+  /// mode between ack and apply. The seed that closes the phase is pending,
+  /// so the facade drains before serving her. Reads the books and the
+  /// engine: exclusive state lock and assign lock.
+  bool GoldenAwaitsApply(size_t worker) const;
+
   /// Releases every lease whose deadline is at or before `now` and returns
   /// the reclaimed grants; the freed tasks are immediately assignable again.
   std::vector<ExpiredLease> ExpireLeases(uint64_t now);
@@ -244,7 +236,7 @@ class DocsSystem : public AssignmentPolicy {
   /// (worker, task) scores answered from a still-valid cache entry vs.
   /// recomputed. One serving request touches O(n) rows, so these are the
   /// wrong unit for a hit-*rate* — use the request-level counters below for
-  /// that. Monotonic over the system's lifetime; 0 with the cache disabled.
+  /// that. Monotonic over the system's lifetime.
   uint64_t benefit_cache_hits() const {
     return benefit_cache_hits_.load(std::memory_order_relaxed);
   }
@@ -258,7 +250,7 @@ class DocsSystem : public AssignmentPolicy {
   /// hit; a pass that recomputed at least one score is a request miss.
   /// hit / (hit + miss) is the hit-rate a dashboard should display.
   /// Golden-phase grants and the ScoreAllTasks test hook do not count.
-  /// Monotonic; 0 with the cache disabled.
+  /// Monotonic.
   uint64_t benefit_cache_request_hits() const {
     return benefit_cache_request_hits_.load(std::memory_order_relaxed);
   }
@@ -271,7 +263,7 @@ class DocsSystem : public AssignmentPolicy {
   /// repairs counts targeted in-place fixups driven by the engine's mutation
   /// log or a snapshot's changed-task diff; rebuilds counts full O(n)
   /// reconstructions (first contact, worker-epoch or generation staleness,
-  /// feed-cursor gaps). Monotonic; 0 with the index or cache disabled.
+  /// feed-cursor gaps). Monotonic.
   uint64_t benefit_index_pops() const {
     return benefit_index_pops_.load(std::memory_order_relaxed);
   }
@@ -288,12 +280,12 @@ class DocsSystem : public AssignmentPolicy {
     return inference_ != nullptr ? inference_->generation() - 1 : 0;
   }
 
-  /// Scores every task for `worker` under the configured selection rule and
-  /// returns the raw scores (ignoring eligibility). With `bypass_cache` the
-  /// pass recomputes from live inference state without reading or writing
-  /// the benefit cache. Test hook: the cache-equivalence suite asserts the
-  /// warm and bypass passes are bitwise equal after every mutation class.
-  std::vector<double> ScoreAllTasks(size_t worker, bool bypass_cache);
+  /// Scores every task for `worker` under the configured selection rule
+  /// through her cache row and returns the raw scores (ignoring
+  /// eligibility): fresh entries are read back, stale ones rescored from
+  /// live inference state and refreshed. Test hook: the lockstep suites
+  /// compare it with the reference scores of tests/reference_selector.h.
+  std::vector<double> ScoreAllTasks(size_t worker);
 
   /// Re-runs the full iterative inference over all stored answers, restarting
   /// from the workers' seed profiles. The result depends only on (tasks,
@@ -334,9 +326,9 @@ class DocsSystem : public AssignmentPolicy {
   };
 
   /// True when `worker` can be served without the exclusive lock: she is
-  /// registered, past the golden phase, and (with the cache enabled) her
-  /// cache row is already sized — first contact, golden probes, and row
-  /// growth all mutate shared structure and take the exclusive path.
+  /// registered, past the golden phase, and her cache and index rows
+  /// already exist — first contact, golden probes, and row growth all mutate
+  /// shared structure and take the exclusive path.
   bool CanServeSharded(size_t worker) const;
 
   /// Phase 1: advances the lease clock and snapshots the worker's
@@ -414,10 +406,9 @@ class DocsSystem : public AssignmentPolicy {
     /// outlive the pass.
     const std::vector<double>* quality = nullptr;
     /// The benefit rules' factors, hoisted from *quality when the pass
-    /// opens. nullptr routes the benefit rules through the allocating
-    /// reference kernel (options.reference_kernel).
+    /// opens; nullptr under kDomainMax and kUncertainty.
     WorkerBenefitFactors* factors = nullptr;
-    /// nullptr when the cache is disabled or bypassed.
+    /// The worker's cache row, sized to the task count.
     std::vector<CachedBenefit>* cache = nullptr;
     uint64_t worker_epoch = 0;
     const uint64_t* task_epochs = nullptr;
@@ -427,7 +418,7 @@ class DocsSystem : public AssignmentPolicy {
   };
 
   /// Opens a pass over live inference state for `worker`, staging into
-  /// `scratch` (which must outlive the pass). `cache` is her row or nullptr.
+  /// `scratch` (which must outlive the pass). `cache` is her row.
   ScoringPass LivePass(size_t worker, std::vector<CachedBenefit>* cache,
                        ShardScratch* scratch) const;
   /// Opens a pass over the published snapshot `snap` for the worker `view`.
@@ -445,12 +436,12 @@ class DocsSystem : public AssignmentPolicy {
   /// from the bound inputs of the pass's source (engine or snapshot).
   BenefitBounds Bounds(const ScoringPass& pass, size_t task) const;
   /// One cached score for an index repair or bound resolution: probes the
-  /// pass's cache row (the index requires one) under its key, rescoring and
-  /// refreshing the entry on a miss, and tallies the probe in `*pass`.
+  /// pass's cache row under its key, rescoring and refreshing the entry on a
+  /// miss, and tallies the probe in `*pass`.
   double ScoreCached(ScoringPass* pass, size_t task) const;
   /// Fills the value of every entry that has a fresh cache entry under the
   /// pass's key, tallies those hits, and returns the positions of the rest
-  /// (ascending). The pass must have a cache row.
+  /// (ascending).
   template <typename EntryT>
   std::vector<size_t> ProbeCache(ScoringPass* pass,
                                  std::vector<EntryT>* entries) const;
@@ -462,9 +453,9 @@ class DocsSystem : public AssignmentPolicy {
   void ScoreEntries(ScoringPass* pass, std::vector<EntryT>* entries,
                     ThreadPool* pool) const;
   /// The index's rebuild seed (DESIGN.md §16): probes the cache for every
-  /// entry and keeps the fresh scores as exact entries. Under every rule but
-  /// the benefit rules on the campaign kernel it scores the stale rows
-  /// exactly (ScoreEntries). Under those it seeds each stale row with its
+  /// entry and keeps the fresh scores as exact entries. Under kDomainMax and
+  /// kUncertainty, which have no bounds, it scores the stale rows exactly
+  /// (ScoreEntries). Under the benefit rules it seeds each stale row with its
   /// upper bound, takes the k-th largest of the known lower bounds (fresh
   /// scores and closed forms) as a floor of the k-th selected score, and
   /// scores in one batch over `pool` the stale rows that satisfy `eligible`
@@ -498,25 +489,23 @@ class DocsSystem : public AssignmentPolicy {
       size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
       const std::function<bool(size_t)>& eligible_one, ThreadPool* pool);
 
-  /// The one ranking front door every serving path uses: tries the index
-  /// (when non-null), falls back to the scan over `eligible_bitmap()` (built
-  /// lazily — the index fast path never pays the O(n) bitmap fill), then
-  /// publishes the pass's row tallies and the request-level cache counters
-  /// across whichever path served.
+  /// The one ranking front door every serving path uses: tries the index,
+  /// falls back to the scan over `eligible_bitmap()` (built lazily — the
+  /// index fast path never pays the O(n) bitmap fill), then publishes the
+  /// pass's row tallies and the request-level cache counters across
+  /// whichever path served.
   std::vector<size_t> RankWithIndex(
       size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
       const std::function<bool(size_t)>& eligible_one,
       const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
       ThreadPool* pool);
 
-  /// The worker's benefit-cache row sized to the task count, or nullptr when
-  /// the cache is disabled.
+  /// The worker's benefit-cache row, sized to the task count.
   std::vector<CachedBenefit>* CacheRow(size_t worker);
 
   /// The worker's benefit index, growing the container as needed (exclusive
   /// path only — sharded and snapshot paths reach the index through
-  /// pre-sized references/pointers); nullptr when the index or the cache is
-  /// disabled.
+  /// pre-sized references/pointers).
   BenefitIndex* IndexRow(size_t worker);
 
   /// ApplyAnswer without the periodic full inference (checkpoint replay
@@ -524,11 +513,8 @@ class DocsSystem : public AssignmentPolicy {
   /// golden accounting.
   [[nodiscard]] Status AbsorbAnswer(size_t worker, size_t task, size_t choice);
 
-  /// Book reads: whether `worker` has a booked answer for `task`, and
-  /// whether `task`'s booked answers plus outstanding leases reach the
-  /// redundancy cap.
+  /// Book read: whether `worker` has a booked answer for `task`.
   bool HasAnswered(size_t worker, size_t task) const;
-  bool AtAnswerCap(size_t task) const;
 
   /// Lease bookkeeping (no-ops while options_.lease_duration == 0).
   void GrantLeases(size_t worker, const std::vector<size_t>& granted);

@@ -47,7 +47,7 @@ struct WorkerSnapshot {
   /// for the same reason as cache_row: the object's address is stable (deque
   /// row) and its contents stay guarded by the worker's shard stripe.
   /// Indexing the owner's container from the lock-free snapshot path would
-  /// race container growth; the pointer cannot. nullptr when disabled.
+  /// race container growth; the pointer cannot.
   BenefitIndex* index = nullptr;
 };
 

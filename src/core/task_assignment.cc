@@ -423,7 +423,7 @@ void BenefitIndex::SiftDown(size_t slot) {
 void BenefitIndex::Rebuild(size_t num_tasks, Source source,
                            uint64_t worker_epoch, uint64_t generation,
                            uint64_t cursor,
-                           const std::vector<size_t>* exclude_sorted,
+                           const std::vector<size_t>& exclude_sorted,
                            const SeedBatch& seed) {
   // pos_ packs heap slots into uint32_t (+1 for the "absent" sentinel).
   DOCS_CHECK_LT(num_tasks, size_t{0xffffffff});
@@ -432,10 +432,8 @@ void BenefitIndex::Rebuild(size_t num_tasks, Source source,
   pos_.assign(num_tasks, 0);
   size_t e = 0;
   for (size_t task = 0; task < num_tasks; ++task) {
-    if (exclude_sorted != nullptr) {
-      while (e < exclude_sorted->size() && (*exclude_sorted)[e] < task) ++e;
-      if (e < exclude_sorted->size() && (*exclude_sorted)[e] == task) continue;
-    }
+    while (e < exclude_sorted.size() && exclude_sorted[e] < task) ++e;
+    if (e < exclude_sorted.size() && exclude_sorted[e] == task) continue;
     heap_.push_back({0.0, static_cast<uint32_t>(task), false});
   }
   seed(&heap_);
@@ -486,40 +484,22 @@ std::vector<size_t> TaskAssigner::SelectTopK(
     const std::vector<std::vector<double>>& truths,
     const std::vector<double>& worker_quality,
     const std::vector<uint8_t>& eligible, size_t k) const {
-  return SelectTopK(tasks, matrices, truths, worker_quality, eligible, k,
-                    nullptr, 0, nullptr);
-}
-
-std::vector<size_t> TaskAssigner::SelectTopK(
-    const std::vector<Task>& tasks, const std::vector<Matrix>& matrices,
-    const std::vector<std::vector<double>>& truths,
-    const std::vector<double>& worker_quality,
-    const std::vector<uint8_t>& eligible, size_t k,
-    const std::vector<uint64_t>* task_epochs, uint64_t worker_epoch,
-    std::vector<CachedBenefit>* cache, uint64_t generation) const {
   // All four parallel arrays must describe the same task list; a mismatch
   // would read a stale eligibility bit (or out of bounds) for some task.
   DOCS_CHECK_EQ(eligible.size(), tasks.size());
   DOCS_CHECK_EQ(matrices.size(), tasks.size());
   DOCS_CHECK_EQ(truths.size(), tasks.size());
   CheckUnitInterval(worker_quality, 1e-9, "OTA worker quality (Eq. 5)");
-  if (cache != nullptr) {
-    DOCS_CHECK(task_epochs != nullptr)
-        << "benefit cache requires task epochs";
-    DOCS_CHECK_EQ(task_epochs->size(), tasks.size());
-    DOCS_CHECK_EQ(cache->size(), tasks.size());
-  }
   std::vector<ScoredTask> scored;
   scored.reserve(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
     if (!eligible[i]) continue;
     scored.push_back({i, 0.0});
   }
-  // Parallel scoring: each eligible task owns one slot (and its own cache
-  // entry), so the benefit vector (and the selection below) is identical for
-  // any thread count. The scratch arena is per thread; it only carries
-  // intermediates within one Benefit call, so which thread scores a task
-  // cannot affect the result.
+  // Parallel scoring: each eligible task owns one slot, so the benefit
+  // vector (and the selection below) is identical for any thread count. The
+  // scratch arena is per thread; it only carries intermediates within one
+  // Benefit call, so which thread scores a task cannot affect the result.
   const size_t threads = EffectiveThreadCount(options_.num_threads);
   if (threads > 1 &&
       (pool_ == nullptr || pool_->num_threads() != threads)) {
@@ -528,15 +508,6 @@ std::vector<size_t> TaskAssigner::SelectTopK(
   ParallelFor(threads > 1 ? pool_.get() : nullptr, scored.size(),
               [&](size_t s) {
                 const size_t i = scored[s].task;
-                if (cache != nullptr) {
-                  CachedBenefit& entry = (*cache)[i];
-                  if (entry.task_epoch == (*task_epochs)[i] &&
-                      entry.worker_epoch == worker_epoch &&
-                      entry.generation == generation) {
-                    scored[s].value = entry.benefit;
-                    return;
-                  }
-                }
                 thread_local BenefitScratch scratch;
                 scored[s].value =
                     Benefit(tasks[i], matrices[i], truths[i], worker_quality,
@@ -544,96 +515,8 @@ std::vector<size_t> TaskAssigner::SelectTopK(
                 // A NaN benefit would poison the nth_element comparator
                 // (strict weak ordering) below.
                 DOCS_DCHECK_FINITE(scored[s].value, "task benefit (Eq. 8)");
-                if (cache != nullptr) {
-                  (*cache)[i] = {(*task_epochs)[i], worker_epoch, generation,
-                                 scored[s].value};
-                }
               });
   return SelectTopKFromScored(&scored, k);
-}
-
-std::vector<size_t> TaskAssigner::SelectTopK(
-    const std::vector<Task>& tasks, const std::vector<Matrix>& matrices,
-    const std::vector<std::vector<double>>& truths,
-    const std::vector<double>& worker_quality,
-    const std::vector<uint8_t>& eligible, size_t k,
-    const std::vector<uint64_t>* task_epochs, uint64_t worker_epoch,
-    std::vector<CachedBenefit>* cache, uint64_t generation,
-    BenefitIndex* index) const {
-  DOCS_CHECK_EQ(eligible.size(), tasks.size());
-  DOCS_CHECK_EQ(matrices.size(), tasks.size());
-  DOCS_CHECK_EQ(truths.size(), tasks.size());
-  CheckUnitInterval(worker_quality, 1e-9, "OTA worker quality (Eq. 5)");
-  DOCS_CHECK(index != nullptr) << "index overload requires an index";
-  DOCS_CHECK(cache != nullptr) << "benefit index requires the benefit cache";
-  DOCS_CHECK(task_epochs != nullptr) << "benefit cache requires task epochs";
-  DOCS_CHECK_EQ(task_epochs->size(), tasks.size());
-  DOCS_CHECK_EQ(cache->size(), tasks.size());
-
-  // Cache-through scoring: the cache row stays the single source of score
-  // values, so entries written here are interchangeable with the scan
-  // overload's — the two paths can alternate on one cache freely.
-  auto score_fresh = [&](size_t i) {
-    CachedBenefit& entry = (*cache)[i];
-    if (entry.task_epoch == (*task_epochs)[i] &&
-        entry.worker_epoch == worker_epoch && entry.generation == generation) {
-      return entry.benefit;
-    }
-    thread_local BenefitScratch scratch;
-    const double value = Benefit(tasks[i], matrices[i], truths[i],
-                                 worker_quality, options_.quality_clamp,
-                                 &scratch);
-    DOCS_DCHECK_FINITE(value, "task benefit (Eq. 8)");
-    entry = {(*task_epochs)[i], worker_epoch, generation, value};
-    return value;
-  };
-
-  const size_t threads = EffectiveThreadCount(options_.num_threads);
-  if (threads > 1 && (pool_ == nullptr || pool_->num_threads() != threads)) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  if (!index->Fresh(BenefitIndex::Source::kStandalone, worker_epoch,
-                    generation, tasks.size())) {
-    ThreadPool* pool = threads > 1 ? pool_.get() : nullptr;
-    index->Rebuild(tasks.size(), BenefitIndex::Source::kStandalone,
-                   worker_epoch, generation, /*cursor=*/0,
-                   /*exclude_sorted=*/nullptr,
-                   [&](std::vector<BenefitIndex::Entry>* entries) {
-                     // Exact entries only. Each entry owns its cache slot and
-                     // the kernel keeps per-thread scratch: thread-count
-                     // invariant.
-                     ParallelFor(pool, entries->size(), [&](size_t s) {
-                       (*entries)[s].value = score_fresh((*entries)[s].task);
-                     });
-                   });
-  } else {
-    // Same tags, so only individual task epochs can have moved: an O(n)
-    // integer scan repairs exactly the stale entries. (The serving system
-    // avoids even this scan via the engine's mutation log; standalone
-    // callers have no change feed.)
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      const CachedBenefit& entry = (*cache)[i];
-      if (entry.task_epoch == (*task_epochs)[i] &&
-          entry.worker_epoch == worker_epoch &&
-          entry.generation == generation) {
-        continue;
-      }
-      if (!index->contains(i)) continue;
-      index->Repair(i, score_fresh(i));
-    }
-  }
-#if DOCS_DEBUG_CHECKS
-  index->CheckInvariant();
-#endif
-  std::vector<size_t> selected;
-  uint64_t pops = 0;
-  // Unbounded budget: each node is visited at most once, so the walk always
-  // completes; standalone callers have no scan fallback to hand off to.
-  const bool complete = index->TrySelect(
-      [&eligible](size_t task) { return eligible[task] != 0; }, score_fresh,
-      k, /*budget=*/tasks.size(), &selected, &pops);
-  DOCS_CHECK(complete);
-  return selected;
 }
 
 }  // namespace docs::core

@@ -161,15 +161,16 @@ double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
                                 double quality_clamp, BenefitScratch* scratch);
 
 /// Definition 5: B(t_i) = H(s_i) - H(ŝ_i), the expected ambiguity reduction
-/// if the worker answers the task.
+/// if the worker answers the task. The allocating spec kernel: no serving
+/// path calls it; it is the test oracle the fused kernels are proven
+/// bit-identical to (tests/ota_test.cc, tests/reference_selector.h).
 double Benefit(const Task& task, const Matrix& truth_matrix,
                const std::vector<double>& task_truth,
                const std::vector<double>& worker_quality,
                double quality_clamp = 0.01);
 
-/// Definition 5 on the fused, allocation-free kernel. The reference overload
-/// above is retained as the spec oracle (tests prove the two bit-identical)
-/// and as the seed-era cold path for benchmarks.
+/// Definition 5 on the fused, allocation-free kernel, bit-identical to the
+/// reference overload above.
 double Benefit(const Task& task, const Matrix& truth_matrix,
                const std::vector<double>& task_truth,
                const std::vector<double>& worker_quality,
@@ -241,11 +242,11 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
 /// emission order equals the scan's.
 ///
 /// Freshness is tagged, never assumed: the index remembers which source
-/// (live engine / published snapshot / standalone assigner), worker epoch and
-/// invalidation generation it was built under, plus a cursor into that
-/// source's change feed (the engine's mutation log, or the snapshot publish
-/// epoch). A bound, like a score, is valid while the tags hold and the task
-/// is not named by the feed. The owner revalidates the tags before every use
+/// (live engine / published snapshot), worker epoch and invalidation
+/// generation it was built under, plus a cursor into that source's change
+/// feed (the engine's mutation log, or the snapshot publish epoch). A bound,
+/// like a score, is valid while the tags hold and the task is not named by
+/// the feed. The owner revalidates the tags before every use
 /// — a mismatch means Rebuild, a cursor gap means targeted Repair of exactly
 /// the tasks the feed names. Instances are NOT thread-safe; the owner
 /// serializes access per worker (DocsSystem: the worker's shard stripe or
@@ -255,7 +256,7 @@ class BenefitIndex {
   /// Which state the indexed scores were computed against. Tag mismatch =
   /// rebuild: scores from different sources are not comparable even when the
   /// numeric epochs coincide.
-  enum class Source : uint8_t { kNone = 0, kLive, kSnapshot, kStandalone };
+  enum class Source : uint8_t { kNone = 0, kLive, kSnapshot };
 
   /// One heap entry: the task's exact score, or — while `bound` is set — an
   /// upper bound of it that TrySelect resolves before emitting the task.
@@ -290,16 +291,15 @@ class BenefitIndex {
   using SeedBatch = std::function<void(std::vector<Entry>* entries)>;
 
   /// Rebuilds the heap from scratch for the given tags: every task except
-  /// those in `exclude_sorted` (ascending; nullptr = none) is seeded in one
-  /// `seed` batch — an exact score where the caller has one, an upper bound
-  /// otherwise; each entry is independent, so the heap contents are
-  /// thread-count invariant however the batch fans out — then heapified
-  /// bottom-up in O(n). Bound entries are resolved later by TrySelect,
-  /// outside its skip budget, so seeding bounds never pushes a pass to the
-  /// scan fallback.
+  /// those in `exclude_sorted` (ascending) is seeded in one `seed` batch —
+  /// an exact score where the caller has one, an upper bound otherwise;
+  /// each entry is independent, so the heap contents are thread-count
+  /// invariant however the batch fans out — then heapified bottom-up in
+  /// O(n). Bound entries are resolved later by TrySelect, outside its skip
+  /// budget, so seeding bounds never pushes a pass to the scan fallback.
   void Rebuild(size_t num_tasks, Source source, uint64_t worker_epoch,
                uint64_t generation, uint64_t cursor,
-               const std::vector<size_t>* exclude_sorted,
+               const std::vector<size_t>& exclude_sorted,
                const SeedBatch& seed);
 
   /// Replaces `task`'s indexed value with its exact score `value` and
@@ -446,49 +446,6 @@ class TaskAssigner {
                                  const std::vector<double>& worker_quality,
                                  const std::vector<uint8_t>& eligible,
                                  size_t k) const;
-
-  /// Epoch-aware SelectTopK: `task_epochs[i]` versions matrices[i]/truths[i]
-  /// and `worker_epoch` versions worker_quality; `cache` (sized to the task
-  /// count by the caller) carries scores across calls, each entry
-  /// additionally tagged with `generation` so the caller can invalidate the
-  /// whole cache by bumping one counter (DESIGN.md §16). Only tasks whose
-  /// (task, worker, generation) key went stale are rescored — on a quiet
-  /// system a repeat call costs O(eligible) cache probes plus the top-k
-  /// selection instead of O(n l m l) benefit evaluations. Scores and
-  /// therefore the returned ranking are bit-identical to the cacheless
-  /// overload. Pass nullptrs to disable caching (the plain overload does
-  /// exactly that).
-  std::vector<size_t> SelectTopK(const std::vector<Task>& tasks,
-                                 const std::vector<Matrix>& matrices,
-                                 const std::vector<std::vector<double>>& truths,
-                                 const std::vector<double>& worker_quality,
-                                 const std::vector<uint8_t>& eligible, size_t k,
-                                 const std::vector<uint64_t>* task_epochs,
-                                 uint64_t worker_epoch,
-                                 std::vector<CachedBenefit>* cache,
-                                 uint64_t generation = 0) const;
-
-  /// Index-accelerated SelectTopK for standalone assigner use: keeps `index`
-  /// synced to the cache by an O(n) integer epoch scan (repairing any
-  /// indexed task whose cache entry went stale; rebuilding on a worker-epoch
-  /// or generation change, with exact entries only — the assigner keeps no
-  /// bound inputs) and then reads the top-k eligible tasks off the
-  /// heap — so the expensive part, the O(n l m l) benefit evaluation, runs
-  /// only for stale tasks, and a warm call does no benefit math at all.
-  /// Selections are bit-identical to both overloads above. `index`, `cache`
-  /// and `task_epochs` are all required. The serving system does better than
-  /// the O(n) sync scan (it repairs from the engine's mutation log); this
-  /// overload is the assigner-level building block and equivalence-test
-  /// surface.
-  std::vector<size_t> SelectTopK(const std::vector<Task>& tasks,
-                                 const std::vector<Matrix>& matrices,
-                                 const std::vector<std::vector<double>>& truths,
-                                 const std::vector<double>& worker_quality,
-                                 const std::vector<uint8_t>& eligible, size_t k,
-                                 const std::vector<uint64_t>* task_epochs,
-                                 uint64_t worker_epoch,
-                                 std::vector<CachedBenefit>* cache,
-                                 uint64_t generation, BenefitIndex* index) const;
 
   const TaskAssignerOptions& options() const { return options_; }
 

@@ -3,8 +3,10 @@
 // The index is a lazily repaired max-heap over the epoch-tagged benefit cache
 // rows; a warm RequestTasks reads the top-k eligible tasks off it in
 // O(k log n) instead of scanning all n cached scores. The contract is that an
-// index-served selection is BITWISE identical to the scan path (index off)
-// and to the cache-off path — after every mutation class: answer submissions
+// index-served selection is BITWISE identical to the reference selector
+// (tests/reference_selector.h: every eligible task scored from scratch with
+// the reference kernel, then sorted) — after every mutation class: answer
+// submissions
 // (including the §4.2 retro-update fan-out repaired from the engine's
 // mutation log), lease expiry (which must invalidate nothing), the periodic
 // full re-inference (which must invalidate everything with ONE generation
@@ -27,13 +29,13 @@
 #include <vector>
 
 #include "client/crowd_client.h"
-#include "common/math_utils.h"
 #include "common/rng.h"
 #include "core/concurrent_docs_system.h"
 #include "core/docs_system.h"
 #include "crowd/worker_pool.h"
 #include "datasets/dataset.h"
 #include "kb/synthetic_kb.h"
+#include "reference_selector.h"
 #include "server/crowd_gateway.h"
 #include "storage/worker_store.h"
 
@@ -69,10 +71,9 @@ class BenefitIndexTest : public ::testing::Test {
 
 kb::SyntheticKb* BenefitIndexTest::kb_ = nullptr;
 
-/// The sync lockstep oracle: an index-on, an index-off (scan), and a
-/// cache-off DocsSystem driven through one identical scripted campaign must
-/// agree on every observable at every step. The script hits every
-/// invalidation class the index must survive: retro fan-out across
+/// The sync lockstep: a DocsSystem driven through one scripted campaign
+/// grants what the reference selector picks at every step. The script hits
+/// every invalidation class the index must survive: retro fan-out across
 /// co-answering workers, abandoned grants reclaimed by ExpireLeases, the
 /// periodic RunFullInference (the O(1) generation invalidation), and
 /// mid-campaign WorkerStore reseeds.
@@ -108,57 +109,28 @@ TEST_F(BenefitIndexTest, IndexedServingIsBitIdenticalAcrossRulesAndThreads) {
       options.lease_duration = 3;
       options.selection_rule = rule;
       options.num_threads = threads;
-      ASSERT_TRUE(options.benefit_cache);
-      ASSERT_TRUE(options.benefit_index);
-      DocsSystemOptions scan_options = options;
-      scan_options.benefit_index = false;
-      DocsSystemOptions cold_options = scan_options;
-      cold_options.benefit_cache = false;
 
-      auto indexed =
-          std::make_unique<DocsSystem>(&kb_->knowledge_base, options);
-      auto scan =
-          std::make_unique<DocsSystem>(&kb_->knowledge_base, scan_options);
-      auto cold =
-          std::make_unique<DocsSystem>(&kb_->knowledge_base, cold_options);
-      for (DocsSystem* system : {indexed.get(), scan.get(), cold.get()}) {
-        ASSERT_TRUE(system->AddTasks(inputs, &truths).ok());
-        ASSERT_TRUE(system->LoadWorker("veteran", store).ok());
-      }
+      DocsSystem system(&kb_->knowledge_base, options);
+      ASSERT_TRUE(system.AddTasks(inputs, &truths).ok());
+      ASSERT_TRUE(system.LoadWorker("veteran", store).ok());
 
       std::vector<std::string> ids = {"w0", "w1", "w2",      "w3",
                                       "w4", "w5", "veteran"};
-      Rng rng(61);  // one stream serves all systems: selections are asserted
-                    // equal before any answer is generated
+      Rng rng(61);
       for (size_t round = 0; round < 30; ++round) {
         SCOPED_TRACE("round " + std::to_string(round));
         if (round == 15) {
           // Mid-campaign reseeds: an active worker's quality is replaced
           // from the store (worker-epoch bump -> index rebuild), and a new
           // veteran joins past the golden phase.
-          for (DocsSystem* system : {indexed.get(), scan.get(), cold.get()}) {
-            ASSERT_TRUE(system->LoadWorker("veteran", store).ok());
-            ASSERT_TRUE(system->LoadWorker("vet2", store).ok());
-          }
+          ASSERT_TRUE(system.LoadWorker("veteran", store).ok());
+          ASSERT_TRUE(system.LoadWorker("vet2", store).ok());
           ids.push_back("vet2");
         }
-        const std::string& id = ids[round % ids.size()];
-        const size_t w = indexed->WorkerIndex(id);
-        ASSERT_EQ(scan->WorkerIndex(id), w);
-        ASSERT_EQ(cold->WorkerIndex(id), w);
-
-        const auto selected = indexed->SelectTasks(w, 4);
-        ASSERT_EQ(scan->SelectTasks(w, 4), selected);
-        ASSERT_EQ(cold->SelectTasks(w, 4), selected);
-
-        if (round % 5 == 0) {
-          // Full-score probe: the cached pass and the bypass pass must agree
-          // bit for bit on the indexed system too (the probe walks the cache
-          // rows the index is built over).
-          const auto warm = indexed->ScoreAllTasks(w, /*bypass_cache=*/false);
-          EXPECT_EQ(indexed->ScoreAllTasks(w, /*bypass_cache=*/true), warm);
-          EXPECT_EQ(scan->ScoreAllTasks(w, /*bypass_cache=*/false), warm);
-        }
+        const size_t w = system.WorkerIndex(ids[round % ids.size()]);
+        const auto expected = testing::ReferenceSelect(system, options, w, 4);
+        const auto selected = system.SelectTasks(w, 4);
+        ASSERT_EQ(selected, expected);
 
         for (size_t s = 0; s < selected.size(); ++s) {
           // Every third round the worker abandons the last granted task, so
@@ -169,52 +141,30 @@ TEST_F(BenefitIndexTest, IndexedServingIsBitIdenticalAcrossRulesAndThreads) {
               personas[round % personas.size()],
               dataset.tasks[task].true_domain, dataset.tasks[task].truth,
               dataset.tasks[task].num_choices(), rng);
-          for (DocsSystem* system : {indexed.get(), scan.get(), cold.get()}) {
-            ASSERT_TRUE(system->SubmitAnswer(w, task, choice).ok());
-          }
+          ASSERT_TRUE(system.SubmitAnswer(w, task, choice).ok());
         }
 
         if (round == 10 || round == 20) {
-          const auto swept =
-              Flatten(indexed->ExpireLeases(indexed->lease_clock()));
-          EXPECT_EQ(Flatten(scan->ExpireLeases(scan->lease_clock())), swept);
-          EXPECT_EQ(Flatten(cold->ExpireLeases(cold->lease_clock())), swept);
+          EXPECT_FALSE(system.ExpireLeases(system.lease_clock()).empty());
         }
       }
 
-      EXPECT_EQ(indexed->InferredChoices(), scan->InferredChoices());
-      EXPECT_EQ(indexed->InferredChoices(), cold->InferredChoices());
-      ASSERT_EQ(indexed->inference().num_workers(),
-                scan->inference().num_workers());
-      for (size_t w = 0; w < indexed->inference().num_workers(); ++w) {
-        ASSERT_EQ(indexed->inference().worker_quality(w).quality,
-                  scan->inference().worker_quality(w).quality)
-            << "worker " << w;
-        ASSERT_EQ(indexed->inference().worker_quality(w).weight,
-                  scan->inference().worker_quality(w).weight)
-            << "worker " << w;
-      }
-
       // The index actually served: heap reads and rebuilds happened, and the
-      // periodic full inference registered as generation invalidations. A
-      // disabled index counts nothing.
-      EXPECT_GT(indexed->benefit_index_pops(), 0u);
-      EXPECT_GT(indexed->benefit_index_rebuilds(), 0u);
-      EXPECT_GT(indexed->benefit_index_generation_invalidations(), 0u);
-      EXPECT_EQ(scan->benefit_index_pops(), 0u);
-      EXPECT_EQ(scan->benefit_index_repairs(), 0u);
-      EXPECT_EQ(scan->benefit_index_rebuilds(), 0u);
+      // periodic full inference registered as generation invalidations.
+      EXPECT_GT(system.benefit_index_pops(), 0u);
+      EXPECT_GT(system.benefit_index_rebuilds(), 0u);
+      EXPECT_GT(system.benefit_index_generation_invalidations(), 0u);
     }
   }
 }
 
-/// The async lockstep oracle: with the inference decoupled onto the
-/// background service (DESIGN.md §15), an index-on and an index-off async
-/// facade — and the sync index-on facade — must produce bit-identical
-/// selections when drained before every comparison. The indexed async path
-/// exercises the snapshot branch of the index (repair from the snapshot's
-/// changed-task diff, rebuild tagged with the publish epoch).
-TEST_F(BenefitIndexTest, DrainedAsyncIndexedServingMatchesScanAndSync) {
+/// The async lockstep: with the inference decoupled onto the background
+/// service (DESIGN.md §15), an async facade drained before every request
+/// grants what the reference selector picks, and what the sync facade
+/// grants. The async path exercises the snapshot branch of the index
+/// (repair from the snapshot's changed-task diff, rebuild tagged with the
+/// publish epoch).
+TEST_F(BenefitIndexTest, DrainedAsyncIndexedServingMatchesReferenceAndSync) {
   const auto dataset = datasets::MakeItemDataset(*kb_);
   const auto truths = dataset.Truths();
   std::vector<TaskInput> inputs;
@@ -245,18 +195,12 @@ TEST_F(BenefitIndexTest, DrainedAsyncIndexedServingMatchesScanAndSync) {
       options.lease_duration = 3;
       options.selection_rule = rule;
       options.num_threads = threads;
-      ASSERT_TRUE(options.benefit_index);
       DocsSystemOptions async_options = options;
       async_options.async_inference = true;
-      DocsSystemOptions async_scan_options = async_options;
-      async_scan_options.benefit_index = false;
 
       ConcurrentDocsSystem sync_system(&kb_->knowledge_base, options);
-      ConcurrentDocsSystem async_indexed(&kb_->knowledge_base, async_options);
-      ConcurrentDocsSystem async_scan(&kb_->knowledge_base,
-                                      async_scan_options);
-      for (ConcurrentDocsSystem* system :
-           {&sync_system, &async_indexed, &async_scan}) {
+      ConcurrentDocsSystem async_system(&kb_->knowledge_base, async_options);
+      for (ConcurrentDocsSystem* system : {&sync_system, &async_system}) {
         ASSERT_TRUE(system->AddTasks(inputs, &truths).ok());
         ASSERT_TRUE(system->LoadWorker("veteran", store).ok());
       }
@@ -268,14 +212,14 @@ TEST_F(BenefitIndexTest, DrainedAsyncIndexedServingMatchesScanAndSync) {
         SCOPED_TRACE("round " + std::to_string(round));
         const std::string& id = ids[round % ids.size()];
 
-        // Quiesce before comparing: the contract is drained-state equality,
-        // not mid-flight equality (the async systems are allowed to serve
-        // stale between publishes).
-        async_indexed.Drain();
-        async_scan.Drain();
-        const auto selected = sync_system.RequestTasks(id, 4);
-        ASSERT_EQ(async_indexed.RequestTasks(id, 4), selected);
-        ASSERT_EQ(async_scan.RequestTasks(id, 4), selected);
+        // The contract is drained-state equality, not mid-flight equality
+        // (the async system is allowed to serve stale between publishes);
+        // ReferenceRequest drains before it reads.
+        const auto expected =
+            testing::ReferenceRequest(async_system, async_options, id, 4);
+        const auto selected = async_system.RequestTasks(id, 4);
+        ASSERT_EQ(selected, expected);
+        ASSERT_EQ(sync_system.RequestTasks(id, 4), selected);
 
         for (size_t s = 0; s < selected.size(); ++s) {
           if (round % 3 == 2 && s + 1 == selected.size()) continue;
@@ -284,61 +228,44 @@ TEST_F(BenefitIndexTest, DrainedAsyncIndexedServingMatchesScanAndSync) {
               personas[round % personas.size()],
               dataset.tasks[task].true_domain, dataset.tasks[task].truth,
               dataset.tasks[task].num_choices(), rng);
-          for (ConcurrentDocsSystem* system :
-               {&sync_system, &async_indexed, &async_scan}) {
+          for (ConcurrentDocsSystem* system : {&sync_system, &async_system}) {
             ASSERT_TRUE(system->SubmitAnswer(id, task, choice).ok());
           }
         }
 
         if (round == 10 || round == 20) {
-          async_indexed.Drain();
-          async_scan.Drain();
-          const auto swept =
-              Flatten(sync_system.ExpireLeases(sync_system.lease_clock()));
+          async_system.Drain();
           EXPECT_EQ(
-              Flatten(async_indexed.ExpireLeases(async_indexed.lease_clock())),
-              swept);
-          EXPECT_EQ(
-              Flatten(async_scan.ExpireLeases(async_scan.lease_clock())),
-              swept);
+              Flatten(async_system.ExpireLeases(async_system.lease_clock())),
+              Flatten(sync_system.ExpireLeases(sync_system.lease_clock())));
         }
       }
 
-      async_indexed.Drain();
-      async_scan.Drain();
-      EXPECT_EQ(async_indexed.InferredChoices(), sync_system.InferredChoices());
-      EXPECT_EQ(async_scan.InferredChoices(), sync_system.InferredChoices());
+      EXPECT_EQ(async_system.InferredChoices(), sync_system.InferredChoices());
       const size_t workers = sync_system.WithLocked(
           [](DocsSystem& s) { return s.inference().num_workers(); });
       for (size_t w = 0; w < workers; ++w) {
-        const auto quality = sync_system.WithLocked([&](DocsSystem& s) {
-          return s.inference().worker_quality(w).quality;
-        });
-        ASSERT_EQ(async_indexed.WithLocked([&](DocsSystem& s) {
+        ASSERT_EQ(async_system.WithLocked([&](DocsSystem& s) {
           return s.inference().worker_quality(w).quality;
         }),
-                  quality)
-            << "worker " << w;
-        ASSERT_EQ(async_scan.WithLocked([&](DocsSystem& s) {
-          return s.inference().worker_quality(w).quality;
-        }),
-                  quality)
+                  sync_system.WithLocked([&](DocsSystem& s) {
+                    return s.inference().worker_quality(w).quality;
+                  }))
             << "worker " << w;
       }
 
       // The snapshot branch of the index actually served.
-      EXPECT_GT(async_indexed.benefit_index_pops(), 0u);
-      EXPECT_GT(async_indexed.benefit_index_rebuilds(), 0u);
-      EXPECT_EQ(async_scan.benefit_index_pops(), 0u);
-      EXPECT_EQ(async_scan.benefit_index_rebuilds(), 0u);
+      EXPECT_GT(async_system.benefit_index_pops(), 0u);
+      EXPECT_GT(async_system.benefit_index_rebuilds(), 0u);
     }
   }
 }
 
-/// The lockstep oracle over the wire, across reactor counts AND index
-/// modes: index-on gateways with 1, 2, and 4 reactors must reproduce the
-/// index-off single-reactor baseline bit for bit, and the index counters
-/// must surface through GatewayStats.
+/// The lockstep over the wire, across reactor counts and serving modes:
+/// gateways with 1, 2, and 4 reactors, sync and async, grant what the
+/// reference selector picks at every step (the async system drained before
+/// each request) and end with the same inferred truths, and the index
+/// counters surface through GatewayStats.
 TEST_F(BenefitIndexTest, GatewayServingIsBitIdenticalAcrossReactorsAndModes) {
   const auto dataset = datasets::MakeItemDataset(*kb_);
   const auto truths = dataset.Truths();
@@ -352,16 +279,12 @@ TEST_F(BenefitIndexTest, GatewayServingIsBitIdenticalAcrossReactorsAndModes) {
       kb_->knowledge_base.num_domains(), dataset.label_to_domain, pool_options,
       77);
 
-  struct Outcome {
-    std::vector<std::vector<uint64_t>> selections;
-    std::vector<size_t> choices;
-  };
-  auto drive = [&](bool index_on, size_t reactors) {
+  auto drive = [&](bool async, size_t reactors) {
     DocsSystemOptions options;
     options.golden_count = 5;
     options.reinfer_every = 25;
     options.num_threads = 2;
-    options.benefit_index = index_on;
+    options.async_inference = async;
     ConcurrentDocsSystem system(&kb_->knowledge_base, options);
     EXPECT_TRUE(system.AddTasks(inputs, &truths).ok());
     server::CrowdGatewayOptions gateway_options;
@@ -377,14 +300,15 @@ TEST_F(BenefitIndexTest, GatewayServingIsBitIdenticalAcrossReactorsAndModes) {
       EXPECT_TRUE(conns[w]->Connect("127.0.0.1", gateway.port()).ok());
     }
 
-    Outcome outcome;
     Rng rng(61);
     for (size_t round = 0; round < 18; ++round) {
       const size_t w = round % 6;
       const std::string id = "w" + std::to_string(w);
+      const auto expected = testing::ReferenceRequest(system, options, id, 4);
       std::vector<uint64_t> hit;
       EXPECT_TRUE(conns[w]->RequestTasks(id, 4, &hit).ok());
-      outcome.selections.push_back(hit);
+      EXPECT_EQ(std::vector<size_t>(hit.begin(), hit.end()), expected)
+          << "round " << round;
       for (uint64_t task : hit) {
         const size_t choice = crowd::GenerateAnswer(
             personas[w], dataset.tasks[task].true_domain,
@@ -395,24 +319,19 @@ TEST_F(BenefitIndexTest, GatewayServingIsBitIdenticalAcrossReactorsAndModes) {
       }
     }
     const server::GatewayStats stats = gateway.stats();
-    if (index_on) {
-      EXPECT_GT(stats.benefit_index_pops + stats.benefit_index_rebuilds, 0u);
-    } else {
-      EXPECT_EQ(stats.benefit_index_pops, 0u);
-      EXPECT_EQ(stats.benefit_index_repairs, 0u);
-      EXPECT_EQ(stats.benefit_index_rebuilds, 0u);
-    }
+    EXPECT_GT(stats.benefit_index_pops + stats.benefit_index_rebuilds, 0u);
     gateway.Stop();
-    outcome.choices = system.InferredChoices();
-    return outcome;
+    return system.InferredChoices();
   };
 
-  const Outcome baseline = drive(/*index_on=*/false, /*reactors=*/1);
-  for (size_t reactors : {size_t{1}, size_t{2}, size_t{4}}) {
-    SCOPED_TRACE("indexed, " + std::to_string(reactors) + " reactors");
-    const Outcome swept = drive(/*index_on=*/true, reactors);
-    EXPECT_EQ(swept.selections, baseline.selections);
-    EXPECT_EQ(swept.choices, baseline.choices);
+  const std::vector<size_t> baseline = drive(/*async=*/false, /*reactors=*/1);
+  for (bool async : {false, true}) {
+    for (size_t reactors : {size_t{1}, size_t{2}, size_t{4}}) {
+      if (!async && reactors == 1) continue;  // the baseline itself
+      SCOPED_TRACE(std::string(async ? "async, " : "sync, ") +
+                   std::to_string(reactors) + " reactors");
+      EXPECT_EQ(drive(async, reactors), baseline);
+    }
   }
 }
 
@@ -421,7 +340,7 @@ TEST_F(BenefitIndexTest, GatewayServingIsBitIdenticalAcrossReactorsAndModes) {
 /// per-task and per-worker epoch arrays must not move (the seed-era
 /// implementation walked them, which is exactly the O(n) cost the
 /// generation counter removes). The next serving pass rebuilds the index
-/// once and stays bit-identical to a cache-off twin.
+/// once and still grants what the reference selector picks.
 TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
   std::vector<TaskInput> inputs;
@@ -432,19 +351,14 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   options.golden_count = 0;  // straight to OTA scoring
   options.reinfer_every = 0;  // full inference only when called explicitly
   options.num_threads = 1;
-  ASSERT_TRUE(options.benefit_index);
-  DocsSystemOptions cold_options = options;
-  cold_options.benefit_cache = false;
   DocsSystem system(&kb_->knowledge_base, options);
-  DocsSystem cold(&kb_->knowledge_base, cold_options);
   ASSERT_TRUE(system.AddTasks(inputs).ok());
-  ASSERT_TRUE(cold.AddTasks(inputs).ok());
 
   const size_t w = system.WorkerIndex("w");
-  ASSERT_EQ(cold.WorkerIndex("w"), w);
   auto step = [&](size_t k) {
+    const auto expected = testing::ReferenceSelect(system, options, w, k);
     const auto selected = system.SelectTasks(w, k);
-    EXPECT_EQ(cold.SelectTasks(w, k), selected);
+    EXPECT_EQ(selected, expected);
     return selected;
   };
 
@@ -453,7 +367,6 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   const auto first = step(2);
   ASSERT_EQ(first.size(), 2u);
   ASSERT_TRUE(system.SubmitAnswer(w, first[0], 0).ok());
-  ASSERT_TRUE(cold.SubmitAnswer(w, first[0], 0).ok());
   (void)step(2);
   const uint64_t rebuilds_warm = system.benefit_index_rebuilds();
   const uint64_t pops_warm = system.benefit_index_pops();
@@ -469,7 +382,6 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   const uint64_t invalidations_before =
       system.benefit_index_generation_invalidations();
   system.RunFullInference();
-  cold.RunFullInference();
   EXPECT_EQ(system.inference().generation(), generation_before + 1);
   EXPECT_EQ(system.benefit_index_generation_invalidations(),
             invalidations_before + 1);
@@ -540,8 +452,8 @@ TEST_F(BenefitIndexTest, LeaseExpiryLeavesEveryIndexFresh) {
 /// worker epoch, same generation — must catch up by replaying exactly that
 /// log tail (repairs, no rebuild), while A's own next pass rebuilds (her
 /// quality moved). A WorkerStore reseed is the other worker-epoch edge:
-/// rebuild, not repair. Selections stay lockstep with a scan twin
-/// throughout.
+/// rebuild, not repair. Selections stay lockstep with the reference
+/// selector throughout.
 TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
   std::vector<TaskInput> inputs;
@@ -552,20 +464,15 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   options.golden_count = 0;
   options.reinfer_every = 0;
   options.num_threads = 1;
-  DocsSystemOptions scan_options = options;
-  scan_options.benefit_index = false;
   DocsSystem system(&kb_->knowledge_base, options);
-  DocsSystem twin(&kb_->knowledge_base, scan_options);
   ASSERT_TRUE(system.AddTasks(inputs).ok());
-  ASSERT_TRUE(twin.AddTasks(inputs).ok());
 
   const size_t a = system.WorkerIndex("a");
   const size_t b = system.WorkerIndex("b");
-  ASSERT_EQ(twin.WorkerIndex("a"), a);
-  ASSERT_EQ(twin.WorkerIndex("b"), b);
   auto step = [&](size_t worker, size_t k) {
+    const auto expected = testing::ReferenceSelect(system, options, worker, k);
     const auto selected = system.SelectTasks(worker, k);
-    EXPECT_EQ(twin.SelectTasks(worker, k), selected);
+    EXPECT_EQ(selected, expected);
     return selected;
   };
 
@@ -573,7 +480,6 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   const auto granted = step(a, 1);  // a's index: built
   ASSERT_EQ(granted.size(), 1u);
   ASSERT_TRUE(system.SubmitAnswer(a, granted[0], 0).ok());
-  ASSERT_TRUE(twin.SubmitAnswer(a, granted[0], 0).ok());
 
   // b is uninvolved: her worker epoch did not move, so her index repairs
   // the logged tasks in place instead of rebuilding.
@@ -595,7 +501,6 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   record.weight.assign(m, 3.0);
   ASSERT_TRUE(store.Put("b", record).ok());
   ASSERT_TRUE(system.LoadWorker("b", store).ok());
-  ASSERT_TRUE(twin.LoadWorker("b", store).ok());
   const uint64_t rebuilds_mid = system.benefit_index_rebuilds();
   (void)step(b, 4);
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_mid + 1);
@@ -604,7 +509,8 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
 /// Budget exhaustion under cap churn: when enough of the heap's top entries
 /// are ineligible (here: leased out under a redundancy cap of one), the
 /// frontier walk gives up within its visit budget and the pass falls back
-/// to the scan — which must select exactly what a cache-off twin selects.
+/// to the scan — which must select exactly what the reference selector
+/// picks.
 /// The fallback is observable as row-cache traffic (a successful index pass
 /// performs zero row lookups) with the index left fresh (no rebuild).
 TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
@@ -622,18 +528,14 @@ TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
   options.selection_rule = SelectionRule::kUncertainty;
   options.lease_duration = 100;  // nothing expires during the test
   options.max_answers_per_task = 1;
-  DocsSystemOptions cold_options = options;
-  cold_options.benefit_cache = false;
   DocsSystem system(&kb_->knowledge_base, options);
-  DocsSystem cold(&kb_->knowledge_base, cold_options);
   ASSERT_TRUE(system.AddTasks(inputs).ok());
-  ASSERT_TRUE(cold.AddTasks(inputs).ok());
 
   auto step = [&](const std::string& id, size_t k) {
     const size_t worker = system.WorkerIndex(id);
-    EXPECT_EQ(cold.WorkerIndex(id), worker);
+    const auto expected = testing::ReferenceSelect(system, options, worker, k);
     const auto selected = system.SelectTasks(worker, k);
-    EXPECT_EQ(cold.SelectTasks(worker, k), selected);
+    EXPECT_EQ(selected, expected);
     return selected;
   };
 
@@ -649,7 +551,7 @@ TEST_F(BenefitIndexTest, CapChurnFallsBackToTheScanBitIdentically) {
   // w's next request: the 81 best-ranked tasks are all ineligible, which
   // exceeds the k=1 walk budget (64 visits) — the pass must fall back to
   // the scan without rebuilding the still-fresh index, and still match the
-  // cache-off twin bit for bit.
+  // reference bit for bit.
   const uint64_t rebuilds_before = system.benefit_index_rebuilds();
   const uint64_t row_traffic_before =
       system.benefit_cache_hits() + system.benefit_cache_misses();
@@ -685,9 +587,9 @@ std::vector<TaskInput> QaInputs(const kb::SyntheticKb& kb, size_t n,
 /// one support and, while unanswered, one exact score — and one bound. Each
 /// tied bound entry must be resolved before any tied task is emitted (ties
 /// go to the lower task id), whether the seed or the walk resolves it, so
-/// the index still emits the scan's order. Index, scan and cache-off
-/// systems agree cold and warm, for k = 1, 20 and n, and while one worker's
-/// k grows on a warm index.
+/// the index still emits the reference order. The system agrees with the
+/// reference selector cold and warm, for k = 1, 20 and n, and while one
+/// worker's k grows on a warm index.
 TEST_F(BenefitIndexTest, TiedScoresAcrossTheKBoundaryStayBitIdentical) {
   constexpr size_t kTasks = 60;
   constexpr size_t kFirstTied = 10;
@@ -704,22 +606,13 @@ TEST_F(BenefitIndexTest, TiedScoresAcrossTheKBoundaryStayBitIdentical) {
       options.reinfer_every = 0;
       options.num_threads = threads;
       options.async_inference = mode.async;
-      DocsSystemOptions scan_options = options;
-      scan_options.benefit_index = false;
-      DocsSystemOptions cold_options = scan_options;
-      cold_options.benefit_cache = false;
-      ConcurrentDocsSystem indexed(&kb_->knowledge_base, options);
-      ConcurrentDocsSystem scan(&kb_->knowledge_base, scan_options);
-      ConcurrentDocsSystem cold(&kb_->knowledge_base, cold_options);
-      std::vector<ConcurrentDocsSystem*> systems = {&indexed, &scan, &cold};
-      for (ConcurrentDocsSystem* system : systems) {
-        ASSERT_TRUE(system->AddTasks(inputs).ok());
-      }
+      ConcurrentDocsSystem system(&kb_->knowledge_base, options);
+      ASSERT_TRUE(system.AddTasks(inputs).ok());
       auto request = [&](const std::string& id, size_t k) {
-        for (ConcurrentDocsSystem* system : systems) system->Drain();
-        const auto selected = indexed.RequestTasks(id, k);
-        EXPECT_EQ(scan.RequestTasks(id, k), selected) << id << " k " << k;
-        EXPECT_EQ(cold.RequestTasks(id, k), selected) << id << " k " << k;
+        const auto expected =
+            testing::ReferenceRequest(system, options, id, k);
+        const auto selected = system.RequestTasks(id, k);
+        EXPECT_EQ(selected, expected) << id << " k " << k;
         return selected;
       };
 
@@ -728,21 +621,19 @@ TEST_F(BenefitIndexTest, TiedScoresAcrossTheKBoundaryStayBitIdentical) {
       // two-choice run sits below it as bound entries until the walk
       // reaches and resolves it.
       (void)request("grow", 1);
-      const uint64_t rebuilds = indexed.benefit_index_rebuilds();
-      const uint64_t misses = indexed.benefit_cache_misses();
+      const uint64_t rebuilds = system.benefit_index_rebuilds();
+      const uint64_t misses = system.benefit_cache_misses();
       (void)request("grow", 20);
       (void)request("grow", kTasks);
-      EXPECT_EQ(indexed.benefit_index_rebuilds(), rebuilds);
-      EXPECT_GT(indexed.benefit_cache_misses(), misses);
+      EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds);
+      EXPECT_GT(system.benefit_cache_misses(), misses);
 
       // A few answers outside the tied group, so answered (H(s_i) bound) and
       // unanswered (closed-form bound) entries mix in one heap.
       const auto first = request("a", 3);
       for (size_t task : first) {
         if (task >= kFirstTied && task < kFirstTied + kTied) continue;
-        for (ConcurrentDocsSystem* system : systems) {
-          ASSERT_TRUE(system->SubmitAnswer("a", task, 0).ok());
-        }
+        ASSERT_TRUE(system.SubmitAnswer("a", task, 0).ok());
       }
       for (size_t k : {size_t{1}, size_t{20}, kTasks}) {
         const std::string id = "k" + std::to_string(k);
@@ -752,10 +643,10 @@ TEST_F(BenefitIndexTest, TiedScoresAcrossTheKBoundaryStayBitIdentical) {
 
       // The premise: the tied tasks share one exact score, and the k = 20
       // selection ends inside the tied run.
-      indexed.Drain();
-      const auto premise = indexed.WithLocked([&](DocsSystem& s) {
+      system.Drain();
+      const auto premise = system.WithLocked([&](DocsSystem& s) {
         const size_t w = *s.FindWorker("k20");
-        const auto scores = s.ScoreAllTasks(w, /*bypass_cache=*/true);
+        const auto scores = testing::ReferenceScores(s, options, w);
         size_t tied_selected = 0;
         const auto selected = s.SelectTasks(w, 20);
         for (size_t task : selected) {
@@ -777,7 +668,7 @@ TEST_F(BenefitIndexTest, TiedScoresAcrossTheKBoundaryStayBitIdentical) {
 
 /// A k far beyond n, as a wire request can carry (`RequestTasksReq.k` is a
 /// uint32): the seed sizes nothing by k, so a cold pass with k = 2^32 - 1
-/// selects every eligible task in the scan's order, like k = n would.
+/// selects every eligible task in the reference order, like k = n would.
 TEST_F(BenefitIndexTest, ColdPassWithKBeyondTheTaskCountSelectsEveryTask) {
   constexpr size_t kTasks = 40;
   constexpr size_t kHugeK = std::numeric_limits<uint32_t>::max();
@@ -790,22 +681,13 @@ TEST_F(BenefitIndexTest, ColdPassWithKBeyondTheTaskCountSelectsEveryTask) {
       options.reinfer_every = 0;
       options.num_threads = threads;
       options.async_inference = mode.async;
-      DocsSystemOptions scan_options = options;
-      scan_options.benefit_index = false;
-      DocsSystemOptions cold_options = scan_options;
-      cold_options.benefit_cache = false;
-      ConcurrentDocsSystem indexed(&kb_->knowledge_base, options);
-      ConcurrentDocsSystem scan(&kb_->knowledge_base, scan_options);
-      ConcurrentDocsSystem cold(&kb_->knowledge_base, cold_options);
-      std::vector<ConcurrentDocsSystem*> systems = {&indexed, &scan, &cold};
-      for (ConcurrentDocsSystem* system : systems) {
-        ASSERT_TRUE(system->AddTasks(inputs).ok());
-      }
+      ConcurrentDocsSystem system(&kb_->knowledge_base, options);
+      ASSERT_TRUE(system.AddTasks(inputs).ok());
       auto request = [&](const std::string& id) {
-        for (ConcurrentDocsSystem* system : systems) system->Drain();
-        const auto selected = indexed.RequestTasks(id, kHugeK);
-        EXPECT_EQ(scan.RequestTasks(id, kHugeK), selected) << id;
-        EXPECT_EQ(cold.RequestTasks(id, kHugeK), selected) << id;
+        const auto expected =
+            testing::ReferenceRequest(system, options, id, kHugeK);
+        const auto selected = system.RequestTasks(id, kHugeK);
+        EXPECT_EQ(selected, expected) << id;
         return selected;
       };
       // Cold on a fresh campaign: every row is an unanswered bound entry.
@@ -813,9 +695,7 @@ TEST_F(BenefitIndexTest, ColdPassWithKBeyondTheTaskCountSelectsEveryTask) {
       EXPECT_EQ(everything.size(), kTasks);
       // Answered and unanswered bound entries mixed in one cold pass.
       for (size_t x = 0; x < 5; ++x) {
-        for (ConcurrentDocsSystem* system : systems) {
-          ASSERT_TRUE(system->SubmitAnswer("a", everything[x], 0).ok());
-        }
+        ASSERT_TRUE(system.SubmitAnswer("a", everything[x], 0).ok());
       }
       EXPECT_EQ(request("b").size(), kTasks);
       EXPECT_EQ(request("a").size(), kTasks - 5);
@@ -845,17 +725,12 @@ TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
       options.num_threads = threads;
       options.max_answers_per_task = 1;
       options.async_inference = mode.async;
-      DocsSystemOptions cold_options = options;
-      cold_options.benefit_cache = false;
       ConcurrentDocsSystem system(&kb_->knowledge_base, options);
-      ConcurrentDocsSystem cold(&kb_->knowledge_base, cold_options);
       ASSERT_TRUE(system.AddTasks(inputs).ok());
-      ASSERT_TRUE(cold.AddTasks(inputs).ok());
       auto request = [&](const std::string& id, size_t k) {
-        system.Drain();
-        cold.Drain();
+        const auto expected = testing::ReferenceRequest(system, options, id, k);
         const auto selected = system.RequestTasks(id, k);
-        EXPECT_EQ(cold.RequestTasks(id, k), selected);
+        EXPECT_EQ(selected, expected);
         return selected;
       };
       // Two workers answer the tasks every default-quality worker ranks
@@ -863,7 +738,6 @@ TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
       for (const std::string id : {"a", "b"}) {
         for (size_t task : request(id, 6)) {
           ASSERT_TRUE(system.SubmitAnswer(id, task, 1).ok());
-          ASSERT_TRUE(cold.SubmitAnswer(id, task, 1).ok());
         }
       }
 
@@ -886,7 +760,7 @@ TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
         const size_t w = *s.FindWorker("w");
         const size_t n = s.tasks().size();
         const std::vector<double> exact =
-            s.ScoreAllTasks(w, /*bypass_cache=*/true);
+            testing::ReferenceScores(s, options, w);
         const BenefitSupport support(s.tasks());
         WorkerBenefitFactors factors;
         factors.Hoist(s.inference().worker_quality(w).quality,
@@ -936,106 +810,12 @@ TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
       system.Drain();
       const uint64_t hits_before = system.benefit_cache_hits();
       system.WithLocked([](DocsSystem& s) {
-        (void)s.ScoreAllTasks(*s.FindWorker("w"), /*bypass_cache=*/false);
+        (void)s.ScoreAllTasks(*s.FindWorker("w"));
         return 0;
       });
       EXPECT_EQ(system.benefit_cache_hits() - hits_before, resolved);
     }
   }
-}
-
-// --- Standalone TaskAssigner index overload ---------------------------------
-
-// Random small OTA instance: tasks with random domain vectors and truth
-// matrices, plus a random worker quality vector (same recipe as
-// tests/ota_test.cc).
-struct OtaInstance {
-  std::vector<Task> tasks;
-  std::vector<Matrix> matrices;
-  std::vector<std::vector<double>> truths;
-  std::vector<double> worker_quality;
-};
-
-OtaInstance MakeInstance(size_t n, size_t m, size_t max_choices, Rng& rng) {
-  OtaInstance instance;
-  for (size_t i = 0; i < n; ++i) {
-    Task task;
-    task.domain_vector = rng.Dirichlet(m, 1.0);
-    task.num_choices = 2 + rng.UniformInt(max_choices - 1);
-    Matrix truth_matrix(m, task.num_choices, 0.0);
-    for (size_t k = 0; k < m; ++k) {
-      truth_matrix.SetRow(k, rng.Dirichlet(task.num_choices, 1.0));
-    }
-    std::vector<double> s = truth_matrix.LeftMultiply(task.domain_vector);
-    NormalizeInPlace(s);
-    instance.tasks.push_back(std::move(task));
-    instance.matrices.push_back(std::move(truth_matrix));
-    instance.truths.push_back(std::move(s));
-  }
-  instance.worker_quality.resize(m);
-  for (auto& q : instance.worker_quality) q = rng.UniformDoubleRange(0.3, 0.95);
-  return instance;
-}
-
-/// The assigner-level equivalence surface: the index-accelerated SelectTopK
-/// overload must return exactly what the cacheless and the cache-only
-/// overloads return — cold, warm, after a targeted task-epoch bump, after a
-/// worker-epoch bump, and after a bare generation bump.
-TEST(TaskAssignerIndexTest, IndexOverloadMatchesScanAndCachelessOverloads) {
-  Rng rng(311);
-  auto instance = MakeInstance(60, 5, 4, rng);
-  std::vector<uint8_t> eligible(60, 1);
-  for (size_t i = 0; i < 60; i += 9) eligible[i] = 0;
-  TaskAssignerOptions options;
-  options.num_threads = 1;
-  TaskAssigner assigner(options);
-
-  std::vector<uint64_t> task_epochs(60, 1);
-  uint64_t worker_epoch = 1;
-  uint64_t generation = 7;
-  std::vector<CachedBenefit> scan_cache(60);
-  std::vector<CachedBenefit> index_cache(60);
-  BenefitIndex index;
-
-  auto expect_all_equal = [&]() {
-    const auto plain =
-        assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                            instance.worker_quality, eligible, 12);
-    const auto scan = assigner.SelectTopK(
-        instance.tasks, instance.matrices, instance.truths,
-        instance.worker_quality, eligible, 12, &task_epochs, worker_epoch,
-        &scan_cache, generation);
-    const auto indexed = assigner.SelectTopK(
-        instance.tasks, instance.matrices, instance.truths,
-        instance.worker_quality, eligible, 12, &task_epochs, worker_epoch,
-        &index_cache, generation, &index);
-    EXPECT_EQ(scan, plain);
-    EXPECT_EQ(indexed, plain);
-  };
-
-  expect_all_equal();  // cold: index built from scratch
-  expect_all_equal();  // warm: served off the fresh heap
-
-  // Targeted staleness: swap two tasks' inference state and bump exactly
-  // their epochs — the index repairs those two entries in place.
-  std::swap(instance.tasks[5], instance.tasks[6]);
-  std::swap(instance.matrices[5], instance.matrices[6]);
-  std::swap(instance.truths[5], instance.truths[6]);
-  ++task_epochs[5];
-  ++task_epochs[6];
-  expect_all_equal();
-
-  // Worker staleness: a new quality vector invalidates every entry.
-  for (auto& q : instance.worker_quality) {
-    q = rng.UniformDoubleRange(0.3, 0.95);
-  }
-  worker_epoch = 2;
-  expect_all_equal();
-
-  // Generation staleness: nothing else changed, but a bumped generation
-  // must still force a full rescore (the O(1) invalidation contract).
-  generation = 8;
-  expect_all_equal();
 }
 
 }  // namespace

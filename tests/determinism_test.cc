@@ -23,6 +23,7 @@
 #include "crowd/worker_pool.h"
 #include "datasets/dataset.h"
 #include "kb/synthetic_kb.h"
+#include "reference_selector.h"
 #include "server/crowd_gateway.h"
 
 namespace docs::core {
@@ -172,7 +173,8 @@ TEST(DeterminismTest, SelectTopKSweepIsIdentical) {
 /// Full-system sweep: identical answer streams into DocsSystem instances that
 /// differ only in num_threads must yield identical selections (every rule),
 /// inferred truths and worker qualities — including across the periodic
-/// RunFullInference every `reinfer_every` answers.
+/// RunFullInference every `reinfer_every` answers. Every grant also equals
+/// the reference selector's (tests/reference_selector.h).
 class DocsSystemDeterminismTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -218,7 +220,11 @@ TEST_F(DocsSystemDeterminismTest, ServingPathSweepIsIdentical) {
       Rng rng(17);  // identical answer stream for every thread count
       for (size_t round = 0; round < 30; ++round) {
         const size_t w = system->WorkerIndex("w" + std::to_string(round % 12));
+        const auto expected = testing::ReferenceSelect(*system, options, w, 4);
         auto selected = system->SelectTasks(w, 4);
+        EXPECT_EQ(selected, expected)
+            << "rule " << static_cast<int>(rule) << ", " << threads
+            << " threads, round " << round;
         selections.push_back(selected);
         for (size_t task : selected) {
           const size_t choice = crowd::GenerateAnswer(
@@ -292,6 +298,8 @@ TEST_F(DocsSystemDeterminismTest, AddTasksSweepIsByteIdentical) {
 /// over 12 connections that round-robin across the reactors), so the answer
 /// order is fixed and any divergence isolates a reactor- or thread-dependent
 /// code path — hand-off, sharded scoring, per-shard cache rows, pool fallback.
+/// The baseline run (1 reactor, 1 thread) also checks every grant against
+/// the reference selector.
 TEST_F(DocsSystemDeterminismTest, GatewayServingSweepIsIdenticalAcrossReactors) {
   const auto dataset = datasets::MakeItemDataset(*kb_);
   const auto truths = dataset.Truths();
@@ -336,8 +344,16 @@ TEST_F(DocsSystemDeterminismTest, GatewayServingSweepIsIdenticalAcrossReactors) 
     for (size_t round = 0; round < 24; ++round) {
       const size_t w = round % 12;
       const std::string id = "w" + std::to_string(w);
+      std::vector<size_t> expected;
+      if (threads == 1 && reactors == 1) {
+        expected = testing::ReferenceRequest(system, options, id, 4);
+      }
       std::vector<uint64_t> hit;
       EXPECT_TRUE(conns[w]->RequestTasks(id, 4, &hit).ok());
+      if (threads == 1 && reactors == 1) {
+        EXPECT_EQ(std::vector<size_t>(hit.begin(), hit.end()), expected)
+            << "rule " << static_cast<int>(rule) << ", round " << round;
+      }
       outcome.selections.push_back(hit);
       for (uint64_t task : hit) {
         const size_t choice = crowd::GenerateAnswer(

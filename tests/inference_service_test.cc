@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include "crowd/worker_pool.h"
 #include "datasets/dataset.h"
 #include "kb/synthetic_kb.h"
+#include "reference_selector.h"
 #include "storage/worker_store.h"
 
 namespace docs::core {
@@ -55,7 +57,9 @@ kb::SyntheticKb* InferenceServiceTest::kb_ = nullptr;
 /// campaign in lockstep. After every round the async system is drained, so
 /// each RequestTasks comparison pins down the full state: any divergence in
 /// the apply order, the submission books, or the snapshot scoring path
-/// shows up as a selection mismatch in the round that caused it. The script
+/// shows up as a selection mismatch in the round that caused it. Each grant
+/// also equals the reference selector's (tests/reference_selector.h). The
+/// script
 /// covers golden probing, retro fan-out across co-answering workers, lease
 /// abandonment + expiry sweeps, the periodic full EM, and mid-campaign
 /// WorkerStore loads.
@@ -112,7 +116,10 @@ TEST_F(InferenceServiceTest, DrainedAsyncIsBitIdenticalToSyncAcrossRulesAndThrea
         // not mid-flight equality (the async system is allowed to serve
         // stale between publishes).
         async_system.Drain();
+        const auto expected =
+            testing::ReferenceRequest(sync_system, options, id, 4);
         const auto selected = sync_system.RequestTasks(id, 4);
+        ASSERT_EQ(selected, expected);
         ASSERT_EQ(async_system.RequestTasks(id, 4), selected);
 
         for (size_t s = 0; s < selected.size(); ++s) {
@@ -179,9 +186,9 @@ TEST_F(InferenceServiceTest, DrainedAsyncIsBitIdenticalToSyncAcrossRulesAndThrea
 /// sharded sync path read the live engine, the async path a published
 /// snapshot. After a lockstep campaign and Drain(), each path refreshes
 /// every worker's cache row with one more request; ScoreAllTasks then reads
-/// those rows (cache hits written by that path's scorer) and must equal
-/// both a cache-bypassing live rescore and the other two systems, exactly,
-/// under every selection rule.
+/// those rows (cache hits written by that path's scorer) and must equal the
+/// reference scores (tests/reference_selector.h), exactly, under every
+/// selection rule.
 TEST_F(InferenceServiceTest, ScoresAreIdenticalAcrossServingPathsAfterDrain) {
   const auto dataset = datasets::MakeItemDataset(*kb_);
   const auto truths = dataset.Truths();
@@ -248,16 +255,14 @@ TEST_F(InferenceServiceTest, ScoresAreIdenticalAcrossServingPathsAfterDrain) {
     for (const std::string& id : ids) {
       SCOPED_TRACE("worker " + id);
       const size_t w = exclusive.WorkerIndex(id);
-      const auto live = exclusive.ScoreAllTasks(w, /*bypass_cache=*/true);
-      EXPECT_EQ(exclusive.ScoreAllTasks(w, /*bypass_cache=*/false), live);
-      EXPECT_EQ(sharded.WithLocked([&](DocsSystem& s) {
-        return s.ScoreAllTasks(w, /*bypass_cache=*/false);
-      }),
-                live);
-      EXPECT_EQ(async_system.WithLocked([&](DocsSystem& s) {
-        return s.ScoreAllTasks(w, /*bypass_cache=*/false);
-      }),
-                live);
+      const auto reference = testing::ReferenceScores(exclusive, options, w);
+      EXPECT_EQ(exclusive.ScoreAllTasks(w), reference);
+      EXPECT_EQ(sharded.WithLocked(
+                    [&](DocsSystem& s) { return s.ScoreAllTasks(w); }),
+                reference);
+      EXPECT_EQ(async_system.WithLocked(
+                    [&](DocsSystem& s) { return s.ScoreAllTasks(w); }),
+                reference);
     }
     // The async rows were filled by the snapshot scorer; reading them back
     // as hits is what makes the comparison above cover that scorer.
@@ -265,6 +270,63 @@ TEST_F(InferenceServiceTest, ScoresAreIdenticalAcrossServingPathsAfterDrain) {
                   [](DocsSystem& s) { return s.benefit_cache_hits(); }),
               async_hits_before);
   }
+}
+
+/// The golden probe closes on the same seed in both modes. A worker who
+/// asks again before her last golden answers are applied finds all of them
+/// booked while the engine has absorbed none; the facade drains before it
+/// serves her, so the golden tallies that seed her quality see every golden
+/// answer, as in sync mode, and her next grant is ranked with that seed.
+TEST_F(InferenceServiceTest, GoldenProbeSeedsQualityBeforeTheNextGrant) {
+  const auto dataset = datasets::MakeItemDataset(*kb_);
+  const auto truths = dataset.Truths();
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  DocsSystemOptions options;
+  options.golden_count = 4;
+  options.reinfer_every = 0;
+  options.num_threads = 1;
+  DocsSystemOptions async_options = options;
+  async_options.async_inference = true;
+  ConcurrentDocsSystem sync_system(&kb_->knowledge_base, options);
+  ConcurrentDocsSystem async_system(&kb_->knowledge_base, async_options);
+  // Slow applies keep the golden answers queued when the next request
+  // arrives.
+  async_system.SetAsyncApplyHookForTest([](const PendingAnswer&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  ASSERT_TRUE(sync_system.AddTasks(inputs, &truths).ok());
+  ASSERT_TRUE(async_system.AddTasks(inputs, &truths).ok());
+
+  const auto golden = sync_system.RequestTasks("w", 4);
+  ASSERT_EQ(golden.size(), 4u);
+  ASSERT_EQ(async_system.RequestTasks("w", 4), golden);
+  for (size_t task : golden) {
+    // Right on the even-numbered golden tasks, wrong on the others, so the
+    // seed differs from the default profile.
+    const size_t choice = task % 2 == 0 ? truths[task]
+                                        : (truths[task] + 1) %
+                                              inputs[task].num_choices;
+    ASSERT_TRUE(sync_system.SubmitAnswer("w", task, choice).ok());
+    ASSERT_TRUE(async_system.SubmitAnswer("w", task, choice).ok());
+  }
+  const auto next = sync_system.RequestTasks("w", 2);
+  EXPECT_EQ(async_system.RequestTasks("w", 2), next);
+  async_system.Drain();
+
+  const auto quality = [](ConcurrentDocsSystem& system) {
+    return system.WithLocked([](DocsSystem& s) {
+      return s.inference().worker_quality(0).quality;
+    });
+  };
+  EXPECT_EQ(quality(async_system), quality(sync_system));
+  const double default_quality = options.truth_inference.default_quality;
+  const auto seeded = quality(sync_system);
+  EXPECT_TRUE(std::any_of(seeded.begin(), seeded.end(), [&](double q) {
+    return q != default_quality;
+  }));
 }
 
 /// SubmitAnswer acks synchronously with the same status codes and messages

@@ -740,100 +740,6 @@ TEST(BenefitBoundTest, EngineBoundInputsTrackEveryPosteriorWrite) {
   check("full inference");
 }
 
-// --- Epoch-aware SelectTopK --------------------------------------------------
-
-TEST(TaskAssignerCacheTest, CachedSelectionMatchesCachelessOverload) {
-  Rng rng(227);
-  auto instance = MakeInstance(40, 5, 4, rng);
-  std::vector<uint8_t> eligible(40, 1);
-  for (size_t i = 0; i < 40; i += 7) eligible[i] = 0;
-  TaskAssignerOptions options;
-  options.num_threads = 1;
-  TaskAssigner assigner(options);
-
-  const auto baseline =
-      assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                          instance.worker_quality, eligible, 10);
-
-  std::vector<uint64_t> task_epochs(40, 1);
-  std::vector<CachedBenefit> cache(40);
-  const auto cold =
-      assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                          instance.worker_quality, eligible, 10, &task_epochs,
-                          1, &cache);
-  EXPECT_EQ(cold, baseline);
-  for (size_t i = 0; i < 40; ++i) {
-    if (!eligible[i]) continue;  // ineligible tasks are never scored
-    EXPECT_EQ(cache[i].task_epoch, 1u) << "task " << i;
-    EXPECT_EQ(cache[i].worker_epoch, 1u) << "task " << i;
-  }
-
-  const auto warm =
-      assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                          instance.worker_quality, eligible, 10, &task_epochs,
-                          1, &cache);
-  EXPECT_EQ(warm, baseline);
-}
-
-TEST(TaskAssignerCacheTest, FreshEntriesAreServedFromTheCache) {
-  // Poison one cached score without touching its epochs: the repeat call
-  // must trust the entry (proof it did not rescore), and bumping the task
-  // epoch must flush the poison and restore the true ranking.
-  Rng rng(229);
-  auto instance = MakeInstance(20, 4, 3, rng);
-  std::vector<uint8_t> eligible(20, 1);
-  TaskAssignerOptions options;
-  options.num_threads = 1;
-  TaskAssigner assigner(options);
-  std::vector<uint64_t> task_epochs(20, 1);
-  std::vector<CachedBenefit> cache(20);
-
-  const auto baseline =
-      assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                          instance.worker_quality, eligible, 5, &task_epochs,
-                          1, &cache);
-
-  cache[3].benefit += 100.0;  // dwarfs any real benefit (entropy <= log l)
-  const auto poisoned =
-      assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                          instance.worker_quality, eligible, 5, &task_epochs,
-                          1, &cache);
-  ASSERT_FALSE(poisoned.empty());
-  EXPECT_EQ(poisoned.front(), 3u);
-
-  task_epochs[3] = 2;  // stale -> rescored from live state
-  const auto refreshed =
-      assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                          instance.worker_quality, eligible, 5, &task_epochs,
-                          1, &cache);
-  EXPECT_EQ(refreshed, baseline);
-  EXPECT_EQ(cache[3].task_epoch, 2u);
-}
-
-TEST(TaskAssignerCacheTest, WorkerEpochBumpInvalidatesEveryEntry) {
-  Rng rng(233);
-  auto instance = MakeInstance(15, 3, 3, rng);
-  std::vector<uint8_t> eligible(15, 1);
-  TaskAssignerOptions options;
-  options.num_threads = 1;
-  TaskAssigner assigner(options);
-  std::vector<uint64_t> task_epochs(15, 1);
-  std::vector<CachedBenefit> cache(15);
-
-  const auto baseline =
-      assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                          instance.worker_quality, eligible, 6, &task_epochs,
-                          1, &cache);
-  // Poison every entry; a worker-epoch bump must rescore all of them.
-  for (auto& entry : cache) entry.benefit = -1000.0;
-  const auto rescored =
-      assigner.SelectTopK(instance.tasks, instance.matrices, instance.truths,
-                          instance.worker_quality, eligible, 6, &task_epochs,
-                          2, &cache);
-  EXPECT_EQ(rescored, baseline);
-  for (const auto& entry : cache) EXPECT_EQ(entry.worker_epoch, 2u);
-}
-
 TEST(TaskAssignerDeathTest, RejectsMismatchedEligibilityVector) {
   // Regression: SelectTopK indexes eligible[], matrices[] and truths[] by
   // task id; a short parallel array used to be an out-of-bounds read.
