@@ -313,13 +313,14 @@ BENCHMARK(BM_DveEndToEnd);
 //               per-worker benefit index. tests/serving_alloc_test.cc pins
 //               the heap allocations of one such request.
 //   WarmSweep — Warm across n = 1k/10k/100k tasks: the DESIGN.md §16
-//               sub-linearity evidence (scripts/bench.sh gates warm ns/op at
-//               100k under 3x the 10k figure; an O(n) warm path would be
-//               ~10x).
+//               sub-linearity evidence (an O(n) warm path would grow ~10x
+//               per 10x tasks). tests/benefit_index_test.cc checks the same
+//               shape by counting heap nodes visited at 250/1k/4k tasks.
 //   Cold      — Warm's shape with an untimed full inference before each
 //               timed request: its generation bump stales the worker's whole
 //               cache row and index, so every request rebuilds the index
-//               (scripts/bench.sh gates Warm faster than Cold).
+//               (tests/serving_alloc_test.cc checks the rebuild and the
+//               rescored rows by counters).
 // Each reports allocs/op from the counting operator new above.
 
 const kb::SyntheticKb& ServingKb() {

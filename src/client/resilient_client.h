@@ -38,7 +38,7 @@ struct ResilientClientOptions {
   uint64_t nonce = 0;
 };
 
-/// Counters exposed for the chaos harness and bench_server reporting.
+/// Counters exposed for the chaos harness and perfbench reporting.
 struct ResilientClientStats {
   uint64_t retries = 0;         ///< attempts after the first, any op
   uint64_t reconnects = 0;      ///< successful re-Connects after a drop

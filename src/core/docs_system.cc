@@ -371,6 +371,9 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
   // entry whose bound reaches the top k, and charging that to the budget
   // would send each cold pass to the scan.
   const size_t budget = std::max<size_t>(64, 8 * k);
+  // One allocation for the result. Capped at the index size, not k: a
+  // caller may ask for more tasks than exist.
+  selected.reserve(std::min(k, index->size()));
   const bool complete = index->TrySelect(
       eligible_one, [&](size_t task) { return ScoreCached(pass, task); }, k,
       budget, &selected, &pops);

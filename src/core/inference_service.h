@@ -103,8 +103,9 @@ struct InferenceServiceOptions {
   size_t max_batch = 256;
 };
 
-/// Staleness observability (GatewayStats / bench_server --json surface
-/// these). Each field is an independent sample, not a consistent snapshot.
+/// Staleness observability (ConcurrentDocsSystem::async_stats() and
+/// perfbench surface these). Each field is an independent sample, not a
+/// consistent snapshot.
 struct InferenceServiceStats {
   uint64_t snapshot_epoch = 0;
   uint64_t publishes = 0;

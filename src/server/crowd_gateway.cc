@@ -218,8 +218,8 @@ GatewayStats CrowdGateway::stats() const {
   GatewayStats out;
   {
     // Only the retired block and the live reactors' counters need the
-    // lifecycle lock; the facade and durable reads below happen after it is
-    // released so this lock never couples to the serving locks.
+    // lifecycle lock; the durable read below happens after it is released
+    // so this lock never couples to the serving locks.
     MutexLock lock(&lifecycle_mutex_);
     out = retired_;
     for (const auto& reactor : reactors_) {
@@ -233,31 +233,10 @@ GatewayStats CrowdGateway::stats() const {
   }
   out.connections_rejected += connections_rejected_.load();
   out.faults_injected += faults_injected_.load();
-  out.benefit_cache_hits = system_->benefit_cache_hits();
-  out.benefit_cache_misses = system_->benefit_cache_misses();
-  out.benefit_cache_request_hits = system_->benefit_cache_request_hits();
-  out.benefit_cache_request_misses = system_->benefit_cache_request_misses();
-  out.benefit_index_pops = system_->benefit_index_pops();
-  out.benefit_index_repairs = system_->benefit_index_repairs();
-  out.benefit_index_rebuilds = system_->benefit_index_rebuilds();
-  out.benefit_index_generation_invalidations =
-      system_->benefit_index_generation_invalidations();
   if (durable_ != nullptr) {
     const core::DurableStats durable = durable_->stats();
     out.answers_deduped = durable.answers_deduped;
     out.wal_records = durable.wal_records;
-  }
-  // Async staleness sample (lock-free on the facade side; zeros in sync
-  // mode) — taken after the lifecycle lock is released, like the facade
-  // reads above.
-  const core::AsyncInferenceStats async = system_->async_stats();
-  if (async.enabled) {
-    out.async_snapshot_epoch = async.service.snapshot_epoch;
-    out.async_publishes = async.service.publishes;
-    out.async_answers_pending = async.service.answers_pending;
-    out.async_enqueue_waits = async.service.enqueue_waits;
-    out.async_last_sweep_epoch = async.last_sweep_epoch;
-    out.async_publish_gap_us = async.service.last_publish_gap_us;
   }
   return out;
 }

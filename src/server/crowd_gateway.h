@@ -56,10 +56,13 @@ struct CrowdGatewayOptions {
   uint64_t lease_expiry_interval_ms = 0;
 };
 
-/// Monotonic counters exposed for tests, the load generator, and the wire
-/// Stats response. Snapshot semantics: each value is an independent atomic
-/// load (the struct is not a consistent cross-counter snapshot); stats()
-/// aggregates across reactors, reactor_stats() keeps them apart.
+/// The gateway's own monotonic counters plus the durable layer's, exposed
+/// for tests, the load generator, and the wire Stats response. The wrapped
+/// facade's counters (benefit cache and index, async inference) are read
+/// from ConcurrentDocsSystem itself. Snapshot semantics: each value is an
+/// independent atomic load (the struct is not a consistent cross-counter
+/// snapshot); stats() aggregates across reactors, reactor_stats() keeps
+/// them apart.
 struct GatewayStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_rejected = 0;
@@ -68,40 +71,9 @@ struct GatewayStats {
   uint64_t protocol_errors = 0;
   uint64_t faults_injected = 0;
   uint64_t leases_expired = 0;
-  /// Benefit-cache effectiveness of the wrapped system (DESIGN.md §11),
-  /// sampled at stats() time. Row-level counts score recomputations;
-  /// request-level counts whole scoring passes — hit-rate dashboards want
-  /// request_hits / (request_hits + request_misses). Local observability
-  /// only — the frozen wire Stats response does not carry these.
-  uint64_t benefit_cache_hits = 0;
-  uint64_t benefit_cache_misses = 0;
-  uint64_t benefit_cache_request_hits = 0;
-  uint64_t benefit_cache_request_misses = 0;
-  /// Benefit-index effectiveness (DESIGN.md §16), sampled at stats() time:
-  /// heap nodes visited by index-served selections, targeted repairs, full
-  /// O(n) rebuilds, and O(1) generation invalidations (full re-inference
-  /// runs staled wholesale). Local observability only — the frozen wire
-  /// Stats response does not carry these.
-  uint64_t benefit_index_pops = 0;
-  uint64_t benefit_index_repairs = 0;
-  uint64_t benefit_index_rebuilds = 0;
-  uint64_t benefit_index_generation_invalidations = 0;
   /// Durability counters (wire StatsResp v2); 0 without a durable layer.
   uint64_t answers_deduped = 0;
   uint64_t wal_records = 0;
-  /// Async-inference staleness counters (DESIGN.md §15), sampled from the
-  /// facade at stats() time; all zero when async mode is off. Local
-  /// observability only — the frozen wire Stats response does not carry
-  /// them. `async_answers_pending` is the serving staleness in answers
-  /// (acked but not yet reflected in the published snapshot);
-  /// `async_last_sweep_epoch` records which publish the most recent lease
-  /// sweep was consistent with.
-  uint64_t async_snapshot_epoch = 0;
-  uint64_t async_publishes = 0;
-  uint64_t async_answers_pending = 0;
-  uint64_t async_enqueue_waits = 0;
-  uint64_t async_last_sweep_epoch = 0;
-  double async_publish_gap_us = 0.0;
 };
 
 /// TCP serving layer in front of ConcurrentDocsSystem: one acceptor thread

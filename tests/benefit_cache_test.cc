@@ -338,9 +338,8 @@ TEST_F(BenefitCacheTest, GatewayLockstepIsBitIdenticalAcrossReactorCounts) {
                 .ok());
       }
     }
-    const server::GatewayStats stats = gateway.stats();
-    EXPECT_GT(stats.benefit_cache_request_hits +
-                  stats.benefit_cache_request_misses,
+    EXPECT_GT(system.benefit_cache_request_hits() +
+                  system.benefit_cache_request_misses(),
               0u);
     gateway.Stop();
     outcome.choices = system.InferredChoices();

@@ -264,8 +264,8 @@ TEST_F(BenefitIndexTest, DrainedAsyncIndexedServingMatchesReferenceAndSync) {
 /// The lockstep over the wire, across reactor counts and serving modes:
 /// gateways with 1, 2, and 4 reactors, sync and async, grant what the
 /// reference selector picks at every step (the async system drained before
-/// each request) and end with the same inferred truths, and the index
-/// counters surface through GatewayStats.
+/// each request) and end with the same inferred truths, and the facade's
+/// index counters show the index served the run.
 TEST_F(BenefitIndexTest, GatewayServingIsBitIdenticalAcrossReactorsAndModes) {
   const auto dataset = datasets::MakeItemDataset(*kb_);
   const auto truths = dataset.Truths();
@@ -318,8 +318,8 @@ TEST_F(BenefitIndexTest, GatewayServingIsBitIdenticalAcrossReactorsAndModes) {
                 .ok());
       }
     }
-    const server::GatewayStats stats = gateway.stats();
-    EXPECT_GT(stats.benefit_index_pops + stats.benefit_index_rebuilds, 0u);
+    EXPECT_GT(system.benefit_index_pops() + system.benefit_index_rebuilds(),
+              0u);
     gateway.Stop();
     return system.InferredChoices();
   };
@@ -817,6 +817,54 @@ TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
     }
   }
 }
+
+/// The §16 sub-linearity claim as counters. On bench_micro's warm serving
+/// shape (8 workers answer every 17th task, no periodic inference, one
+/// thread), one fill request settles the worker's index; the warm k = 10
+/// request after it rebuilds nothing, rescores nothing, and visits the same
+/// number of heap nodes at every task count, inside the walk budget. An O(n)
+/// warm path would grow those visits with n.
+class WarmIndexScalingTest : public BenefitIndexTest,
+                             public ::testing::WithParamInterface<size_t> {};
+
+TEST_P(WarmIndexScalingTest, WarmRequestVisitsTheSameNodesAtEveryTaskCount) {
+  constexpr size_t kK = 10;
+  const std::vector<TaskInput> inputs = QaInputs(*kb_, GetParam(), 3);
+  DocsSystemOptions options;
+  options.golden_count = 0;
+  options.reinfer_every = 0;
+  options.lease_duration = 0;
+  options.num_threads = 1;
+  DocsSystem system(&kb_->knowledge_base, options);
+  ASSERT_TRUE(system.AddTasks(inputs).ok());
+  for (size_t w = 0; w < 8; ++w) {
+    const size_t worker = system.WorkerIndex("bench_w" + std::to_string(w));
+    for (size_t t = w; t < inputs.size(); t += 17) {
+      ASSERT_TRUE(
+          system.SubmitAnswer(worker, t, (t + w) % inputs[t].num_choices)
+              .ok());
+    }
+  }
+  const size_t worker = system.WorkerIndex("bench_w0");
+  const std::vector<size_t> fill = system.SelectTasks(worker, kK);
+  ASSERT_EQ(fill.size(), kK);
+
+  const uint64_t rebuilds = system.benefit_index_rebuilds();
+  const uint64_t misses = system.benefit_cache_misses();
+  const uint64_t pops = system.benefit_index_pops();
+  EXPECT_EQ(system.SelectTasks(worker, kK), fill);
+  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds);
+  EXPECT_EQ(system.benefit_cache_misses(), misses);
+  // Every top-k entry is exact after the fill, so the walk emits k nodes
+  // and visits no other, whatever n is.
+  const uint64_t warm_pops = system.benefit_index_pops() - pops;
+  EXPECT_EQ(warm_pops, kK);
+  EXPECT_LE(warm_pops, std::max<size_t>(64, 8 * kK));
+}
+
+INSTANTIATE_TEST_SUITE_P(TaskCounts, WarmIndexScalingTest,
+                         ::testing::Values(size_t{250}, size_t{1000},
+                                           size_t{4000}));
 
 }  // namespace
 }  // namespace docs::core

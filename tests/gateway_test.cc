@@ -618,17 +618,17 @@ TEST_F(GatewayTest, AsyncLeaseSweepRacesPublishesCleanly) {
   EXPECT_EQ(stats.outstanding_leases, 0u);
   EXPECT_GE(serving.gateway->stats().leases_expired, hit.size());
 
-  // Every acked answer is applied once quiesced, and the staleness fields
-  // surfaced through GatewayStats show real publish + sweep progress.
+  // Every acked answer is applied once quiesced, and the facade's staleness
+  // fields show real publish + sweep progress.
   serving.system->Drain();
   EXPECT_EQ(serving.system->num_answers(), submitted);
-  const GatewayStats gateway_stats = serving.gateway->stats();
+  const core::AsyncInferenceStats async = serving.system->async_stats();
   // Publishes batch (one epoch can absorb several queued answers), so the
   // bound is progress past the ingest-time snapshot, not one-per-answer.
-  EXPECT_GT(gateway_stats.async_snapshot_epoch, 1u);
-  EXPECT_GE(gateway_stats.async_publishes, 1u);
-  EXPECT_EQ(gateway_stats.async_answers_pending, 0u);
-  EXPECT_GE(gateway_stats.async_last_sweep_epoch, 1u);
+  EXPECT_GT(async.service.snapshot_epoch, 1u);
+  EXPECT_GE(async.service.publishes, 1u);
+  EXPECT_EQ(async.service.answers_pending, 0u);
+  EXPECT_GE(async.last_sweep_epoch, 1u);
 }
 
 TEST_F(GatewayTest, GracefulShutdownClosesClientsCleanly) {

@@ -1,10 +1,12 @@
-// Heap-allocation pin of the warm serving path (DESIGN.md §11): one warm
-// SelectTasks on a quiet system reads the top k off the worker's benefit
+// Heap-allocation and work pin of the warm serving path (DESIGN.md §11): one
+// warm SelectTasks on a quiet system reads the top k off the worker's benefit
 // index and allocates only its result. The count is pinned exactly, so any
 // new per-request allocation (a rebuilt closure, a scratch vector that no
-// longer persists, a row copied instead of borrowed) fails here. The shape
-// is bench_micro's BM_ServeRequestTasksWarm: QA-512, one thread, no golden
-// probe, no leases, no periodic inference, k = 10.
+// longer persists, a row copied instead of borrowed) fails here. The same
+// request made cold by a full inference must rebuild the index and rescore
+// rows the warm one never touches: the deterministic form of "warm beats
+// cold". The shape is bench_micro's BM_ServeRequestTasksWarm: QA-512, one
+// thread, no golden probe, no leases, no periodic inference, k = 10.
 //
 // Global operator new is replaced with a counting forwarder, as in
 // bench/bench_micro.cc; the counter is process-wide, so the measured call
@@ -92,14 +94,23 @@ TEST(ServingAllocTest, WarmRequestAllocatesOnlyItsResult) {
   ASSERT_EQ(system.SelectTasks(worker, 10), cold);
 
   const uint64_t rebuilds = system.benefit_index_rebuilds();
+  const uint64_t misses = system.benefit_cache_misses();
   const uint64_t before = HeapAllocations();
   const std::vector<size_t> warm = system.SelectTasks(worker, 10);
   const uint64_t allocations = HeapAllocations() - before;
   EXPECT_EQ(warm, cold);
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds);
-  // The result vector grows by doubling while the index walk emits k = 10
-  // tasks: capacities 1, 2, 4, 8 and 16. Nothing else allocates.
-  EXPECT_EQ(allocations, 5u);
+  EXPECT_EQ(system.benefit_cache_misses(), misses);
+  // The result vector is reserved once to k = 10 before the index walk
+  // fills it. Nothing else allocates.
+  EXPECT_EQ(allocations, 1u);
+
+  // A full inference bumps the generation: the same request now rebuilds
+  // the index once and rescores rows from live state.
+  system.RunFullInference();
+  EXPECT_EQ(system.SelectTasks(worker, 10).size(), 10u);
+  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds + 1);
+  EXPECT_GT(system.benefit_cache_misses(), misses);
 }
 
 }  // namespace
