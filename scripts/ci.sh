@@ -90,8 +90,11 @@ ctest --test-dir "$PERFBENCH_BUILD" --output-on-failure --no-tests=error
 # async service; concurrency_test runs the submission-book writes and the
 # striped serve loop with them live under the sync hammer; serving_alloc_test
 # pins the warm request's heap allocations with the contracts compiled in.
+# benefit_index_test and benefit_cache_test run the rebuild-only index's
+# heap audit (BenefitIndex::CheckInvariant) and the bound DCHECKs of its
+# frontier walk under both lockstep suites.
 run_config strict \
-  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|determinism_test|docs_system_test|persistence_test|inference_service_test|concurrency_test|serving_alloc_test" \
+  "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|benefit_cache_test|determinism_test|docs_system_test|persistence_test|inference_service_test|concurrency_test|serving_alloc_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON
 run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=ON
 # Gateway smoke: start the TCP server on an ephemeral port, run real client

@@ -334,11 +334,6 @@ uint64_t ConcurrentDocsSystem::benefit_index_pops() {
   return system_.benefit_index_pops();
 }
 
-uint64_t ConcurrentDocsSystem::benefit_index_repairs() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_index_repairs();
-}
-
 uint64_t ConcurrentDocsSystem::benefit_index_rebuilds() {
   ReaderLock state(&state_mutex_);
   return system_.benefit_index_rebuilds();

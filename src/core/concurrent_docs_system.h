@@ -144,9 +144,8 @@ class ConcurrentDocsSystem {
   uint64_t benefit_cache_request_misses() DOCS_EXCLUDES(state_mutex_);
 
   /// Benefit-index effectiveness counters (DESIGN.md §16): heap pops served,
-  /// targeted repairs, full rebuilds, and O(1) generation invalidations.
+  /// full rebuilds, and O(1) generation invalidations.
   uint64_t benefit_index_pops() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_index_repairs() DOCS_EXCLUDES(state_mutex_);
   uint64_t benefit_index_rebuilds() DOCS_EXCLUDES(state_mutex_);
   uint64_t benefit_index_generation_invalidations() DOCS_EXCLUDES(state_mutex_);
 

@@ -58,6 +58,8 @@ DocsSystem::ScoringPass DocsSystem::LivePass(
   pass.worker_epoch = inference_->worker_epoch(worker);
   pass.task_epochs = inference_->task_epochs().data();
   pass.generation = inference_->generation();
+  pass.answers = inference_->num_answers();
+  pass.answered = &inference_->answered_tasks(worker);
   StageWorker(inference_->worker_quality(worker).quality, &pass, scratch);
   return pass;
 }
@@ -75,6 +77,8 @@ DocsSystem::ScoringPass DocsSystem::SnapshotPass(
   pass.worker_epoch = view.epoch;
   pass.task_epochs = snap.task_epochs.data();
   pass.generation = snap.generation;
+  pass.answers = snap.answers_applied;
+  pass.answered = &view.answered;
   StageWorker(view.quality, &pass, scratch);
   return pass;
 }
@@ -290,71 +294,20 @@ std::vector<size_t> DocsSystem::RankCore(const std::vector<uint8_t>& eligible,
 }
 
 std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
-    size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
+    BenefitIndex* index, size_t k, ScoringPass* pass,
     const std::function<bool(size_t)>& eligible_one, ThreadPool* pool) {
   const size_t n = tasks_.size();
-  const InferenceSnapshot* snap = pass->snap;
-  const BenefitIndex::Source source = snap == nullptr
-                                          ? BenefitIndex::Source::kLive
-                                          : BenefitIndex::Source::kSnapshot;
-  // Sync the index: tags fresh + feed caught up = nothing to do; tags fresh
-  // with a bounded feed gap = targeted repairs; anything else = rebuild.
-  bool synced = false;
-  if (index->Fresh(source, pass->worker_epoch, pass->generation, n)) {
-    size_t repaired = 0;
-    if (snap == nullptr) {
-      // Live source: replay the engine's mutation log from our cursor. Any
-      // entry we don't contain belongs to this worker's own answered set
-      // (excluded at build time); duplicates re-probe a now-fresh cache
-      // entry, which is cheap and idempotent.
-      const uint64_t log_begin = inference_->mutation_log_begin();
-      const uint64_t log_end = inference_->mutation_log_end();
-      if (index->cursor() >= log_begin && index->cursor() <= log_end) {
-        const std::vector<size_t>& log = inference_->mutation_log();
-        for (uint64_t seq = index->cursor(); seq < log_end; ++seq) {
-          const size_t task = log[seq - log_begin];
-          if (!index->contains(task)) continue;
-          index->Repair(task, ScoreCached(pass, task));
-          ++repaired;
-        }
-        index->set_cursor(log_end);
-        synced = true;
-      }
-    } else {
-      // Snapshot source: publishes are totally ordered, so an index exactly
-      // one publish behind catches up off the changed-task diff.
-      if (index->cursor() == snap->epoch) {
-        synced = true;
-      } else if (index->cursor() + 1 == snap->epoch) {
-        for (size_t task : snap->changed_tasks) {
-          if (!index->contains(task)) continue;
-          index->Repair(task, ScoreCached(pass, task));
-          ++repaired;
-        }
-        index->set_cursor(snap->epoch);
-        synced = true;
-      }
-    }
-    if (repaired > 0) {
-      benefit_index_repairs_.fetch_add(repaired, std::memory_order_relaxed);
-    }
-  }
-  if (!synced) {
+  if (!index->Fresh(pass->worker_epoch, pass->generation, pass->answers, n)) {
     // Rebuilds exclude the worker's answered tasks — they can never become
     // eligible again, so indexing them would be pure waste, and as bound
     // entries (an answered task's bound is H(s_i)) they would sit near the
     // top and be skipped by every walk. The list only grows via her own
-    // submissions, each of which bumps her worker epoch and forces the next
-    // rebuild. A snapshot pass reads the list as of its publish (the books
-    // run ahead of it by the queue depth; the eligibility predicate skips
-    // the difference).
-    const std::vector<size_t>& exclude =
-        snap == nullptr ? inference_->answered_tasks(worker)
-                        : snap->workers[worker]->answered;
-    const uint64_t cursor =
-        snap == nullptr ? inference_->mutation_log_end() : snap->epoch;
-    index->Rebuild(n, source, pass->worker_epoch, pass->generation, cursor,
-                   exclude, [&](std::vector<BenefitIndex::Entry>* entries) {
+    // submissions, each of which moves the key. A snapshot pass reads the
+    // list as of its publish (the books run ahead of it by the queue depth;
+    // the eligibility predicate skips the difference).
+    index->Rebuild(n, pass->worker_epoch, pass->generation, pass->answers,
+                   *pass->answered,
+                   [&](std::vector<BenefitIndex::Entry>* entries) {
                      SeedEntries(pass, k, eligible_one, entries, pool);
                    });
     benefit_index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
@@ -383,22 +336,21 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
 }
 
 std::vector<size_t> DocsSystem::RankWithIndex(
-    size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
+    BenefitIndex* index, size_t k, ScoringPass* pass,
     const std::function<bool(size_t)>& eligible_one,
     const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
     ThreadPool* pool) {
   bool had_candidates = false;
   std::vector<size_t> selected;
-  if (auto ranked =
-          TryRankViaIndex(worker, index, k, pass, eligible_one, pool)) {
+  if (auto ranked = TryRankViaIndex(index, k, pass, eligible_one, pool)) {
     selected = std::move(*ranked);
     had_candidates = index->size() > 0;
   } else {
     selected = RankCore(eligible_bitmap(), k, pass, pool, &had_candidates);
   }
   PublishTally(*pass);
-  // Request-level accounting: the whole pass — repair phase and scan
-  // fallback alike — is one lookup from the serving path's point of view:
+  // Request-level accounting: the whole pass — rebuild and scan fallback
+  // alike — is one lookup from the serving path's point of view:
   // fully cache-served or not.
   if (had_candidates) {
     if (pass->misses > 0) {
@@ -577,8 +529,8 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   // benefit index when it can serve the request (DESIGN.md §16), otherwise
   // the deterministic parallel scan over the epoch-tagged benefit cache.
   ScoringPass pass = LivePass(worker, CacheRow(worker), &serve_scratch_);
-  auto selected = RankWithIndex(worker, IndexRow(worker), k, &pass,
-                                eligible_one, eligible_bitmap, ScoringPool());
+  auto selected = RankWithIndex(IndexRow(worker), k, &pass, eligible_one,
+                                eligible_bitmap, ScoringPool());
   GrantLeases(worker, selected);
   return selected;
 }
@@ -660,8 +612,7 @@ std::vector<size_t> DocsSystem::ScoreAndRank(size_t worker,
   auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
     return scratch.eligible;
   };
-  return RankWithIndex(worker, index, k, &pass, eligible_one, eligible_bitmap,
-                       pool);
+  return RankWithIndex(index, k, &pass, eligible_one, eligible_bitmap, pool);
 }
 
 bool DocsSystem::CommitShardedSelect(size_t worker,
@@ -901,8 +852,7 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
 
   // Tasks copy-on-write: a task whose inference epoch is unchanged shares
   // the previous snapshot's immutable posterior; only the tasks the applied
-  // batch (or EM pass) actually moved are copied — and recorded in
-  // changed_tasks, the diff a one-publish-stale index repairs from.
+  // batch (or EM pass) actually moved are copied.
   const size_t n = tasks_.size();
   snap->task_epochs.resize(n);
   snap->truth_entropy.resize(n);
@@ -922,7 +872,6 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
     task_snap->truth_matrix = inference_->truth_matrix(i);
     task_snap->truth = inference_->task_truth(i);
     snap->tasks[i] = std::move(task_snap);
-    snap->changed_tasks.push_back(i);
   }
 
   snap->workers.resize(workers_.size());

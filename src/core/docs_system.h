@@ -260,15 +260,10 @@ class DocsSystem : public AssignmentPolicy {
 
   /// Benefit-index effectiveness counters (DESIGN.md §16). Pops counts heap
   /// nodes visited by index-served selections (the k-log-n work unit);
-  /// repairs counts targeted in-place fixups driven by the engine's mutation
-  /// log or a snapshot's changed-task diff; rebuilds counts full O(n)
-  /// reconstructions (first contact, worker-epoch or generation staleness,
-  /// feed-cursor gaps). Monotonic.
+  /// rebuilds counts full O(n) reconstructions (first contact, or a moved
+  /// worker epoch, generation or answer count). Monotonic.
   uint64_t benefit_index_pops() const {
     return benefit_index_pops_.load(std::memory_order_relaxed);
-  }
-  uint64_t benefit_index_repairs() const {
-    return benefit_index_repairs_.load(std::memory_order_relaxed);
   }
   uint64_t benefit_index_rebuilds() const {
     return benefit_index_rebuilds_.load(std::memory_order_relaxed);
@@ -413,6 +408,12 @@ class DocsSystem : public AssignmentPolicy {
     uint64_t worker_epoch = 0;
     const uint64_t* task_epochs = nullptr;
     uint64_t generation = 0;
+    /// Answers the source had absorbed; with worker_epoch and generation
+    /// the benefit index's key (DESIGN.md §16).
+    uint64_t answers = 0;
+    /// The worker's answered tasks in the source, ascending: the tasks an
+    /// index rebuild leaves out.
+    const std::vector<size_t>* answered = nullptr;
     uint64_t hits = 0;
     uint64_t misses = 0;
   };
@@ -435,7 +436,7 @@ class DocsSystem : public AssignmentPolicy {
   /// BenefitBoundsOf `task` for a benefit-rule pass (pass.factors set),
   /// from the bound inputs of the pass's source (engine or snapshot).
   BenefitBounds Bounds(const ScoringPass& pass, size_t task) const;
-  /// One cached score for an index repair or bound resolution: probes the
+  /// One cached score for an index bound resolution: probes the
   /// pass's cache row under its key, rescoring and refreshing the entry on a
   /// miss, and tallies the probe in `*pass`.
   double ScoreCached(ScoringPass* pass, size_t task) const;
@@ -477,16 +478,14 @@ class DocsSystem : public AssignmentPolicy {
                                ScoringPass* pass, ThreadPool* pool,
                                bool* had_candidates);
 
-  /// The index-accelerated ranking attempt (DESIGN.md §16): syncs `index` to
-  /// the pass's (worker_epoch, generation) — full rebuild (SeedEntries) on a
-  /// tag mismatch or feed gap, targeted repairs from the engine's mutation
-  /// log (live pass) or the snapshot's changed-task diff otherwise — then
-  /// reads the top-k eligible tasks off the heap, resolving bound entries
-  /// through the cache row as the walk reaches them. nullopt when the
-  /// frontier walk exceeded its skip budget; the caller falls back to the
-  /// bit-identical scan.
+  /// The index-accelerated ranking attempt (DESIGN.md §16): rebuilds
+  /// `index` (SeedEntries) unless it is fresh under the pass's (worker_epoch,
+  /// generation, answers), then reads the top-k eligible tasks off the heap,
+  /// resolving bound entries through the cache row as the walk reaches them.
+  /// nullopt when the frontier walk exceeded its skip budget; the caller
+  /// falls back to the bit-identical scan.
   std::optional<std::vector<size_t>> TryRankViaIndex(
-      size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
+      BenefitIndex* index, size_t k, ScoringPass* pass,
       const std::function<bool(size_t)>& eligible_one, ThreadPool* pool);
 
   /// The one ranking front door every serving path uses: tries the index,
@@ -495,7 +494,7 @@ class DocsSystem : public AssignmentPolicy {
   /// pass's row tallies and the request-level cache counters across
   /// whichever path served.
   std::vector<size_t> RankWithIndex(
-      size_t worker, BenefitIndex* index, size_t k, ScoringPass* pass,
+      BenefitIndex* index, size_t k, ScoringPass* pass,
       const std::function<bool(size_t)>& eligible_one,
       const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
       ThreadPool* pool);
@@ -565,7 +564,6 @@ class DocsSystem : public AssignmentPolicy {
   std::atomic<uint64_t> benefit_cache_request_hits_{0};
   std::atomic<uint64_t> benefit_cache_request_misses_{0};
   std::atomic<uint64_t> benefit_index_pops_{0};
-  std::atomic<uint64_t> benefit_index_repairs_{0};
   std::atomic<uint64_t> benefit_index_rebuilds_{0};
   /// Exclusive-path serving scratch (SelectTasks, ScoreAllTasks), reused
   /// across calls so a warm request allocates nothing.

@@ -13,11 +13,6 @@ double Clamp(double q, double clamp) {
   return std::min(1.0 - clamp, std::max(clamp, q));
 }
 
-/// Mutation-log bound: past this many un-replayed entries a catching-up
-/// benefit index would approach the cost of a rebuild anyway, so the log is
-/// trimmed wholesale and stragglers rebuild (DESIGN.md §16).
-constexpr size_t kMutationLogCapacity = 4096;
-
 }  // namespace
 
 IncrementalTruthInference::IncrementalTruthInference(
@@ -200,14 +195,9 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
   // (step 1), and so did the quality vector of the submitting worker and of
   // every retro-updated prior worker (step 2). The prior list names each
   // worker at most once (one answer per (worker, task)), so nobody is bumped
-  // twice for one submission. The task also lands in the mutation log so
-  // benefit indexes can repair it in place instead of rebuilding.
+  // twice for one submission. The answer count moved too, which stales
+  // every benefit index (DESIGN.md §16).
   ++task_epoch_[task];
-  if (mutation_log_.size() >= kMutationLogCapacity) {
-    mutation_log_begin_ += mutation_log_.size();
-    mutation_log_.clear();
-  }
-  mutation_log_.push_back(task);
   ++workers_[worker].epoch;
   for (const Answer& prior_answer : answers_of_task_[task]) {
     if (prior_answer.worker != worker) ++workers_[prior_answer.worker].epoch;
@@ -243,12 +233,8 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   // O(1) invalidation: the batch re-run replaces every quality vector and
   // every posterior at once, so instead of walking all task and worker
   // epochs (the pre-§16 behavior) a single generation bump stales every
-  // cached (task, worker) benefit and every benefit index. The mutation log
-  // is trimmed too — the entries it held are subsumed by the rebuilds the
-  // generation bump forces.
+  // cached (task, worker) benefit and every benefit index.
   ++generation_;
-  mutation_log_begin_ += mutation_log_.size();
-  mutation_log_.clear();
   // Rebuild M̂, M and s of every task from the converged qualities so later
   // OnAnswer calls continue from that state: one more step-1 pass of the
   // shared kernel. No epoch bump: the generation bump above already stales

@@ -29,6 +29,10 @@ class IncrementalTruthInference {
 
   size_t num_tasks() const { return tasks_.size(); }
   size_t num_workers() const { return workers_.size(); }
+  /// Answers absorbed so far. Posteriors move only in OnAnswer (one answer
+  /// each) and RunFullInference (a generation() bump), so with the
+  /// generation this count names the posterior state: it keys the benefit
+  /// indexes (DESIGN.md §16).
   size_t num_answers() const { return answers_.size(); }
   const std::vector<Task>& tasks() const { return tasks_; }
   const std::vector<Answer>& answers() const { return answers_; }
@@ -125,20 +129,6 @@ class IncrementalTruthInference {
   /// were built under and go stale the moment it moves (DESIGN.md §16).
   uint64_t generation() const { return generation_; }
 
-  /// Targeted-repair feed for the per-worker benefit indexes (DESIGN.md
-  /// §16): every task whose posterior moved incrementally (one OnAnswer
-  /// each) is appended here, tagged with an absolute, monotonically growing
-  /// sequence number. An index that recorded sequence c while fresh can
-  /// catch up by repairing exactly the tasks in [c, mutation_log_end()); a
-  /// cursor older than mutation_log_begin() means the log was trimmed (or a
-  /// full inference cleared it) and the index must rebuild. Entries may name
-  /// the same task repeatedly — repair is idempotent.
-  uint64_t mutation_log_begin() const { return mutation_log_begin_; }
-  uint64_t mutation_log_end() const {
-    return mutation_log_begin_ + mutation_log_.size();
-  }
-  const std::vector<size_t>& mutation_log() const { return mutation_log_; }
-
   /// argmax_j s_{i,j} for every task.
   std::vector<size_t> InferredChoices() const;
 
@@ -165,11 +155,6 @@ class IncrementalTruthInference {
   std::vector<double> truth_entropy_;            // see truth_entropy()
   std::vector<uint64_t> task_epoch_;  // see task_epoch()
   uint64_t generation_ = 1;           // see generation()
-  /// Dirty-task feed; see mutation_log(). Bounded: once it reaches
-  /// kMutationLogCapacity it is trimmed wholesale (begin jumps to end), which
-  /// simply demotes every index catch-up to a rebuild.
-  std::vector<size_t> mutation_log_;
-  uint64_t mutation_log_begin_ = 0;
   std::vector<std::vector<Answer>> answers_of_task_;
   std::vector<Answer> answers_;
   /// True once RunFullInference wrote every unanswered task's state; later

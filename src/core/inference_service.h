@@ -62,6 +62,8 @@ struct InferenceSnapshot {
   uint64_t epoch = 0;
   /// Answers absorbed by the engine when this snapshot was built; the
   /// staleness of a serving decision is answers_enqueued - answers_applied.
+  /// With `generation` it is the benefit index key's engine half, as
+  /// IncrementalTruthInference::num_answers (DESIGN.md §16).
   uint64_t answers_applied = 0;
   /// Per-task inference epochs at publish time; keys the benefit cache on
   /// the snapshot scoring path (DESIGN.md §11 semantics, snapshot edition).
@@ -77,11 +79,6 @@ struct InferenceSnapshot {
   /// epochs, so both the copy-on-write sharing below and the cache/index
   /// keys on the serving path must compare the generation too.
   uint64_t generation = 0;
-  /// Tasks whose posterior was copied fresh for THIS publish (everything not
-  /// shared from `prev`) — the snapshot edition of the engine's mutation
-  /// log. An index synced to publish epoch-1 repairs exactly these entries
-  /// to reach this epoch; any larger gap means rebuild.
-  std::vector<size_t> changed_tasks;
   std::vector<std::shared_ptr<const TaskPosteriorSnapshot>> tasks;
   std::vector<std::shared_ptr<const WorkerSnapshot>> workers;
 };

@@ -395,17 +395,6 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
   return selected;
 }
 
-void BenefitIndex::SiftUp(size_t slot) {
-  Entry entry = heap_[slot];
-  while (slot > 0) {
-    const size_t parent = (slot - 1) / 2;
-    if (!Before(entry, heap_[parent])) break;
-    PlaceAt(slot, heap_[parent]);
-    slot = parent;
-  }
-  PlaceAt(slot, entry);
-}
-
 void BenefitIndex::SiftDown(size_t slot) {
   Entry entry = heap_[slot];
   const size_t n = heap_.size();
@@ -414,22 +403,20 @@ void BenefitIndex::SiftDown(size_t slot) {
     if (best >= n) break;
     if (best + 1 < n && Before(heap_[best + 1], heap_[best])) ++best;
     if (!Before(heap_[best], entry)) break;
-    PlaceAt(slot, heap_[best]);
+    heap_[slot] = heap_[best];
     slot = best;
   }
-  PlaceAt(slot, entry);
+  heap_[slot] = entry;
 }
 
-void BenefitIndex::Rebuild(size_t num_tasks, Source source,
-                           uint64_t worker_epoch, uint64_t generation,
-                           uint64_t cursor,
+void BenefitIndex::Rebuild(size_t num_tasks, uint64_t worker_epoch,
+                           uint64_t generation, uint64_t answers,
                            const std::vector<size_t>& exclude_sorted,
                            const SeedBatch& seed) {
-  // pos_ packs heap slots into uint32_t (+1 for the "absent" sentinel).
+  // Entry::task holds a task index in a uint32_t.
   DOCS_CHECK_LT(num_tasks, size_t{0xffffffff});
   heap_.clear();
   heap_.reserve(num_tasks);
-  pos_.assign(num_tasks, 0);
   size_t e = 0;
   for (size_t task = 0; task < num_tasks; ++task) {
     while (e < exclude_sorted.size() && exclude_sorted[e] < task) ++e;
@@ -437,42 +424,18 @@ void BenefitIndex::Rebuild(size_t num_tasks, Source source,
     heap_.push_back({0.0, static_cast<uint32_t>(task), false});
   }
   seed(&heap_);
-  for (size_t s = 0; s < heap_.size(); ++s) {
-    pos_[heap_[s].task] = static_cast<uint32_t>(s + 1);
-  }
   // Floyd heapify: bottom-up sift-down, O(n) total.
   for (size_t s = heap_.size() / 2; s-- > 0;) SiftDown(s);
-  source_ = source;
+  num_tasks_ = num_tasks;
   worker_epoch_tag_ = worker_epoch;
   generation_tag_ = generation;
-  cursor_ = cursor;
-}
-
-void BenefitIndex::Repair(size_t task, double value) {
-  if (!contains(task)) return;
-  const size_t slot = pos_[task] - 1;
-  heap_[slot].bound = false;
-  if (heap_[slot].value == value) return;  // bitwise-identical score: no-op
-  const bool rose = value > heap_[slot].value;
-  heap_[slot].value = value;
-  if (rose) {
-    SiftUp(slot);
-  } else {
-    SiftDown(slot);
-  }
+  answers_tag_ = answers;
 }
 
 void BenefitIndex::CheckInvariant() const {
-  size_t indexed = 0;
-  for (size_t task = 0; task < pos_.size(); ++task) {
-    if (pos_[task] == 0) continue;
-    ++indexed;
-    DOCS_DCHECK_LE(pos_[task], heap_.size());
-    DOCS_DCHECK_EQ(heap_[pos_[task] - 1].task, task);
-  }
-  DOCS_DCHECK_EQ(indexed, heap_.size());
-  for (size_t slot = 1; slot < heap_.size(); ++slot) {
-    DOCS_DCHECK(Before(heap_[(slot - 1) / 2], heap_[slot]))
+  for (size_t slot = 0; slot < heap_.size(); ++slot) {
+    DOCS_DCHECK_LT(heap_[slot].task, num_tasks_);
+    DOCS_DCHECK(slot == 0 || Before(heap_[(slot - 1) / 2], heap_[slot]))
         << "benefit index heap property violated at slot " << slot;
   }
 }

@@ -229,10 +229,9 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
                                          size_t k);
 
 /// Per-worker ordered benefit index (DESIGN.md §16): a binary max-heap over
-/// the worker's benefit scores, ordered by BetterScored, plus a task ->
-/// heap-slot map so a stale score can be repaired in place (sift) in
-/// O(log n). A RequestTasks reads the top k eligible tasks off the heap with
-/// a frontier walk instead of scanning and nth_element-ing all n scores.
+/// the worker's benefit scores, ordered by BetterScored. A RequestTasks reads
+/// the top k eligible tasks off the heap with a frontier walk instead of
+/// scanning and nth_element-ing all n scores.
 ///
 /// The heap is lazy: an entry holds either the task's exact score or an
 /// upper bound of it (a *bound entry*). The walk scores a bound entry only
@@ -241,23 +240,17 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
 /// emitted entry is exact, and because bound >= exact under BetterScored the
 /// emission order equals the scan's.
 ///
-/// Freshness is tagged, never assumed: the index remembers which source
-/// (live engine / published snapshot), worker epoch and invalidation
-/// generation it was built under, plus a cursor into that source's change
-/// feed (the engine's mutation log, or the snapshot publish epoch). A bound,
-/// like a score, is valid while the tags hold and the task is not named by
-/// the feed. The owner revalidates the tags before every use
-/// — a mismatch means Rebuild, a cursor gap means targeted Repair of exactly
-/// the tasks the feed names. Instances are NOT thread-safe; the owner
-/// serializes access per worker (DocsSystem: the worker's shard stripe or
-/// the exclusive lock).
+/// The index caches one rebuild. It remembers the key it was built under —
+/// the worker epoch, the invalidation generation and the number of answers
+/// the engine had absorbed — and the owner checks that key before every
+/// use: a match means every score and bound still holds, a mismatch means
+/// Rebuild. Task posteriors move only when the engine absorbs an answer or
+/// bumps the generation, so a live engine and a published snapshot with the
+/// same key describe one state, and an index built from either serves both.
+/// Instances are NOT thread-safe; the owner serializes access per worker
+/// (DocsSystem: the worker's shard stripe or the exclusive lock).
 class BenefitIndex {
  public:
-  /// Which state the indexed scores were computed against. Tag mismatch =
-  /// rebuild: scores from different sources are not comparable even when the
-  /// numeric epochs coincide.
-  enum class Source : uint8_t { kNone = 0, kLive, kSnapshot };
-
   /// One heap entry: the task's exact score, or — while `bound` is set — an
   /// upper bound of it that TrySelect resolves before emitting the task.
   struct Entry {
@@ -266,46 +259,34 @@ class BenefitIndex {
     bool bound = false;
   };
 
-  /// True when the index still describes (source, worker_epoch, generation)
-  /// over `num_tasks` tasks and only cursor catch-up may be needed.
-  bool Fresh(Source source, uint64_t worker_epoch, uint64_t generation,
+  /// True when the index was built under (worker_epoch, generation,
+  /// answers) over `num_tasks` tasks, so it can be read as it is. Live
+  /// generations start at 1, so a never-built index (all tags 0) is stale.
+  bool Fresh(uint64_t worker_epoch, uint64_t generation, uint64_t answers,
              size_t num_tasks) const {
-    return source_ == source && worker_epoch_tag_ == worker_epoch &&
-           generation_tag_ == generation && pos_.size() == num_tasks;
+    return worker_epoch_tag_ == worker_epoch &&
+           generation_tag_ == generation && answers_tag_ == answers &&
+           num_tasks_ == num_tasks;
   }
-
-  /// Change-feed cursor: the absolute mutation-log sequence (live source) or
-  /// publish epoch (snapshot source) the heap is synced to.
-  uint64_t cursor() const { return cursor_; }
-  void set_cursor(uint64_t cursor) { cursor_ = cursor; }
 
   /// Number of indexed (non-excluded) tasks.
   size_t size() const { return heap_.size(); }
-  bool contains(size_t task) const {
-    return task < pos_.size() && pos_[task] != 0;
-  }
 
   /// Fills the `value` and `bound` of every entry of a batch (tasks
   /// ascending). Called once per rebuild with the whole batch, so the caller
   /// can probe its cache and seed exact scores or bounds together.
   using SeedBatch = std::function<void(std::vector<Entry>* entries)>;
 
-  /// Rebuilds the heap from scratch for the given tags: every task except
+  /// Rebuilds the heap from scratch under the given key: every task except
   /// those in `exclude_sorted` (ascending) is seeded in one `seed` batch —
   /// an exact score where the caller has one, an upper bound otherwise;
   /// each entry is independent, so the heap contents are thread-count
   /// invariant however the batch fans out — then heapified bottom-up in
   /// O(n). Bound entries are resolved later by TrySelect, outside its skip
   /// budget, so seeding bounds never pushes a pass to the scan fallback.
-  void Rebuild(size_t num_tasks, Source source, uint64_t worker_epoch,
-               uint64_t generation, uint64_t cursor,
-               const std::vector<size_t>& exclude_sorted,
+  void Rebuild(size_t num_tasks, uint64_t worker_epoch, uint64_t generation,
+               uint64_t answers, const std::vector<size_t>& exclude_sorted,
                const SeedBatch& seed);
-
-  /// Replaces `task`'s indexed value with its exact score `value` and
-  /// restores the heap invariant with one sift (O(log n)). No-op for tasks
-  /// the index does not contain.
-  void Repair(size_t task, double value);
 
   /// Reads the top `k` tasks satisfying `eligible` off the heap WITHOUT
   /// popping: a candidate-frontier walk that visits nodes in exact
@@ -327,7 +308,7 @@ class BenefitIndex {
   bool TrySelect(const Eligible& eligible, const Resolve& resolve, size_t k,
                  size_t budget, std::vector<size_t>* out, uint64_t* pops);
 
-  /// O(n) heap-property + position-map audit behind DOCS_DCHECK; call sites
+  /// O(n) heap-property and task-range audit behind DOCS_DCHECK; call sites
   /// compile it in only under DOCS_DEBUG_CHECKS builds (scripts/ci.sh strict
   /// stage).
   void CheckInvariant() const;
@@ -336,22 +317,15 @@ class BenefitIndex {
   static bool Before(const Entry& a, const Entry& b) {
     return BetterScored({a.task, a.value}, {b.task, b.value});
   }
-  void SiftUp(size_t slot);
   void SiftDown(size_t slot);
-  void PlaceAt(size_t slot, const Entry& entry) {
-    heap_[slot] = entry;
-    pos_[entry.task] = static_cast<uint32_t>(slot + 1);
-  }
 
   std::vector<Entry> heap_;
-  /// task -> heap slot + 1; 0 = task not indexed (excluded at rebuild).
-  std::vector<uint32_t> pos_;
   /// TrySelect's candidate frontier (heap slots), reused across calls.
   std::vector<uint32_t> frontier_;
-  Source source_ = Source::kNone;
+  size_t num_tasks_ = 0;
   uint64_t worker_epoch_tag_ = 0;
   uint64_t generation_tag_ = 0;
-  uint64_t cursor_ = 0;
+  uint64_t answers_tag_ = 0;
 };
 
 template <typename Eligible, typename Resolve>

@@ -1,14 +1,15 @@
 // Equivalence suite for the per-worker ordered benefit index (DESIGN.md §16).
 //
-// The index is a lazily repaired max-heap over the epoch-tagged benefit cache
-// rows; a warm RequestTasks reads the top-k eligible tasks off it in
-// O(k log n) instead of scanning all n cached scores. The contract is that an
+// The index is a max-heap over the epoch-tagged benefit cache rows, rebuilt
+// whenever its key (worker epoch, generation, answers absorbed) moves; a
+// warm RequestTasks reads the top-k eligible tasks off it in O(k log n)
+// instead of scanning all n cached scores. The contract is that an
 // index-served selection is BITWISE identical to the reference selector
 // (tests/reference_selector.h: every eligible task scored from scratch with
 // the reference kernel, then sorted) — after every mutation class: answer
-// submissions
-// (including the §4.2 retro-update fan-out repaired from the engine's
-// mutation log), lease expiry (which must invalidate nothing), the periodic
+// submissions (including the §4.2 retro-update fan-out, which stales the
+// indexes of uninvolved workers), lease expiry (which must invalidate
+// nothing), the periodic
 // full re-inference (which must invalidate everything with ONE generation
 // bump, never an O(n) epoch walk), mid-campaign WorkerStore reseeds, and
 // redundancy-cap churn that exhausts the heap walk's budget and falls back
@@ -161,9 +162,8 @@ TEST_F(BenefitIndexTest, IndexedServingIsBitIdenticalAcrossRulesAndThreads) {
 /// The async lockstep: with the inference decoupled onto the background
 /// service (DESIGN.md §15), an async facade drained before every request
 /// grants what the reference selector picks, and what the sync facade
-/// grants. The async path exercises the snapshot branch of the index
-/// (repair from the snapshot's changed-task diff, rebuild tagged with the
-/// publish epoch).
+/// grants. The async path exercises the index on the snapshot path
+/// (rebuilt under the snapshot's answer count and generation).
 TEST_F(BenefitIndexTest, DrainedAsyncIndexedServingMatchesReferenceAndSync) {
   const auto dataset = datasets::MakeItemDataset(*kb_);
   const auto truths = dataset.Truths();
@@ -374,8 +374,7 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_warm);
   EXPECT_GT(system.benefit_index_pops(), pops_warm);
 
-  // The invalidation itself: one generation bump, zero epoch movement, and
-  // the mutation log resets (nothing to replay across a generation change).
+  // The invalidation itself: one generation bump, zero epoch movement.
   const auto task_epochs_before = system.inference().task_epochs();
   const uint64_t worker_epoch_before = system.inference().worker_epoch(w);
   const uint64_t generation_before = system.inference().generation();
@@ -387,8 +386,6 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
             invalidations_before + 1);
   EXPECT_EQ(system.inference().task_epochs(), task_epochs_before);
   EXPECT_EQ(system.inference().worker_epoch(w), worker_epoch_before);
-  EXPECT_EQ(system.inference().mutation_log_begin(),
-            system.inference().mutation_log_end());
 
   // The stale index is detected by the generation tag alone: exactly one
   // rebuild, still bit-identical, and quiet repeats are warm again.
@@ -401,7 +398,7 @@ TEST_F(BenefitIndexTest, FullInferenceInvalidatesWithOneGenerationBump) {
 
 /// Lease expiry must invalidate nothing: benefit scores do not depend on
 /// leases, so reclaiming abandoned grants leaves every index fresh — the
-/// next pass neither rebuilds nor repairs, and the reclaimed tasks simply
+/// next pass does not rebuild, and the reclaimed tasks simply
 /// become selectable again at their unchanged scores.
 TEST_F(BenefitIndexTest, LeaseExpiryLeavesEveryIndexFresh) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 40, 13);
@@ -435,26 +432,23 @@ TEST_F(BenefitIndexTest, LeaseExpiryLeavesEveryIndexFresh) {
   EXPECT_EQ(expired[1].worker, w);
 
   // The sweep moved no epochs and no generation: w's next pass is served
-  // off the still-fresh heap (no rebuild, no repair) and re-grants exactly
-  // the tasks the expiry returned to the pool.
+  // off the still-fresh heap (no rebuild) and re-grants exactly the tasks
+  // the expiry returned to the pool.
   const uint64_t rebuilds_before = system.benefit_index_rebuilds();
-  const uint64_t repairs_before = system.benefit_index_repairs();
   const uint64_t pops_before = system.benefit_index_pops();
   EXPECT_EQ(system.SelectTasks(w, 2), first);
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before);
-  EXPECT_EQ(system.benefit_index_repairs(), repairs_before);
   EXPECT_GT(system.benefit_index_pops(), pops_before);
 }
 
-/// The mutation-log repair path: a submission by worker A bumps the epochs
-/// of the tasks it touched (including the §4.2 retro fan-out) and appends
-/// them to the engine's mutation log. An uninvolved worker B's index — same
-/// worker epoch, same generation — must catch up by replaying exactly that
-/// log tail (repairs, no rebuild), while A's own next pass rebuilds (her
-/// quality moved). A WorkerStore reseed is the other worker-epoch edge:
-/// rebuild, not repair. Selections stay lockstep with the reference
-/// selector throughout.
-TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
+/// Any answer stales every index: a submission by worker A moves the task
+/// it touched (and, by the §4.2 retro fan-out, the quality of its earlier
+/// answerers) and the engine's answer count. An uninvolved worker B's index
+/// — same worker epoch, same generation — is rebuilt exactly once by her
+/// next pass, as is A's own (her quality moved). A WorkerStore reseed is
+/// the other worker-epoch edge: one rebuild too. Selections stay lockstep
+/// with the reference selector throughout.
+TEST_F(BenefitIndexTest, AnswerRebuildsEveryStaleIndexOnce) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
   std::vector<TaskInput> inputs;
   for (const auto& task : dataset.tasks) {
@@ -481,17 +475,15 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   ASSERT_EQ(granted.size(), 1u);
   ASSERT_TRUE(system.SubmitAnswer(a, granted[0], 0).ok());
 
-  // b is uninvolved: her worker epoch did not move, so her index repairs
-  // the logged tasks in place instead of rebuilding.
+  // b is uninvolved: her worker epoch did not move, but the answer count
+  // did, so her next pass rebuilds once.
   const uint64_t rebuilds_before = system.benefit_index_rebuilds();
-  const uint64_t repairs_before = system.benefit_index_repairs();
   (void)step(b, 4);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before);
-  EXPECT_GT(system.benefit_index_repairs(), repairs_before);
+  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before + 1);
 
   // a answered, so her quality (worker epoch) moved: full rebuild.
   (void)step(a, 4);
-  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before + 1);
+  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before + 2);
 
   // A mid-campaign reseed is the other worker-epoch bump: rebuild too.
   const size_t m = kb_->knowledge_base.num_domains();
@@ -504,6 +496,52 @@ TEST_F(BenefitIndexTest, RetroFanOutRepairsFromTheMutationLog) {
   const uint64_t rebuilds_mid = system.benefit_index_rebuilds();
   (void)step(b, 4);
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_mid + 1);
+}
+
+/// One key across sources: an index built on the live engine serves the
+/// snapshot path as it is when the snapshot names the same engine state
+/// (worker epoch, generation, answers absorbed). With no golden phase, a
+/// first-contact worker is served by the exclusive path off the live
+/// engine. A LoadWorker of another worker then republishes without moving
+/// any answer, and her next request, now served from that snapshot, must
+/// not rebuild and must still grant what the reference selector picks.
+TEST_F(BenefitIndexTest, SnapshotPassReusesAnIndexBuiltOnTheLiveEngine) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  DocsSystemOptions options;
+  options.golden_count = 0;
+  options.reinfer_every = 0;
+  options.num_threads = 1;
+  options.async_inference = true;
+  ConcurrentDocsSystem system(&kb_->knowledge_base, options);
+  ASSERT_TRUE(system.AddTasks(inputs).ok());
+
+  // The initial snapshot predates w, so her first request takes the
+  // exclusive path and builds her index on the live engine.
+  const auto first = testing::ReferenceRequest(system, options, "w", 4);
+  ASSERT_EQ(system.RequestTasks("w", 4), first);
+  const uint64_t rebuilds_live = system.benefit_index_rebuilds();
+  EXPECT_EQ(rebuilds_live, 1u);
+
+  // Seeding v republishes; the new snapshot names w at the same key.
+  const size_t m = kb_->knowledge_base.num_domains();
+  auto store = storage::WorkerStore::InMemory(m);
+  storage::WorkerQualityRecord record;
+  record.quality.assign(m, 0.85);
+  record.weight.assign(m, 3.0);
+  ASSERT_TRUE(store.Put("v", record).ok());
+  const uint64_t epoch_before = system.async_stats().service.snapshot_epoch;
+  ASSERT_TRUE(system.LoadWorker("v", store).ok());
+  EXPECT_GT(system.async_stats().service.snapshot_epoch, epoch_before);
+
+  const auto expected = testing::ReferenceRequest(system, options, "w", 4);
+  const uint64_t pops_before = system.benefit_index_pops();
+  EXPECT_EQ(system.RequestTasks("w", 4), expected);
+  EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_live);
+  EXPECT_GT(system.benefit_index_pops(), pops_before);
 }
 
 /// Budget exhaustion under cap churn: when enough of the heap's top entries
