@@ -89,10 +89,13 @@ ctest --test-dir "$PERFBENCH_BUILD" --output-on-failure --no-tests=error
 # its contracts live through the serving loop, checkpoint replay and the
 # async service; concurrency_test runs the submission-book writes and the
 # striped serve loop with them live under the sync hammer; serving_alloc_test
-# pins the warm request's heap allocations with the contracts compiled in.
-# benefit_index_test and benefit_cache_test run the rebuild-only index's
-# heap audit (BenefitIndex::CheckInvariant) and the bound DCHECKs of its
-# frontier walk under both lockstep suites.
+# pins the warm and the cold request's heap allocations with the contracts
+# compiled in. benefit_index_test and benefit_cache_test run the
+# rebuild-only index's heap audit (BenefitIndex::CheckInvariant) and the
+# bound DCHECKs of the seed sweep's resolve batch and of the frontier walk
+# under both lockstep suites; benefit_index_test also holds the sweep's
+# floor to its nth_element definition, and ota_test holds the kernel on the
+# engine's M^(i) arena to the reference bit for bit.
 run_config strict \
   "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|benefit_cache_test|determinism_test|docs_system_test|persistence_test|inference_service_test|concurrency_test|serving_alloc_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON
@@ -117,9 +120,10 @@ echo "=== [sanitize] chaos smoke (crash_recovery under ASan) ==="
 # inference_service_test races serving calls and producer threads against
 # the background inference thread and its snapshot publication;
 # serving_alloc_test checks its operator new replacement coexists with the
-# TSan runtime).
+# TSan runtime; ota_test runs the kernel's bitwise checks, the one on the
+# engine's M^(i) arena included).
 run_config tsan \
-  "sync_test|parallel_test|determinism_test|benefit_cache_test|benefit_index_test|inference_service_test|concurrency_test|gateway_test|durability_test|resilient_client_test|serving_alloc_test" \
+  "sync_test|parallel_test|determinism_test|ota_test|benefit_cache_test|benefit_index_test|inference_service_test|concurrency_test|gateway_test|durability_test|resilient_client_test|serving_alloc_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=thread
 
 # The driver exits 0 even when its own checks fail, so the stage reads the

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
+#include <span>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -54,6 +55,7 @@ DocsSystem::ScoringPass DocsSystem::LivePass(
     size_t worker, std::vector<CachedBenefit>* cache,
     ShardScratch* scratch) const {
   ScoringPass pass;
+  pass.scratch = scratch;
   pass.cache = cache;
   pass.worker_epoch = inference_->worker_epoch(worker);
   pass.task_epochs = inference_->task_epochs().data();
@@ -73,6 +75,7 @@ DocsSystem::ScoringPass DocsSystem::SnapshotPass(
   // snapshot's posteriors would yield.
   ScoringPass pass;
   pass.snap = &snap;
+  pass.scratch = scratch;
   pass.cache = view.cache_row;
   pass.worker_epoch = view.epoch;
   pass.task_epochs = snap.task_epochs.data();
@@ -115,21 +118,52 @@ double DocsSystem::Score(const ScoringPass& pass, size_t task) const {
     }
     return match;
   }
-  // The one difference between the serving paths: where M^(i), s_i and
-  // H(s_i) live.
+  // The one difference between the serving paths: where M^(i) and H(s_i)
+  // live.
+  const double truth_entropy = pass.snap != nullptr
+                                   ? pass.snap->truth_entropy[task]
+                                   : inference_->truth_entropy(task);
   if (options_.selection_rule == SelectionRule::kUncertainty) {
     // Ablation: most ambiguous tasks first, worker ignored.
-    return pass.snap != nullptr ? pass.snap->truth_entropy[task]
-                                : inference_->truth_entropy(task);
+    return truth_entropy;
   }
-  const std::vector<double>& truth = pass.snap != nullptr
-                                         ? pass.snap->tasks[task]->truth
-                                         : inference_->task_truth(task);
-  const Matrix& truth_matrix = pass.snap != nullptr
-                                   ? pass.snap->tasks[task]->truth_matrix
-                                   : inference_->truth_matrix(task);
-  return TaskBenefit(support_, task, tasks_[task], *pass.factors, truth_matrix,
-                     truth);
+  const MatrixView truth_matrix = pass.snap != nullptr
+                                      ? pass.snap->tasks[task]->truth_matrix
+                                      : inference_->truth_matrix(task);
+  return TaskBenefit(support_, task, *pass.factors, truth_matrix,
+                     truth_entropy);
+}
+
+namespace {
+
+// Requests every cache line of [data, data + bytes) for reading.
+void PrefetchBytes(const void* data, size_t bytes) {
+#if defined(__GNUC__)
+  constexpr uintptr_t kLine = 64;
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(data) & ~(kLine - 1);
+  const uintptr_t end = reinterpret_cast<uintptr_t>(data) + bytes;
+  for (uintptr_t line = begin; line < end; line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
+#else
+  (void)data;
+  (void)bytes;
+#endif
+}
+
+}  // namespace
+
+void DocsSystem::Prefetch(const ScoringPass& pass, size_t task) const {
+  const size_t nnz = support_.support_size(task);
+  PrefetchBytes(support_.domains(task), nnz * sizeof(uint32_t));
+  PrefetchBytes(support_.weights(task), nnz * sizeof(double));
+  PrefetchBytes(&(*pass.cache)[task], sizeof(CachedBenefit));
+  // A snapshot's M^(i) sits behind a per-task pointer; the arena's address
+  // is plain arithmetic.
+  if (pass.snap == nullptr) {
+    const std::span<const double> matrix = inference_->truth_matrix(task).data();
+    PrefetchBytes(matrix.data(), matrix.size_bytes());
+  }
 }
 
 BenefitBounds DocsSystem::Bounds(const ScoringPass& pass, size_t task) const {
@@ -141,8 +175,8 @@ BenefitBounds DocsSystem::Bounds(const ScoringPass& pass, size_t task) const {
                                    : inference_->truth_entropy(task);
   const bool answered = snap != nullptr ? snap->answered[task] != 0
                                         : inference_->task_answered(task);
-  return BenefitBoundsOf(support_, task, tasks_[task], *pass.factors,
-                         truth_entropy, answered);
+  return BenefitBoundsOf(support_, task, *pass.factors, truth_entropy,
+                         answered);
 }
 
 namespace {
@@ -214,48 +248,59 @@ void DocsSystem::SeedEntries(ScoringPass* pass, size_t k,
   }
   std::vector<BenefitIndex::Entry>& seeded = *entries;
   std::vector<CachedBenefit>& cache = *pass->cache;
-  const std::vector<size_t> stale = ProbeCache(pass, entries);
   const ScoringPass& key = *pass;
-  std::vector<double> lower(stale.size());
-  ParallelFor(pool, stale.size(), [&](size_t x) {
-    BenefitIndex::Entry& slot = seeded[stale[x]];
-    const BenefitBounds bounds = Bounds(key, slot.task);
-    slot.value = bounds.upper;
-    slot.bound = true;
-    lower[x] = bounds.lower;
-  });
-  // The floor: the k-th largest known lower bound (fresh exact scores and
-  // closed forms) is at most the k-th selected score whenever those k tasks
+  // One sweep: the cache probe, the bound of each stale row and the floor.
+  // The floor is the k-th largest known lower bound (fresh exact scores and
+  // closed forms): at most the k-th selected score whenever those k tasks
   // are eligible (the common case: only leases and caps make an unanswered
   // task ineligible). A stale row whose upper bound reaches it is one the
   // walk would resolve, bar the few between the floor and the k-th score,
-  // so it is scored here, in task order over the pool, rather than one
-  // cache-cold row at a time in the walk. It exists for the weak-bound
-  // regime: many answered tasks whose s_i stays near uniform (answers from
-  // near-random workers), whose H(s_i) bounds all reach the top k and would
-  // otherwise each be resolved by the walk at 2-3x a batch score. A floor
-  // that overshoots costs speed only: the walk resolves what it still needs.
-  // `lower` is reused to hold every finite known lower bound.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const BenefitIndex::Entry& entry : seeded) {
-    if (!entry.bound) lower.push_back(entry.value);
-  }
-  std::erase_if(lower, [](double value) { return !(value > -kInf); });
-  double floor = -kInf;
-  if (k == 0) {
-    floor = kInf;
-  } else if (k <= lower.size()) {
-    const auto kth = lower.begin() + static_cast<std::ptrdiff_t>(k - 1);
-    std::nth_element(lower.begin(), kth, lower.end(), std::greater<double>());
-    floor = *kth;
-  }
-  std::vector<size_t> resolve;
-  for (size_t s : stale) {
-    if (seeded[s].value >= floor && eligible(seeded[s].task)) {
-      resolve.push_back(s);
+  // so it is scored below, in task order, rather than one cache-cold row at
+  // a time in the walk. It exists for the weak-bound regime: many answered
+  // tasks whose s_i stays near uniform (answers from near-random workers),
+  // whose H(s_i) bounds all reach the top k and would otherwise each be
+  // resolved by the walk at 2-3x a batch score. A floor that overshoots
+  // costs speed only: the walk resolves what it still needs.
+  //
+  // The scratch is sized once, for the largest batch a rebuild can hold, so
+  // a cold request grows nothing after the worker's first one.
+  std::vector<double>& top = pass->scratch->seed_floor;
+  std::vector<uint32_t>& resolve = pass->scratch->resolve;
+  top.reserve(std::min(k, seeded.size()));
+  resolve.reserve(seeded.size());
+  KthLargest floor(k, &top);
+  uint64_t hits = 0;
+  for (BenefitIndex::Entry& slot : seeded) {
+    const CachedBenefit& entry = cache[slot.task];
+    if (EntryFresh(entry, key.task_epochs[slot.task], key.worker_epoch,
+                   key.generation)) {
+      slot.value = entry.benefit;
+      ++hits;
+      floor.Offer(slot.value);
+    } else {
+      const BenefitBounds bounds = Bounds(key, slot.task);
+      slot.value = bounds.upper;
+      slot.bound = true;
+      floor.Offer(bounds.lower);
     }
   }
+  pass->hits += hits;
+  const double threshold = floor.value();
+  resolve.clear();
+  for (size_t s = 0; s < seeded.size(); ++s) {
+    if (seeded[s].bound && seeded[s].value >= threshold &&
+        eligible(seeded[s].task)) {
+      resolve.push_back(static_cast<uint32_t>(s));
+    }
+  }
+  // Scoring a row mostly waits on memory: its M^(i) block, CSR row and
+  // cache entry. Their addresses are plain arithmetic, so the rows a few
+  // places ahead are requested while this one is scored.
+  constexpr size_t kPrefetchAhead = 4;
   ParallelFor(pool, resolve.size(), [&](size_t x) {
+    if (x + kPrefetchAhead < resolve.size()) {
+      Prefetch(key, seeded[resolve[x + kPrefetchAhead]].task);
+    }
     BenefitIndex::Entry& slot = seeded[resolve[x]];
     const double exact = Score(key, slot.task);
     DOCS_DCHECK(exact <= slot.value)
@@ -869,7 +914,7 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
       continue;
     }
     auto task_snap = std::make_shared<TaskPosteriorSnapshot>();
-    task_snap->truth_matrix = inference_->truth_matrix(i);
+    task_snap->truth_matrix = Matrix(inference_->truth_matrix(i));
     task_snap->truth = inference_->task_truth(i);
     snap->tasks[i] = std::move(task_snap);
   }

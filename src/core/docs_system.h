@@ -318,6 +318,10 @@ class DocsSystem : public AssignmentPolicy {
     std::vector<double> quality;
     /// The pass's hoisted benefit factors (DESIGN.md §11).
     WorkerBenefitFactors factors;
+    /// A cold rebuild's seed (DESIGN.md §16): the running top k of the known
+    /// lower bounds, and the positions of the entries it scores up front.
+    std::vector<double> seed_floor;
+    std::vector<uint32_t> resolve;
   };
 
   /// True when `worker` can be served without the exclusive lock: she is
@@ -403,6 +407,9 @@ class DocsSystem : public AssignmentPolicy {
     /// The benefit rules' factors, hoisted from *quality when the pass
     /// opens; nullptr under kDomainMax and kUncertainty.
     WorkerBenefitFactors* factors = nullptr;
+    /// The shard scratch the pass stages into; its seed buffers serve a
+    /// cold index rebuild.
+    ShardScratch* scratch = nullptr;
     /// The worker's cache row, sized to the task count.
     std::vector<CachedBenefit>* cache = nullptr;
     uint64_t worker_epoch = 0;
@@ -433,6 +440,10 @@ class DocsSystem : public AssignmentPolicy {
 
   /// The selection rule's score of `task`, uncached.
   double Score(const ScoringPass& pass, size_t task) const;
+  /// Hints the cache lines a benefit Score of `task` reads — its CSR
+  /// domains and weights, its cache entry and, on a live pass, its M^(i)
+  /// block — so a batch can request them a few rows ahead.
+  void Prefetch(const ScoringPass& pass, size_t task) const;
   /// BenefitBoundsOf `task` for a benefit-rule pass (pass.factors set),
   /// from the bound inputs of the pass's source (engine or snapshot).
   BenefitBounds Bounds(const ScoringPass& pass, size_t task) const;
@@ -453,16 +464,17 @@ class DocsSystem : public AssignmentPolicy {
   template <typename EntryT>
   void ScoreEntries(ScoringPass* pass, std::vector<EntryT>* entries,
                     ThreadPool* pool) const;
-  /// The index's rebuild seed (DESIGN.md §16): probes the cache for every
-  /// entry and keeps the fresh scores as exact entries. Under kDomainMax and
-  /// kUncertainty, which have no bounds, it scores the stale rows exactly
-  /// (ScoreEntries). Under the benefit rules it seeds each stale row with its
-  /// upper bound, takes the k-th largest of the known lower bounds (fresh
-  /// scores and closed forms) as a floor of the k-th selected score, and
-  /// scores in one batch over `pool` the stale rows that satisfy `eligible`
-  /// and whose upper bound reaches that floor — the rows a walk for `k`
-  /// would resolve, bar a few; the rest stay bound entries. Bound entries
-  /// count as neither hit nor miss until they are scored.
+  /// The index's rebuild seed (DESIGN.md §16). Under kDomainMax and
+  /// kUncertainty, which have no bounds, it scores every stale row exactly
+  /// (ScoreEntries). Under the benefit rules one sweep over the entries
+  /// probes the cache (a fresh score becomes an exact entry), seeds each
+  /// stale row with its upper bound, and keeps the k-th largest of the known
+  /// lower bounds (fresh scores and closed forms) as a floor of the k-th
+  /// selected score (KthLargest). Then it scores, in task order over
+  /// `pool`, the stale rows that satisfy `eligible` and whose upper bound
+  /// reaches the floor — the rows a walk for `k` would resolve, bar a few;
+  /// the rest stay bound entries. Bound entries count as neither hit nor
+  /// miss until they are scored.
   void SeedEntries(ScoringPass* pass, size_t k,
                    const std::function<bool(size_t)>& eligible,
                    std::vector<BenefitIndex::Entry>* entries,

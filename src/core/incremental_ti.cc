@@ -19,8 +19,12 @@ IncrementalTruthInference::IncrementalTruthInference(
     std::vector<Task> tasks, TruthInferenceOptions options)
     : tasks_(std::move(tasks)), options_(options) {
   const size_t n = tasks_.size();
+  size_t cells = 0;
+  for (const Task& task : tasks_) {
+    cells += task.domain_vector.size() * task.num_choices;
+  }
   log_numerators_.reserve(n);
-  truth_matrices_.reserve(n);
+  truth_matrices_.Reserve(n, cells);
   task_truth_.reserve(n);
   truth_entropy_.reserve(n);
   task_epoch_.assign(n, 1);
@@ -31,9 +35,10 @@ IncrementalTruthInference::IncrementalTruthInference(
     const size_t m = task.domain_vector.size();
     const size_t l = task.num_choices;
     log_numerators_.emplace_back(m, l, 0.0);
-    Matrix uniform(m, l, l == 0 ? 0.0 : 1.0 / static_cast<double>(l));
-    truth_matrices_.push_back(uniform);
-    std::vector<double> s = uniform.LeftMultiply(task.domain_vector);
+    truth_matrices_.Append(m, l, l == 0 ? 0.0 : 1.0 / static_cast<double>(l));
+    std::vector<double> s;
+    truth_matrices_[truth_matrices_.size() - 1].LeftMultiplyInto(
+        task.domain_vector, &s);
     NormalizeInPlace(s);
     truth_entropy_.push_back(Entropy(s));
     task_truth_.push_back(std::move(s));
@@ -122,7 +127,7 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
 
   // --- Step 1: update M̂^(i), M^(i) and s_i only. -------------------------
   Matrix& log_numer = log_numerators_[task];
-  Matrix& truth_matrix = truth_matrices_[task];
+  double* truth_matrix = truth_matrices_.block(task);  // m x l, row-major
   row_scratch_.assign(l, 0.0);
   std::vector<double>& row = row_scratch_;
   for (size_t k = 0; k < m; ++k) {
@@ -137,10 +142,10 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
     }
     const double lse = LogSumExp(row);
     for (size_t j = 0; j < l; ++j) {
-      truth_matrix(k, j) = std::exp(row[j] - lse);
+      truth_matrix[k * l + j] = std::exp(row[j] - lse);
     }
   }
-  truth_matrix.LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
+  truth_matrices_[task].LeftMultiplyInto(t.domain_vector, &task_truth_[task]);
   NormalizeInPlace(task_truth_[task]);
   const std::vector<double>& new_truth = task_truth_[task];
   truth_entropy_[task] = Entropy(new_truth);

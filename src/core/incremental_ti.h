@@ -67,9 +67,10 @@ class IncrementalTruthInference {
   const std::vector<double>& task_truth(size_t task) const {
     return task_truth_[task];
   }
-  const Matrix& truth_matrix(size_t task) const {
-    return truth_matrices_[task];
-  }
+  /// M^(i), read in place: every task's matrix lives in one task-major
+  /// buffer (DESIGN.md §16), so the view stays valid until the next OnAnswer
+  /// or RunFullInference rewrites it.
+  MatrixView truth_matrix(size_t task) const { return truth_matrices_[task]; }
   /// Entropy(task_truth(task)): one of the two per-task inputs of the OTA
   /// benefit bounds (DESIGN.md §16). Written with s_i — by the constructor,
   /// OnAnswer and RunFullInference — so readers never recompute it.
@@ -150,7 +151,9 @@ class IncrementalTruthInference {
   std::vector<Task> tasks_;
   TruthInferenceOptions options_;
   std::vector<Matrix> log_numerators_;  // M̂^(i), in log space
-  std::vector<Matrix> truth_matrices_;  // M^(i)
+  /// M^(i) of every task, task-major: m x l_i doubles per task, at offsets
+  /// laid out from the choice counts by the constructor.
+  MatrixArena truth_matrices_;
   std::vector<std::vector<double>> task_truth_;  // s_i
   std::vector<double> truth_entropy_;            // see truth_entropy()
   std::vector<uint64_t> task_epoch_;  // see task_epoch()

@@ -21,9 +21,10 @@ constexpr double kNoBound = std::numeric_limits<double>::infinity();
 constexpr double kNoUnderflow = 0x1p-900;
 
 // Eq. 8's expected posterior entropy H(ŝ_i) over the task's nonzero domain
-// rows `domains` of its domain vector `r`. L is the choice count when it is
-// known at compile time (2 or 3) and 0 for the generic path, which takes `l`
-// at run time and a `buffer` of at least l * (l + 1) doubles.
+// rows: `nnz` domain indices `domains` and their weights r_k `weights`. L is
+// the choice count when it is known at compile time (2 or 3) and 0 for the
+// generic path, which takes `l` at run time and a `buffer` of at least
+// l * (l + 1) doubles.
 //
 // One pass over the support feeds every choice at once, but each per-choice
 // quantity — pa[a] (Theorem 2) and posterior row a (Theorem 3 projected
@@ -33,7 +34,7 @@ constexpr double kNoUnderflow = 0x1p-900;
 // reassociated and the result is bit-identical. A posterior whose pa <= 0
 // is computed and then dropped, exactly where the spec kernel skips it.
 template <size_t L>
-double ExpectedEntropyKernel(const uint32_t* domains, const double* r,
+double ExpectedEntropyKernel(const uint32_t* domains, const double* weights,
                              size_t nnz,
                              const WorkerBenefitFactors::Domain* factors,
                              const double* matrix, size_t l, double* buffer) {
@@ -45,7 +46,7 @@ double ExpectedEntropyKernel(const uint32_t* domains, const double* r,
   for (size_t e = 0; e < nnz; ++e) {
     const size_t k = domains[e];
     const WorkerBenefitFactors::Domain& f = factors[k];
-    const double rk = r[k];
+    const double rk = weights[e];
     const double* row = matrix + k * n;
     for (size_t a = 0; a < n; ++a) {
       pa[a] += rk * (f.quality * row[a] + f.wrong_answer * (1.0 - row[a]));
@@ -81,23 +82,23 @@ double ExpectedEntropyKernel(const uint32_t* domains, const double* r,
 // Dispatches on the choice count: the l = 2 and l = 3 specializations keep
 // their accumulators in registers; any other l runs the generic loop over
 // `*buffer`.
-double ExpectedEntropyOnSupport(const uint32_t* domains, const double* r,
-                                size_t nnz,
+double ExpectedEntropyOnSupport(const uint32_t* domains,
+                                const double* weights, size_t nnz,
                                 const WorkerBenefitFactors::Domain* factors,
-                                const Matrix& truth_matrix, size_t l,
+                                MatrixView truth_matrix, size_t l,
                                 std::vector<double>* buffer) {
   DOCS_DCHECK_EQ(truth_matrix.cols(), l);
   const double* matrix = truth_matrix.data().data();
   switch (l) {
     case 2:
-      return ExpectedEntropyKernel<2>(domains, r, nnz, factors, matrix,
+      return ExpectedEntropyKernel<2>(domains, weights, nnz, factors, matrix,
                                       l, nullptr);
     case 3:
-      return ExpectedEntropyKernel<3>(domains, r, nnz, factors, matrix,
+      return ExpectedEntropyKernel<3>(domains, weights, nnz, factors, matrix,
                                       l, nullptr);
     default:
       buffer->resize(l * (l + 1));
-      return ExpectedEntropyKernel<0>(domains, r, nnz, factors, matrix,
+      return ExpectedEntropyKernel<0>(domains, weights, nnz, factors, matrix,
                                       l, buffer->data());
   }
 }
@@ -119,6 +120,7 @@ BenefitSupport::BenefitSupport(const std::vector<Task>& tasks) {
                        choice_counts_.end());
   // Exact sizes: the support lives as long as the campaign.
   domains_.reserve(nonzeros);
+  weights_.reserve(nonzeros);
   row_begin_.reserve(tasks.size() + 1);
   choice_slot_.reserve(tasks.size());
   weight_sum_.reserve(tasks.size());
@@ -131,6 +133,7 @@ BenefitSupport::BenefitSupport(const std::vector<Task>& tasks) {
       const double rk = task.domain_vector[k];
       if (rk != 0.0) {
         domains_.push_back(static_cast<uint32_t>(k));
+        weights_.push_back(rk);
         sum += rk;
         positive = positive && rk > 0.0;
       }
@@ -174,12 +177,10 @@ void WorkerBenefitFactors::Hoist(const std::vector<double>& worker_quality,
   }
 }
 
-double TaskBenefit(const BenefitSupport& support, size_t i, const Task& task,
-                   const WorkerBenefitFactors& factors,
-                   const Matrix& truth_matrix,
-                   const std::vector<double>& task_truth) {
+double TaskBenefit(const BenefitSupport& support, size_t i,
+                   const WorkerBenefitFactors& factors, MatrixView truth_matrix,
+                   double truth_entropy) {
   const size_t slot = support.choice_slot(i);
-  DOCS_DCHECK_EQ(task.domain_vector.size(), support.num_domains());
   DOCS_DCHECK_EQ(truth_matrix.rows(), support.num_domains());
   DOCS_DCHECK_EQ(factors.num_domains, support.num_domains());
   DOCS_DCHECK_EQ(factors.table.size(),
@@ -187,20 +188,22 @@ double TaskBenefit(const BenefitSupport& support, size_t i, const Task& task,
   // Only l outside {2, 3} touches the buffer.
   thread_local std::vector<double> buffer;
   const double expected = ExpectedEntropyOnSupport(
-      support.domains(i), task.domain_vector.data(), support.support_size(i),
+      support.domains(i), support.weights(i), support.support_size(i),
       factors.row(slot), truth_matrix, support.choice_counts()[slot], &buffer);
-  return Entropy(task_truth) - expected;
+  return truth_entropy - expected;
 }
 
 BenefitBounds BenefitBoundsOf(const BenefitSupport& support, size_t i,
-                              const Task& task,
                               const WorkerBenefitFactors& factors,
                               double truth_entropy, bool answered) {
   const double slack = support.bound_slack(i);
+  // An answered task's bound reads nothing else: a cold rebuild's sweep
+  // touches only the per-task arrays it needs.
+  if (answered) return {truth_entropy + slack, -kNoBound};
   const size_t slot = support.choice_slot(i);
   const size_t l = support.choice_counts()[slot];
   const size_t nnz = support.support_size(i);
-  if (answered || l < 2 || nnz == 0 || slack == kNoBound) {
+  if (l < 2 || nnz == 0 || slack == kNoBound) {
     return {truth_entropy + slack, -kNoBound};
   }
   // Every row of M^(i) is one constant, so each posterior of Eq. 8 is the
@@ -209,14 +212,14 @@ BenefitBounds BenefitBoundsOf(const BenefitSupport& support, size_t i,
   // probabilities sum to S_i. Both sums, like the kernel's, add positive
   // terms only (no 1 - p cancellation), which is what keeps the slack small.
   const uint32_t* domains = support.domains(i);
-  const double* r = task.domain_vector.data();
+  const double* r = support.weights(i);
   const WorkerBenefitFactors::Domain* f = factors.row(slot);
   double right = 0.0;
   double wrong = 0.0;
   for (size_t e = 0; e < nnz; ++e) {
     const size_t k = domains[e];
-    right += r[k] * f[k].quality;
-    wrong += r[k] * f[k].wrong_update;
+    right += r[e] * f[k].quality;
+    wrong += r[e] * f[k].wrong_update;
   }
   const double wrong_choices = static_cast<double>(l - 1);
   const double total = right + wrong_choices * wrong;
@@ -235,7 +238,7 @@ BenefitBounds BenefitBoundsOf(const BenefitSupport& support, size_t i,
   return {closed + slack, closed - slack};
 }
 
-double AnswerProbability(const Task& task, const Matrix& truth_matrix,
+double AnswerProbability(const Task& task, MatrixView truth_matrix,
                          const std::vector<double>& worker_quality, size_t a,
                          double quality_clamp) {
   const size_t m = task.domain_vector.size();
@@ -254,7 +257,7 @@ double AnswerProbability(const Task& task, const Matrix& truth_matrix,
   return probability;
 }
 
-Matrix UpdatedTruthMatrix(const Task& task, const Matrix& truth_matrix,
+Matrix UpdatedTruthMatrix(const Task& task, MatrixView truth_matrix,
                           const std::vector<double>& worker_quality, size_t a,
                           double quality_clamp) {
   DOCS_DCHECK_EQ(task.domain_vector.size(), truth_matrix.rows());
@@ -283,7 +286,7 @@ Matrix UpdatedTruthMatrix(const Task& task, const Matrix& truth_matrix,
   return updated;
 }
 
-double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
+double ExpectedPosteriorEntropy(const Task& task, MatrixView truth_matrix,
                                 const std::vector<double>& worker_quality,
                                 double quality_clamp) {
   double expected = 0.0;
@@ -300,7 +303,7 @@ double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
   return expected;
 }
 
-double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
+double ExpectedPosteriorEntropy(const Task& task, MatrixView truth_matrix,
                                 const std::vector<double>& worker_quality,
                                 double quality_clamp,
                                 BenefitScratch* scratch) {
@@ -308,20 +311,22 @@ double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
   const size_t l = task.num_choices;
   DOCS_DCHECK_EQ(truth_matrix.rows(), m);
   scratch->domains.clear();
+  scratch->weights.clear();
   for (size_t k = 0; k < m; ++k) {
     if (task.domain_vector[k] != 0.0) {
       scratch->domains.push_back(static_cast<uint32_t>(k));
+      scratch->weights.push_back(task.domain_vector[k]);
     }
   }
   scratch->factors.Hoist(worker_quality, quality_clamp, m,
                          std::span<const size_t>(&l, 1));
   return ExpectedEntropyOnSupport(
-      scratch->domains.data(), task.domain_vector.data(),
+      scratch->domains.data(), scratch->weights.data(),
       scratch->domains.size(), scratch->factors.row(0), truth_matrix, l,
       &scratch->posterior);
 }
 
-double Benefit(const Task& task, const Matrix& truth_matrix,
+double Benefit(const Task& task, MatrixView truth_matrix,
                const std::vector<double>& task_truth,
                const std::vector<double>& worker_quality,
                double quality_clamp) {
@@ -330,7 +335,7 @@ double Benefit(const Task& task, const Matrix& truth_matrix,
                                   quality_clamp);
 }
 
-double Benefit(const Task& task, const Matrix& truth_matrix,
+double Benefit(const Task& task, MatrixView truth_matrix,
                const std::vector<double>& task_truth,
                const std::vector<double>& worker_quality, double quality_clamp,
                BenefitScratch* scratch) {
@@ -409,10 +414,8 @@ void BenefitIndex::SiftDown(size_t slot) {
   heap_[slot] = entry;
 }
 
-void BenefitIndex::Rebuild(size_t num_tasks, uint64_t worker_epoch,
-                           uint64_t generation, uint64_t answers,
-                           const std::vector<size_t>& exclude_sorted,
-                           const SeedBatch& seed) {
+void BenefitIndex::Reset(size_t num_tasks,
+                         const std::vector<size_t>& exclude_sorted) {
   // Entry::task holds a task index in a uint32_t.
   DOCS_CHECK_LT(num_tasks, size_t{0xffffffff});
   heap_.clear();
@@ -423,10 +426,13 @@ void BenefitIndex::Rebuild(size_t num_tasks, uint64_t worker_epoch,
     if (e < exclude_sorted.size() && exclude_sorted[e] == task) continue;
     heap_.push_back({0.0, static_cast<uint32_t>(task), false});
   }
-  seed(&heap_);
+  num_tasks_ = num_tasks;
+}
+
+void BenefitIndex::Heapify(uint64_t worker_epoch, uint64_t generation,
+                           uint64_t answers) {
   // Floyd heapify: bottom-up sift-down, O(n) total.
   for (size_t s = heap_.size() / 2; s-- > 0;) SiftDown(s);
-  num_tasks_ = num_tasks;
   worker_epoch_tag_ = worker_epoch;
   generation_tag_ = generation;
   answers_tag_ = answers;

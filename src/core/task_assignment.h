@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -16,11 +17,12 @@
 namespace docs::core {
 
 /// Per-campaign scoring shape of a task list (DESIGN.md §11), built once at
-/// ingest: the indices of the nonzero entries of every task's immutable DVE
-/// vector in CSR form, and each task's slot among the campaign's distinct
-/// choice counts. The benefit kernel walks only these rows; an r_k == 0 row
-/// adds nothing to Eq. 8 (the fused kernel skipped it too), so the walk is
-/// bit-identical. The weights r_k stay in the tasks' own vectors.
+/// ingest: the nonzero entries of every task's immutable DVE vector in CSR
+/// form (their domain indices and, next to them, their weights r_k), and
+/// each task's slot among the campaign's distinct choice counts. The benefit
+/// kernel walks only these rows; an r_k == 0 row adds nothing to Eq. 8 (the
+/// fused kernel skipped it too), so the walk is bit-identical. Both CSR
+/// arrays are flat, so a scorer can prefetch a task's row by index.
 class BenefitSupport {
  public:
   BenefitSupport() = default;
@@ -36,6 +38,10 @@ class BenefitSupport {
   /// Indices k of `task`'s nonzero domains, ascending.
   const uint32_t* domains(size_t task) const {
     return domains_.data() + row_begin_[task];
+  }
+  /// The weights r_k of those domains, in the same order.
+  const double* weights(size_t task) const {
+    return weights_.data() + row_begin_[task];
   }
   size_t support_size(size_t task) const {
     return row_begin_[task + 1] - row_begin_[task];
@@ -53,6 +59,7 @@ class BenefitSupport {
   size_t num_domains_ = 0;
   std::vector<uint32_t> row_begin_ = {0};  // CSR row starts, num_tasks + 1
   std::vector<uint32_t> domains_;
+  std::vector<double> weights_;  // parallel to domains_
   std::vector<uint32_t> choice_slot_;
   std::vector<size_t> choice_counts_;
   std::vector<double> weight_sum_;
@@ -87,17 +94,18 @@ struct WorkerBenefitFactors {
 };
 
 /// Definition 5 on the campaign-shaped kernel: B(t_i) = H(s_i) - H(ŝ_i)
-/// for task `i` (= `task`) of `support`, with the worker's factors already
-/// hoisted. The kernel is specialized for l = 2 and l = 3 and walks only
-/// the task's nonzero domains; it replays the fused kernel's floating-point
-/// operations in the same order, so the result equals Benefit() bit for
-/// bit (tests/ota_test.cc). Thread-safe: no shared scratch.
-double TaskBenefit(const BenefitSupport& support, size_t i, const Task& task,
-                   const WorkerBenefitFactors& factors,
-                   const Matrix& truth_matrix,
-                   const std::vector<double>& task_truth);
+/// for task `i` of `support`, with the worker's factors already hoisted.
+/// `truth_entropy` is H(s_i) as the engine caches it (Entropy of s_i, the
+/// same call Benefit() makes). The kernel reads the support's CSR domains
+/// and weights and the m x l_i rows of `truth_matrix`; it is specialized
+/// for l = 2 and l = 3 and replays the fused kernel's floating-point
+/// operations in the same order, so the result equals Benefit() bit for bit
+/// (tests/ota_test.cc). Thread-safe: no shared scratch.
+double TaskBenefit(const BenefitSupport& support, size_t i,
+                   const WorkerBenefitFactors& factors, MatrixView truth_matrix,
+                   double truth_entropy);
 
-/// Bounds of TaskBenefit(support, i, task, factors, M^(i), s_i) that hold for
+/// Bounds of TaskBenefit(support, i, factors, M^(i), H(s_i)) that hold for
 /// any M^(i) consistent with the task's bound inputs (DESIGN.md §16):
 /// `truth_entropy` is Entropy(s_i) and `answered` says whether the task has
 /// any answer.
@@ -118,7 +126,6 @@ struct BenefitBounds {
   double lower = 0.0;
 };
 BenefitBounds BenefitBoundsOf(const BenefitSupport& support, size_t i,
-                              const Task& task,
                               const WorkerBenefitFactors& factors,
                               double truth_entropy, bool answered);
 
@@ -128,6 +135,7 @@ BenefitBounds BenefitBoundsOf(const BenefitSupport& support, size_t i,
 /// campaign's (m, l) shape. Contents are meaningless between calls.
 struct BenefitScratch {
   std::vector<uint32_t> domains;   // the task's nonzero domains
+  std::vector<double> weights;     // their r_k
   WorkerBenefitFactors factors;    // hoisted for the task's l only
   std::vector<double> posterior;   // generic-l kernel buffer
 };
@@ -135,18 +143,18 @@ struct BenefitScratch {
 /// Theorem 2: probability that worker with quality `q` gives choice `a` to
 /// the task, given its current matrix M^(i):
 ///   Pr(v^w_i = a | V(i)) = sum_k r_k [ q_k M_{k,a} + (1-q_k)/(l-1) (1-M_{k,a}) ].
-double AnswerProbability(const Task& task, const Matrix& truth_matrix,
+double AnswerProbability(const Task& task, MatrixView truth_matrix,
                          const std::vector<double>& worker_quality, size_t a,
                          double quality_clamp = 0.01);
 
 /// Theorem 3: the updated matrix M^(i)|a after the worker answers `a`.
-Matrix UpdatedTruthMatrix(const Task& task, const Matrix& truth_matrix,
+Matrix UpdatedTruthMatrix(const Task& task, MatrixView truth_matrix,
                           const std::vector<double>& worker_quality, size_t a,
                           double quality_clamp = 0.01);
 
 /// Equation 8: the expected posterior entropy
 ///   H(ŝ_i) = sum_a H(r x M^(i)|a) Pr(v^w_i = a | V(i)).
-double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
+double ExpectedPosteriorEntropy(const Task& task, MatrixView truth_matrix,
                                 const std::vector<double>& worker_quality,
                                 double quality_clamp = 0.01);
 
@@ -156,7 +164,7 @@ double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
 /// heap allocations once the arena has warmed up. Bit-identical to the
 /// allocating reference above (same floating-point operations in the same
 /// order); tests/ota_test.cc asserts exact equality.
-double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
+double ExpectedPosteriorEntropy(const Task& task, MatrixView truth_matrix,
                                 const std::vector<double>& worker_quality,
                                 double quality_clamp, BenefitScratch* scratch);
 
@@ -164,14 +172,14 @@ double ExpectedPosteriorEntropy(const Task& task, const Matrix& truth_matrix,
 /// if the worker answers the task. The allocating spec kernel: no serving
 /// path calls it; it is the test oracle the fused kernels are proven
 /// bit-identical to (tests/ota_test.cc, tests/reference_selector.h).
-double Benefit(const Task& task, const Matrix& truth_matrix,
+double Benefit(const Task& task, MatrixView truth_matrix,
                const std::vector<double>& task_truth,
                const std::vector<double>& worker_quality,
                double quality_clamp = 0.01);
 
 /// Definition 5 on the fused, allocation-free kernel, bit-identical to the
 /// reference overload above.
-double Benefit(const Task& task, const Matrix& truth_matrix,
+double Benefit(const Task& task, MatrixView truth_matrix,
                const std::vector<double>& task_truth,
                const std::vector<double>& worker_quality,
                double quality_clamp, BenefitScratch* scratch);
@@ -272,21 +280,20 @@ class BenefitIndex {
   /// Number of indexed (non-excluded) tasks.
   size_t size() const { return heap_.size(); }
 
-  /// Fills the `value` and `bound` of every entry of a batch (tasks
-  /// ascending). Called once per rebuild with the whole batch, so the caller
-  /// can probe its cache and seed exact scores or bounds together.
-  using SeedBatch = std::function<void(std::vector<Entry>* entries)>;
-
   /// Rebuilds the heap from scratch under the given key: every task except
-  /// those in `exclude_sorted` (ascending) is seeded in one `seed` batch —
-  /// an exact score where the caller has one, an upper bound otherwise;
-  /// each entry is independent, so the heap contents are thread-count
-  /// invariant however the batch fans out — then heapified bottom-up in
-  /// O(n). Bound entries are resolved later by TrySelect, outside its skip
-  /// budget, so seeding bounds never pushes a pass to the scan fallback.
+  /// those in `exclude_sorted` (ascending) is seeded in one batch —
+  /// `seed(&entries)` fills the `value` and `bound` of every entry (tasks
+  /// ascending), an exact score where the caller has one, an upper bound
+  /// otherwise; each entry is independent, so the heap contents are
+  /// thread-count invariant however the batch fans out — then heapified
+  /// bottom-up in O(n). Bound entries are resolved later by TrySelect,
+  /// outside its skip budget, so seeding bounds never pushes a pass to the
+  /// scan fallback. A template over the seed, so a rebuild builds no
+  /// type-erased closure.
+  template <typename Seed>
   void Rebuild(size_t num_tasks, uint64_t worker_epoch, uint64_t generation,
                uint64_t answers, const std::vector<size_t>& exclude_sorted,
-               const SeedBatch& seed);
+               const Seed& seed);
 
   /// Reads the top `k` tasks satisfying `eligible` off the heap WITHOUT
   /// popping: a candidate-frontier walk that visits nodes in exact
@@ -318,6 +325,9 @@ class BenefitIndex {
     return BetterScored({a.task, a.value}, {b.task, b.value});
   }
   void SiftDown(size_t slot);
+  /// Rebuild's halves: lay out the unseeded entries, then heapify and tag.
+  void Reset(size_t num_tasks, const std::vector<size_t>& exclude_sorted);
+  void Heapify(uint64_t worker_epoch, uint64_t generation, uint64_t answers);
 
   std::vector<Entry> heap_;
   /// TrySelect's candidate frontier (heap slots), reused across calls.
@@ -327,6 +337,16 @@ class BenefitIndex {
   uint64_t generation_tag_ = 0;
   uint64_t answers_tag_ = 0;
 };
+
+template <typename Seed>
+void BenefitIndex::Rebuild(size_t num_tasks, uint64_t worker_epoch,
+                           uint64_t generation, uint64_t answers,
+                           const std::vector<size_t>& exclude_sorted,
+                           const Seed& seed) {
+  Reset(num_tasks, exclude_sorted);
+  seed(&heap_);
+  Heapify(worker_epoch, generation, answers);
+}
 
 template <typename Eligible, typename Resolve>
 bool BenefitIndex::TrySelect(const Eligible& eligible, const Resolve& resolve,
@@ -393,6 +413,44 @@ bool BenefitIndex::TrySelect(const Eligible& eligible, const Resolve& resolve,
   *pops += popped;
   return true;
 }
+
+/// The k-th largest value offered, in one pass (DESIGN.md §16): the floor
+/// of a cold index rebuild's seed. -infinity and NaN are not counted. value()
+/// is +infinity for k = 0, -infinity while fewer than k values were counted,
+/// and otherwise exactly the value nth_element would place k-th in
+/// descending order (ties included). Keeps the running top min(k, counted)
+/// in a min-heap in caller-provided storage, so its memory follows the
+/// count, never k itself (k arrives unclamped from the wire).
+class KthLargest {
+ public:
+  /// Clears `*storage` and starts an empty selection.
+  KthLargest(size_t k, std::vector<double>* storage)
+      : k_(k), top_(*storage) {
+    top_.clear();
+  }
+
+  void Offer(double value) {
+    if (!(value > -std::numeric_limits<double>::infinity())) return;
+    if (top_.size() < k_) {
+      top_.push_back(value);
+      std::push_heap(top_.begin(), top_.end(), std::greater<double>());
+    } else if (k_ > 0 && value > top_.front()) {
+      std::pop_heap(top_.begin(), top_.end(), std::greater<double>());
+      top_.back() = value;
+      std::push_heap(top_.begin(), top_.end(), std::greater<double>());
+    }
+  }
+
+  double value() const {
+    if (k_ == 0) return std::numeric_limits<double>::infinity();
+    if (top_.size() < k_) return -std::numeric_limits<double>::infinity();
+    return top_.front();
+  }
+
+ private:
+  size_t k_;
+  std::vector<double>& top_;
+};
 
 struct TaskAssignerOptions {
   double quality_clamp = 0.01;

@@ -26,13 +26,18 @@ bool AnswerInBounds(const Answer& answer,
 }
 
 /// Writes the stable softmax (Eq. 3's row normalization) of the log row
-/// into row k of `out`.
-void SoftmaxRowInto(const std::vector<double>& log_row, size_t k,
-                    Matrix* out) {
+/// into `out` (log_row.size() entries).
+void SoftmaxRowInto(const std::vector<double>& log_row, double* out) {
   const double lse = LogSumExp(log_row);
   for (size_t j = 0; j < log_row.size(); ++j) {
-    (*out)(k, j) = std::exp(log_row[j] - lse);
+    out[j] = std::exp(log_row[j] - lse);
   }
+}
+
+/// As above, into row k of `out`.
+void SoftmaxRowInto(const std::vector<double>& log_row, size_t k,
+                    Matrix* out) {
+  SoftmaxRowInto(log_row, out->mutable_data() + k * out->cols());
 }
 
 /// Index of `value` in `values`, appending it when absent.
@@ -189,13 +194,14 @@ void TruthStepKernel::AccumulateRow(const Entry* begin, const Entry* end,
   }
 }
 
-void TruthStepKernel::CopyRows(size_t i, Matrix* truth_matrix) const {
+void TruthStepKernel::CopyRows(size_t i, size_t m, size_t l,
+                               double* truth_matrix) const {
   const bool answered = entry_begin_[i + 1] != entry_begin_[i];
   const Matrix& source = answered ? memo_blocks_[row_source_[i]]
                                   : uniform_rows_[row_source_[i]];
-  for (size_t k = 0; k < truth_matrix->rows(); ++k) {
-    for (size_t j = 0; j < truth_matrix->cols(); ++j) {
-      (*truth_matrix)(k, j) = source(answered ? k : 0, j);
+  for (size_t k = 0; k < m; ++k) {
+    for (size_t j = 0; j < l; ++j) {
+      truth_matrix[k * l + j] = source(answered ? k : 0, j);
     }
   }
 }
@@ -308,7 +314,7 @@ void TruthStepKernel::BuildTruthMatrices(
       }
     } else {
       truth_matrix.Resize(r.size(), task.num_choices);
-      CopyRows(i, &truth_matrix);
+      CopyRows(i, r.size(), task.num_choices, truth_matrix.mutable_data());
       if (begin == end) {
         truth_matrix.LeftMultiplyInto(r, &(*task_truth)[i]);
         NormalizeInPlace((*task_truth)[i]);
@@ -322,7 +328,7 @@ void TruthStepKernel::BuildTruthMatrices(
 
 void TruthStepKernel::Run(const std::vector<WorkerQuality>& qualities,
                           double quality_clamp, ThreadPool* pool,
-                          std::vector<Matrix>* truth_matrices,
+                          MatrixArena* truth_matrices,
                           std::vector<std::vector<double>>* task_truth,
                           std::vector<Matrix>* log_numerators,
                           bool write_unanswered) {
@@ -344,14 +350,16 @@ void TruthStepKernel::Run(const std::vector<WorkerQuality>& qualities,
     const Entry* end = entries_.data() + entry_begin_[i + 1];
     const size_t count = static_cast<size_t>(end - begin);
     DOCS_DCHECK(count == 0 || m <= m_);
-    Matrix& truth_matrix = (*truth_matrices)[i];
-    truth_matrix.Resize(m, l);
+    const MatrixView view = (*truth_matrices)[i];
+    DOCS_DCHECK(view.rows() == m && view.cols() == l)
+        << "truth matrix block of task " << i << " is not " << m << " x " << l;
+    double* truth_matrix = truth_matrices->block(i);
     Matrix* log_numer =
         log_numerators == nullptr ? nullptr : &(*log_numerators)[i];
     if (count <= 1) {
       // Rows that do not depend on this task: copy them. An unanswered
       // task's rows are all the same uniform row.
-      CopyRows(i, &truth_matrix);
+      CopyRows(i, m, l, truth_matrix);
       if (count == 0 && log_numer != nullptr) log_numer->Fill(0.0);
     }
     if (count >= 2 || (count == 1 && log_numer != nullptr)) {
@@ -360,11 +368,11 @@ void TruthStepKernel::Run(const std::vector<WorkerQuality>& qualities,
         if (log_numer != nullptr) {
           for (size_t j = 0; j < l; ++j) (*log_numer)(k, j) = log_row[j];
         }
-        if (count >= 2) SoftmaxRowInto(log_row, k, &truth_matrix);
+        if (count >= 2) SoftmaxRowInto(log_row, truth_matrix + k * l);
       }
     }
-    DOCS_DCHECK_FINITE(truth_matrix, "truth matrix (Eq. 3)");
-    truth_matrix.LeftMultiplyInto(task.domain_vector, &(*task_truth)[i]);
+    DOCS_DCHECK_FINITE(view.data(), "truth matrix (Eq. 3)");
+    view.LeftMultiplyInto(task.domain_vector, &(*task_truth)[i]);
     // The domain vector always sums to 1 for the wrapper-produced tasks,
     // but guard against callers passing sub-normalized vectors.
     NormalizeInPlace((*task_truth)[i]);

@@ -119,13 +119,15 @@ class TruthStepKernel {
                           std::vector<std::vector<double>>* task_truth);
 
   /// The full step in one call: tables from `qualities` as in Iterate(),
-  /// then M^(i) and s_i of every task. When `log_numerators` is non-null its
-  /// matrices (already m_i x l_i) receive the log numerators M̂^(i) as well.
+  /// then M^(i) of every task into block i of `*truth_matrices` (already
+  /// m_i x l_i: the incremental engine's task-major arena) and s_i. When
+  /// `log_numerators` is non-null its matrices (already m_i x l_i) receive
+  /// the log numerators M̂^(i) as well.
   /// With `write_unanswered` false the unanswered tasks' entries are left
   /// as they are: they depend on nothing but r_i and l_i, so a caller that
   /// wrote them once may skip them.
   void Run(const std::vector<WorkerQuality>& qualities, double quality_clamp,
-           ThreadPool* pool, std::vector<Matrix>* truth_matrices,
+           ThreadPool* pool, MatrixArena* truth_matrices,
            std::vector<std::vector<double>>* task_truth,
            std::vector<Matrix>* log_numerators = nullptr,
            bool write_unanswered = true);
@@ -146,8 +148,8 @@ class TruthStepKernel {
   void AccumulateRow(const Entry* begin, const Entry* end, size_t k,
                      size_t l, std::vector<double>* row) const;
   /// Copies task i's rows (it has at most one answer) from its uniform row
-  /// or memo block into `truth_matrix`, already m_i x l_i.
-  void CopyRows(size_t i, Matrix* truth_matrix) const;
+  /// or memo block into the m x l row-major block `truth_matrix`.
+  void CopyRows(size_t i, size_t m, size_t l, double* truth_matrix) const;
 
   const std::vector<Task>* tasks_;
   std::vector<size_t> entry_begin_;  // CSR over entries_, n + 1 offsets

@@ -807,7 +807,7 @@ TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
         std::vector<BenefitBounds> bounds(n);
         std::vector<double> floors;
         for (size_t t = 0; t < n; ++t) {
-          bounds[t] = BenefitBoundsOf(support, t, s.tasks()[t], factors,
+          bounds[t] = BenefitBoundsOf(support, t, factors,
                                       s.inference().truth_entropy(t),
                                       s.inference().task_answered(t));
           if (std::isfinite(bounds[t].lower)) floors.push_back(bounds[t].lower);
@@ -852,6 +852,175 @@ TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
         return 0;
       });
       EXPECT_EQ(system.benefit_cache_hits() - hits_before, resolved);
+    }
+  }
+}
+
+/// The floor of a cold rebuild's seed by its definition: the k-th largest
+/// of the values that are neither -infinity nor NaN, by nth_element;
+/// +infinity for k = 0 and -infinity when fewer than k values count.
+double NthElementFloor(std::vector<double> values, size_t k) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::erase_if(values, [](double value) { return !(value > -kInf); });
+  if (k == 0) return kInf;
+  if (k > values.size()) return -kInf;
+  const auto kth = values.begin() + static_cast<std::ptrdiff_t>(k - 1);
+  std::nth_element(values.begin(), kth, values.end(), std::greater<double>());
+  return *kth;
+}
+
+/// The one-sweep floor (KthLargest) equals the nth_element definition on
+/// every shape the seed offers it: k = 0, k above the finite count (up to
+/// the wire's 2^32 - 1), ties across the k-th place, -infinity lowers (the
+/// answered tasks' bounds) and NaN, with exact scores and closed forms of
+/// either sign mixed in. Its storage follows the count, never k.
+TEST(SeedFloorTest, KthLargestMatchesTheNthElementDefinition) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(2417);
+  const double ties[] = {0.25, 0.5, 0.5, 0.75};
+  std::vector<double> storage;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = rng.UniformInt(48);
+    std::vector<double> values;
+    for (size_t v = 0; v < n; ++v) {
+      switch (rng.UniformInt(5)) {
+        case 0:
+          values.push_back(-kInf);
+          break;
+        case 1:
+          values.push_back(trial % 7 == 0
+                               ? std::numeric_limits<double>::quiet_NaN()
+                               : -kInf);
+          break;
+        case 2:
+          values.push_back(ties[rng.UniformInt(4)]);
+          break;
+        default:
+          values.push_back(rng.UniformDoubleRange(-0.5, 1.5));
+      }
+    }
+    const size_t finite = static_cast<size_t>(std::count_if(
+        values.begin(), values.end(), [](double v) { return v > -kInf; }));
+    for (size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, n / 2,
+                     finite, finite + 1, n, size_t{0xffffffff}}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + ", k " +
+                   std::to_string(k));
+      KthLargest floor(k, &storage);
+      for (double value : values) floor.Offer(value);
+      EXPECT_EQ(floor.value(), NthElementFloor(values, k));
+      EXPECT_LE(storage.size(), std::min(k, finite));
+    }
+  }
+}
+
+/// A cold pass scores, before its walk, exactly the eligible stale rows
+/// whose upper bound reaches the floor, and the walk then resolves nothing
+/// more: with no leases and no cap every indexed task is eligible, so the k
+/// tasks behind the floor are eligible too and every bound entry the walk
+/// pops was already scored. Checked on the cache-miss counter against a
+/// reference built from the public bounds, once with every row stale (after
+/// a full inference) and once with fresh exact rows mixed in (after another
+/// worker's answers stale only the tasks they touch).
+TEST_F(BenefitIndexTest, ColdPassScoresExactlyTheEligibleStaleRowsAboveTheFloor) {
+  const auto dataset = datasets::MakeQaDataset(*kb_, 240, 13);
+  std::vector<TaskInput> inputs;
+  for (const auto& task : dataset.tasks) {
+    inputs.push_back({task.text, task.num_choices()});
+  }
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    DocsSystemOptions options;
+    options.golden_count = 0;
+    options.reinfer_every = 0;
+    options.num_threads = threads;
+    DocsSystem system(&kb_->knowledge_base, options);
+    ASSERT_TRUE(system.AddTasks(inputs).ok());
+    const size_t n = system.tasks().size();
+    // Six workers answer every twelfth task each, so the answered half
+    // (H(s_i) bounds, no lower side) sits among unanswered tasks (closed
+    // forms).
+    for (size_t v = 0; v < 6; ++v) {
+      const size_t worker = system.WorkerIndex("v" + std::to_string(v));
+      for (size_t t = v; t < n; t += 12) {
+        ASSERT_TRUE(system.SubmitAnswer(worker, t, (t + v) % 2).ok());
+      }
+    }
+    const size_t w = system.WorkerIndex("v0");
+
+    // `fresh[t]`: the worker's cache row for t is fresh, with the reference
+    // score. The expected misses of a cold SelectTasks(w, k).
+    auto expected_misses = [&](const std::vector<uint8_t>& fresh, size_t k) {
+      const IncrementalTruthInference& engine = system.inference();
+      const std::vector<double> exact =
+          testing::ReferenceScores(system, options, w);
+      const BenefitSupport support(system.tasks());
+      WorkerBenefitFactors factors;
+      factors.Hoist(engine.worker_quality(w).quality,
+                    options.assigner.quality_clamp, support.num_domains(),
+                    support.choice_counts());
+      std::vector<double> lowers;
+      std::vector<double> uppers(n, 0.0);
+      for (size_t t = 0; t < n; ++t) {
+        if (engine.HasAnswered(w, t)) continue;  // not indexed
+        if (fresh[t]) {
+          lowers.push_back(exact[t]);
+          continue;
+        }
+        const BenefitBounds bounds =
+            BenefitBoundsOf(support, t, factors, engine.truth_entropy(t),
+                            engine.task_answered(t));
+        lowers.push_back(bounds.lower);
+        uppers[t] = bounds.upper;
+      }
+      const double floor = NthElementFloor(lowers, k);
+      uint64_t misses = 0;
+      for (size_t t = 0; t < n; ++t) {
+        misses += !engine.HasAnswered(w, t) && !fresh[t] && uppers[t] >= floor;
+      }
+      return misses;
+    };
+    auto cold_request = [&](size_t k) {
+      const uint64_t rebuilds = system.benefit_index_rebuilds();
+      const uint64_t misses = system.benefit_cache_misses();
+      EXPECT_EQ(system.SelectTasks(w, k),
+                testing::ReferenceSelect(system, options, w, k));
+      EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds + 1);
+      return system.benefit_cache_misses() - misses;
+    };
+
+    // Every row stale: the full inference bumped the generation.
+    system.RunFullInference();
+    const uint64_t all_stale = expected_misses(std::vector<uint8_t>(n, 0), 10);
+    EXPECT_GT(all_stale, 10u);
+    EXPECT_LT(all_stale, n - system.inference().answered_tasks(w).size())
+        << "premise: the floor prunes";
+    EXPECT_EQ(cold_request(10), all_stale);
+
+    // Fresh rows mixed in: score every row, then let another worker answer
+    // tasks w has not answered. Only those tasks' epochs move (w shares
+    // none of them, so her epoch stays), and the moved answer count stales
+    // her index.
+    (void)system.ScoreAllTasks(w);
+    std::vector<uint8_t> fresh(n, 1);
+    const size_t v = system.WorkerIndex("late");
+    for (size_t t = 1; t < n; t += 9) {
+      if (system.inference().HasAnswered(w, t)) continue;
+      ASSERT_TRUE(system.SubmitAnswer(v, t, 0).ok());
+      fresh[t] = 0;
+    }
+    for (size_t k : {size_t{5}, size_t{0}}) {
+      SCOPED_TRACE("k " + std::to_string(k));
+      const uint64_t mixed = expected_misses(fresh, k);
+      if (k > 0) {
+        EXPECT_GT(mixed, 0u);
+      }
+      EXPECT_EQ(cold_request(k), mixed);
+      // Stale the index again for the next k without touching the rows.
+      const size_t t = std::find(fresh.begin(), fresh.end(), 1) -
+                       fresh.begin();
+      ASSERT_FALSE(system.inference().HasAnswered(v, t));
+      ASSERT_TRUE(system.SubmitAnswer(v, t, 0).ok());
+      fresh[t] = 0;
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -244,6 +245,29 @@ TEST(MathTest, IsDistribution) {
 }
 
 // --- Matrix --------------------------------------------------------------------
+
+TEST(MatrixArenaTest, BlocksAreTaskMajorAndLargeBuffersHugePageAligned) {
+  // Blocks follow each other with no gap, and views read what was written.
+  MatrixArena arena;
+  arena.Reserve(3, 2 * 2 + 2 * 3 + 1 * 5);
+  arena.Append(2, 2, 0.5);
+  arena.Append(2, 3);
+  arena.Append(1, 5, -1.0);
+  ASSERT_EQ(arena.size(), 3u);
+  arena.block(1)[4] = 7.0;  // row 1, column 1
+  EXPECT_EQ(arena[1](1, 1), 7.0);
+  EXPECT_EQ(arena[0].data().data() + 4, arena[1].data().data());
+  EXPECT_EQ(arena[1].data().data() + 6, arena[2].data().data());
+  EXPECT_EQ(arena[2].rows(), 1u);
+  EXPECT_EQ(arena[2].cols(), 5u);
+  EXPECT_EQ(Matrix(arena[0]).data(), std::vector<double>(4, 0.5));
+  // A buffer of at least half a huge page starts on a 2 MiB boundary; a
+  // small one comes from operator new.
+  std::vector<double, HugePageAllocator<double>> large((size_t{1} << 20) / 8);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(large.data()) % (size_t{2} << 20), 0u);
+  std::vector<double, HugePageAllocator<double>> small(16, 1.0);
+  EXPECT_EQ(small.back(), 1.0);
+}
 
 TEST(MatrixTest, FillAndAccess) {
   Matrix m(2, 3, 0.5);

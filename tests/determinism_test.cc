@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,7 +128,8 @@ TEST(DeterminismTest, IncrementalFullInferenceSweepIsByteIdentical) {
     for (size_t i = 0; i < instance.tasks.size(); ++i) {
       ASSERT_EQ(swept.task_truth(i), baseline.task_truth(i))
           << "task " << i << ", " << threads << " threads";
-      ASSERT_EQ(swept.truth_matrix(i).data(), baseline.truth_matrix(i).data())
+      ASSERT_EQ(Matrix(swept.truth_matrix(i)).data(),
+                Matrix(baseline.truth_matrix(i)).data())
           << "task " << i << ", " << threads << " threads";
     }
     for (size_t w = 0; w < instance.num_workers; ++w) {
@@ -409,7 +411,7 @@ class Fnv1a {
     std::memcpy(bytes, &value, sizeof(value));
     FeedBytes(bytes, sizeof(bytes));
   }
-  void Feed(const std::vector<double>& values) {
+  void Feed(std::span<const double> values) {
     for (double value : values) Feed(value);
   }
   uint64_t hash() const { return hash_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
@@ -443,10 +444,13 @@ TEST(IncrementalTiTest, QualitySeedBumpsEpochAndFullInferenceBumpsGeneration) {
 // --- Continuity across RunFullInference ------------------------------------
 
 /// Bitwise equality (memcmp), stricter than operator== on doubles.
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+bool SameBits(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return SameBits(std::span<const double>(a), std::span<const double>(b));
 }
 
 /// Adds one answer's Eq. 3 log terms to `log_numer` the way the per-answer
@@ -635,10 +639,11 @@ TEST(IncrementalTiTest, EveryFullInferenceMatchesPublicRunThenKernelStep) {
       for (const Answer& answer : engine.answers()) {
         answers_of_task[answer.task].push_back(answer);
       }
-      std::vector<Matrix> truth_matrices(n);
+      MatrixArena truth_matrices;
       std::vector<std::vector<double>> task_truth(n);
       std::vector<Matrix> log_numerators;
       for (const Task& task : tasks) {
+        truth_matrices.Append(m, task.num_choices);
         log_numerators.emplace_back(m, task.num_choices, 0.0);
       }
       TruthStepKernel kernel(tasks, answers_of_task, engine.num_workers());

@@ -379,8 +379,8 @@ void ExpectCampaignKernelMatchesReference(const OtaInstance& instance,
         Benefit(instance.tasks[i], instance.matrices[i], instance.truths[i],
                 instance.worker_quality, clamp);
     ASSERT_FALSE(std::isnan(reference)) << label << " task " << i;
-    EXPECT_EQ(TaskBenefit(support, i, instance.tasks[i], factors,
-                          instance.matrices[i], instance.truths[i]),
+    EXPECT_EQ(TaskBenefit(support, i, factors, instance.matrices[i],
+                          Entropy(instance.truths[i])),
               reference)
         << label << " task " << i << " (l = " << instance.tasks[i].num_choices
         << ")";
@@ -471,6 +471,84 @@ TEST(FusedKernelTest, CampaignKernelMatchesReferenceOnNegativeAnswerMass) {
   }
 }
 
+TEST(FusedKernelTest, CampaignKernelOnTheEngineArenaMatchesReference) {
+  // TaskBenefit as the serving path calls it: M^(i) read in place from the
+  // engine's task-major arena, r_k from the support's CSR weights and H(s_i)
+  // from the engine's cache. It must equal the allocating reference on the
+  // same state to the bit, for l in {2, 3, 5}, dense and sparse supports and
+  // a -1e-9 weight (the checkpoint loader admits one), with the state read
+  // after incremental answers, after a full EM pass and after answers on top
+  // of it.
+  Rng rng(421);
+  const size_t m = 26;
+  std::vector<Task> tasks;
+  for (size_t l : {2, 3, 5}) {
+    for (DomainShape shape : {DomainShape::kDense, DomainShape::kSparse}) {
+      for (Task& task : MakeShapedInstance(6, m, l, shape, rng).tasks) {
+        tasks.push_back(std::move(task));
+      }
+    }
+  }
+  // One negative weight in a dense l = 3 task and a sparse l = 5 task.
+  tasks[13].domain_vector[4] = -1e-9;
+  for (double& rk : tasks[32].domain_vector) {
+    if (rk != 0.0) {
+      rk = -1e-9;
+      break;
+    }
+  }
+  IncrementalTruthInference engine(tasks);
+  const BenefitSupport support(tasks);
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    std::vector<double> nonzeros;
+    for (double rk : tasks[i].domain_vector) {
+      if (rk != 0.0) nonzeros.push_back(rk);
+    }
+    ASSERT_EQ(std::vector<double>(support.weights(i),
+                                  support.weights(i) + support.support_size(i)),
+              nonzeros)
+        << "task " << i;
+  }
+  auto check = [&](const std::string& stage) {
+    for (int w = 0; w < 4; ++w) {
+      std::vector<double> quality(m);
+      for (double& q : quality) q = rng.UniformDoubleRange(0.0, 1.0);
+      WorkerBenefitFactors factors;
+      factors.Hoist(quality, 0.01, m, support.choice_counts());
+      for (size_t i = 0; i < tasks.size(); ++i) {
+        SCOPED_TRACE(stage + " task " + std::to_string(i) + " (l = " +
+                     std::to_string(tasks[i].num_choices) + ")");
+        const MatrixView matrix = engine.truth_matrix(i);
+        ASSERT_EQ(matrix.rows(), m);
+        ASSERT_EQ(matrix.cols(), tasks[i].num_choices);
+        const double reference = Benefit(tasks[i], Matrix(matrix),
+                                         engine.task_truth(i), quality, 0.01);
+        ASSERT_FALSE(std::isnan(reference));
+        EXPECT_EQ(TaskBenefit(support, i, factors, matrix,
+                              engine.truth_entropy(i)),
+                  reference);
+      }
+    }
+  };
+  auto answer = [&](size_t count) {
+    for (size_t a = 0; a < count; ++a) {
+      const size_t task = rng.UniformInt(tasks.size());
+      const size_t worker = rng.UniformInt(9);
+      if (engine.HasAnswered(worker, task)) continue;
+      ASSERT_TRUE(engine
+                      .OnAnswer(worker, task,
+                                rng.UniformInt(tasks[task].num_choices))
+                      .ok());
+    }
+  };
+  answer(90);
+  check("incremental");
+  engine.RunFullInference(nullptr);
+  check("full inference");
+  answer(40);
+  check("incremental after full inference");
+}
+
 TEST(FusedKernelTest, SupportKeepsOnlyNonzeroDomainsInOrder) {
   std::vector<Task> tasks(3);
   tasks[0].domain_vector = {0.0, 0.25, 0.0, 0.75};
@@ -545,18 +623,18 @@ void ExpectBoundsHold(const OtaInstance& instance, double clamp, bool uniform,
   for (size_t i = 0; i < instance.tasks.size(); ++i) {
     SCOPED_TRACE(label + " task " + std::to_string(i) + " (l = " +
                  std::to_string(instance.tasks[i].num_choices) + ")");
-    const double exact = TaskBenefit(support, i, instance.tasks[i], factors,
-                                     instance.matrices[i], instance.truths[i]);
+    const double exact = TaskBenefit(support, i, factors, instance.matrices[i],
+                                     Entropy(instance.truths[i]));
     ASSERT_TRUE(std::isfinite(exact));
     const double truth_entropy = Entropy(instance.truths[i]);
     const BenefitBounds any =
-        BenefitBoundsOf(support, i, instance.tasks[i], factors, truth_entropy,
+        BenefitBoundsOf(support, i, factors, truth_entropy,
                         /*answered=*/true);
     EXPECT_GE(any.upper, exact);
     EXPECT_EQ(any.lower, -std::numeric_limits<double>::infinity());
     if (!uniform) continue;
     const BenefitBounds closed =
-        BenefitBoundsOf(support, i, instance.tasks[i], factors, truth_entropy,
+        BenefitBoundsOf(support, i, factors, truth_entropy,
                         /*answered=*/false);
     EXPECT_GE(closed.upper, exact);
     EXPECT_LE(closed.lower, exact) << "closed form is not within its slack";
@@ -670,8 +748,8 @@ TEST(BenefitBoundTest, SubnormalWeightsFallBackToTheEntropyBound) {
         SCOPED_TRACE(label + " task " + std::to_string(i));
         const double truth_entropy = Entropy(instance.truths[i]);
         const BenefitBounds bounds =
-            BenefitBoundsOf(support, i, instance.tasks[i], factors,
-                            truth_entropy, /*answered=*/false);
+            BenefitBoundsOf(support, i, factors, truth_entropy,
+                            /*answered=*/false);
         if (i < 3) {
           EXPECT_EQ(bounds.upper, truth_entropy + support.bound_slack(i));
           EXPECT_EQ(bounds.lower, -std::numeric_limits<double>::infinity());
@@ -702,7 +780,7 @@ TEST(BenefitBoundTest, EngineBoundInputsTrackEveryPosteriorWrite) {
       factors.Hoist(quality, 0.01, m, support.choice_counts());
       for (size_t i = 0; i < instance.tasks.size(); ++i) {
         SCOPED_TRACE(stage + " task " + std::to_string(i));
-        const Matrix& matrix = engine.truth_matrix(i);
+        const MatrixView matrix = engine.truth_matrix(i);
         ASSERT_EQ(engine.truth_entropy(i), Entropy(engine.task_truth(i)));
         if (!engine.task_answered(i)) {
           for (size_t k = 0; k < m; ++k) {
@@ -711,12 +789,11 @@ TEST(BenefitBoundTest, EngineBoundInputsTrackEveryPosteriorWrite) {
             }
           }
         }
-        const double exact = TaskBenefit(support, i, instance.tasks[i],
-                                         factors, matrix,
-                                         engine.task_truth(i));
+        const double exact = TaskBenefit(support, i, factors, matrix,
+                                         engine.truth_entropy(i));
         const BenefitBounds bounds =
-            BenefitBoundsOf(support, i, instance.tasks[i], factors,
-                            engine.truth_entropy(i), engine.task_answered(i));
+            BenefitBoundsOf(support, i, factors, engine.truth_entropy(i),
+                            engine.task_answered(i));
         EXPECT_GE(bounds.upper, exact);
         EXPECT_LE(bounds.lower, exact);
         if (!engine.task_answered(i)) {

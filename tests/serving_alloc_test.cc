@@ -1,11 +1,11 @@
-// Heap-allocation and work pin of the warm serving path (DESIGN.md §11): one
+// Heap-allocation and work pin of the serving path (DESIGN.md §11, §16): one
 // warm SelectTasks on a quiet system reads the top k off the worker's benefit
 // index and allocates only its result. The count is pinned exactly, so any
 // new per-request allocation (a rebuilt closure, a scratch vector that no
 // longer persists, a row copied instead of borrowed) fails here. The same
 // request made cold by a full inference must rebuild the index and rescore
 // rows the warm one never touches: the deterministic form of "warm beats
-// cold". The shape is bench_micro's BM_ServeRequestTasksWarm: QA-512, one
+// cold". Its allocations are pinned too. The shape is bench_micro's BM_ServeRequestTasksWarm: QA-512, one
 // thread, no golden probe, no leases, no periodic inference, k = 10.
 //
 // Global operator new is replaced with a counting forwarder, as in
@@ -106,11 +106,18 @@ TEST(ServingAllocTest, WarmRequestAllocatesOnlyItsResult) {
   EXPECT_EQ(allocations, 1u);
 
   // A full inference bumps the generation: the same request now rebuilds
-  // the index once and rescores rows from live state.
+  // the index once and rescores rows from live state. The rebuild's seed
+  // sweep and its resolve batch run in the worker's scratch and the index's
+  // own storage, all sized by the first cold request above, so the cold
+  // request too allocates only its result.
   system.RunFullInference();
-  EXPECT_EQ(system.SelectTasks(worker, 10).size(), 10u);
+  const uint64_t cold_before = HeapAllocations();
+  const std::vector<size_t> recold = system.SelectTasks(worker, 10);
+  const uint64_t cold_allocations = HeapAllocations() - cold_before;
+  EXPECT_EQ(recold.size(), 10u);
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds + 1);
   EXPECT_GT(system.benefit_cache_misses(), misses);
+  EXPECT_EQ(cold_allocations, 1u);
 }
 
 }  // namespace

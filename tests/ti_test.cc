@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/math_utils.h"
@@ -396,10 +397,13 @@ constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
 
 /// Bitwise equality (memcmp): -0.0 vs 0.0 and NaN payloads count as
 /// differences, which operator== would hide.
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+bool SameBits(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return SameBits(std::span<const double>(a), std::span<const double>(b));
 }
 
 /// The Eq. 3 log numerators as the per-answer loop computed them before the
@@ -511,7 +515,7 @@ KernelInstance MakeKernelInstance(size_t m, uint64_t seed) {
 }
 
 struct KernelOutput {
-  std::vector<Matrix> truth_matrices;
+  MatrixArena truth_matrices;
   std::vector<std::vector<double>> task_truth;
   std::vector<Matrix> log_numerators;
 };
@@ -523,9 +527,9 @@ KernelOutput RunKernel(TruthStepKernel& kernel, const KernelInstance& instance,
                        double clamp, ThreadPool* pool) {
   KernelOutput out;
   const size_t n = instance.tasks.size();
-  out.truth_matrices.resize(n);
   out.task_truth.resize(n);
   for (const Task& task : instance.tasks) {
+    out.truth_matrices.Append(task.domain_vector.size(), task.num_choices);
     out.log_numerators.emplace_back(task.domain_vector.size(),
                                     task.num_choices, 0.0);
   }
@@ -614,8 +618,10 @@ TEST(TruthStepKernelTest, ZeroClampWithExtremeQualitiesMatchesBitwise) {
   const KernelOutput out =
       RunKernel(kernel, instance, instance.qualities, 0.0, nullptr);
   ExpectKernelMatchesReference(instance, instance.qualities, 0.0, out);
-  for (const Matrix& truth_matrix : out.truth_matrices) {
-    for (double v : truth_matrix.data()) EXPECT_TRUE(std::isfinite(v));
+  for (size_t i = 0; i < out.truth_matrices.size(); ++i) {
+    for (double v : out.truth_matrices[i].data()) {
+      EXPECT_TRUE(std::isfinite(v));
+    }
   }
   // The perfect worker's lone answer is certain in every domain.
   const size_t choice = instance.answers_of_task[1][0].choice;
@@ -666,9 +672,10 @@ TEST(TruthStepKernelTest, IterateThenBuildMatchesRunBitwise) {
     // write_unanswered = false leaves the unanswered tasks' entries alone
     // and writes the answered ones as before.
     KernelOutput partial;
-    partial.truth_matrices.resize(n);
     partial.task_truth.assign(n, {-1.0});
     for (const Task& task : instance.tasks) {
+      partial.truth_matrices.Append(task.domain_vector.size(),
+                                    task.num_choices, -1.0);
       partial.log_numerators.emplace_back(task.domain_vector.size(),
                                           task.num_choices, -1.0);
     }
@@ -677,7 +684,7 @@ TEST(TruthStepKernelTest, IterateThenBuildMatchesRunBitwise) {
                /*write_unanswered=*/false);
     for (size_t i = 0; i < n; ++i) {
       if (instance.answers_of_task[i].empty()) {
-        EXPECT_TRUE(partial.truth_matrices[i].empty()) << "task " << i;
+        for (double v : partial.truth_matrices[i].data()) EXPECT_EQ(v, -1.0);
         EXPECT_EQ(partial.task_truth[i], std::vector<double>{-1.0});
         for (double v : partial.log_numerators[i].data()) EXPECT_EQ(v, -1.0);
       } else {
