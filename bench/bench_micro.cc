@@ -312,10 +312,11 @@ BENCHMARK(BM_DveEndToEnd);
 //   Warm      — repeat requests on a quiet system pop the top-k off the
 //               per-worker benefit index. tests/serving_alloc_test.cc pins
 //               the heap allocations of one such request.
-//   WarmSweep — Warm across n = 1k/10k/100k tasks: the DESIGN.md §16
-//               sub-linearity evidence (an O(n) warm path would grow ~10x
-//               per 10x tasks). tests/benefit_index_test.cc checks the same
-//               shape by counting heap nodes visited at 250/1k/4k tasks.
+//   WarmSweep — Warm across n = 1k/10k/100k tasks: the heap walk is
+//               sub-linear (DESIGN.md §16); the request's eligibility
+//               bitmap fill is O(n) with a small constant.
+//               tests/benefit_index_test.cc checks the walk's shape by
+//               counting heap nodes visited at 250/1k/4k tasks.
 //   Cold      — Warm's shape with an untimed full inference before each
 //               timed request: its generation bump stales the worker's whole
 //               cache row and index, so every request rebuilds the index

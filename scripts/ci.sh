@@ -10,7 +10,8 @@
 #                  (bench_math_test, the driver's arithmetic).
 #   5. strict    — -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON: curated -Werror
 #                  set plus every DOCS_DCHECK* contract compiled in, run over
-#                  the contract-heavy suites.
+#                  the contract-heavy suites, then one capped campaign
+#                  (run_campaign --dataset QA) end to end.
 #   6. sanitize  — ASan+UBSan full suite, then a gateway smoke run (real TCP
 #                  server + clients under ASan), then TSan scoped to the
 #                  tests that exercise cross-thread execution.
@@ -99,6 +100,14 @@ ctest --test-dir "$PERFBENCH_BUILD" --output-on-failure --no-tests=error
 run_config strict \
   "check_test|common_test|ti_test|incremental_ti_test|ota_test|golden_test|dve_test|baselines_test|benefit_index_test|benefit_cache_test|determinism_test|docs_system_test|persistence_test|inference_service_test|concurrency_test|serving_alloc_test" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_WERROR=ON -DDOCS_DEBUG_CHECKS=ON
+# A whole campaign under a redundancy cap of 10 answers per task: capped and
+# leased-out tasks crowd the top of the benefit indexes, so the frontier walk
+# skips through them on a large share of passes. With the contracts compiled
+# in, every pass audits the heap (BenefitIndex::CheckInvariant) and checks
+# each resolved score against its bound. A failed contract aborts the run,
+# which fails the stage.
+echo "=== [strict] capped campaign (run_campaign --dataset QA) ==="
+"$ROOT/build-strict/examples/run_campaign" --dataset QA
 run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOCS_SANITIZE=ON
 # Gateway smoke: start the TCP server on an ephemeral port, run real client
 # round trips, and shut down cleanly — all under ASan+UBSan, so a leaked

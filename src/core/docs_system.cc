@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 
@@ -24,7 +23,6 @@ DocsSystem::DocsSystem(const kb::KnowledgeBase* knowledge_base,
   // embedded engine build a second hardware-sized pool of its own.
   if (options_.num_threads != 0) {
     options_.truth_inference.num_threads = options_.num_threads;
-    options_.assigner.num_threads = options_.num_threads;
   }
 }
 
@@ -104,7 +102,7 @@ void DocsSystem::StageWorker(const std::vector<double>& worker_quality,
   // Per request: clamp and wrong-answer factors once per (choice count,
   // domain) instead of once per task.
   pass->factors = &scratch->factors;
-  pass->factors->Hoist(*pass->quality, options_.assigner.quality_clamp,
+  pass->factors->Hoist(*pass->quality, options_.truth_inference.quality_clamp,
                        support_.num_domains(), support_.choice_counts());
 }
 
@@ -202,43 +200,35 @@ double DocsSystem::ScoreCached(ScoringPass* pass, size_t task) const {
   return value;
 }
 
-template <typename EntryT>
-std::vector<size_t> DocsSystem::ProbeCache(ScoringPass* pass,
-                                           std::vector<EntryT>* entries) const {
-  const std::vector<CachedBenefit>& cache = *pass->cache;
-  std::vector<size_t> stale;
-  for (size_t s = 0; s < entries->size(); ++s) {
-    EntryT& slot = (*entries)[s];
-    const CachedBenefit& entry = cache[slot.task];
-    if (EntryFresh(entry, pass->task_epochs[slot.task], pass->worker_epoch,
-                   pass->generation)) {
-      slot.value = entry.benefit;
-    } else {
-      stale.push_back(s);
-    }
-  }
-  pass->hits += entries->size() - stale.size();
-  return stale;
-}
-
-template <typename EntryT>
-void DocsSystem::ScoreEntries(ScoringPass* pass, std::vector<EntryT>* entries,
+void DocsSystem::ScoreEntries(ScoringPass* pass,
+                              std::vector<BenefitIndex::Entry>* entries,
                               ThreadPool* pool) const {
-  std::vector<EntryT>& scored = *entries;
-  const std::vector<size_t> misses = ProbeCache(pass, entries);
+  std::vector<BenefitIndex::Entry>& scored = *entries;
   std::vector<CachedBenefit>& cache = *pass->cache;
   const ScoringPass& key = *pass;
+  std::vector<size_t> misses;
+  for (size_t s = 0; s < scored.size(); ++s) {
+    BenefitIndex::Entry& slot = scored[s];
+    const CachedBenefit& entry = cache[slot.task];
+    if (EntryFresh(entry, key.task_epochs[slot.task], key.worker_epoch,
+                   key.generation)) {
+      slot.value = entry.benefit;
+    } else {
+      misses.push_back(s);
+    }
+  }
   ParallelFor(pool, misses.size(), [&](size_t x) {
-    EntryT& slot = scored[misses[x]];
+    BenefitIndex::Entry& slot = scored[misses[x]];
     slot.value = Score(key, slot.task);
     cache[slot.task] = {key.task_epochs[slot.task], key.worker_epoch,
                         key.generation, slot.value};
   });
+  pass->hits += scored.size() - misses.size();
   pass->misses += misses.size();
 }
 
 void DocsSystem::SeedEntries(ScoringPass* pass, size_t k,
-                             const std::function<bool(size_t)>& eligible,
+                             const std::vector<uint8_t>& eligible,
                              std::vector<BenefitIndex::Entry>* entries,
                              ThreadPool* pool) const {
   if (pass->factors == nullptr) {
@@ -289,7 +279,7 @@ void DocsSystem::SeedEntries(ScoringPass* pass, size_t k,
   resolve.clear();
   for (size_t s = 0; s < seeded.size(); ++s) {
     if (seeded[s].bound && seeded[s].value >= threshold &&
-        eligible(seeded[s].task)) {
+        eligible[seeded[s].task] != 0) {
       resolve.push_back(static_cast<uint32_t>(s));
     }
   }
@@ -323,25 +313,12 @@ void DocsSystem::PublishTally(const ScoringPass& pass) {
   }
 }
 
-std::vector<size_t> DocsSystem::RankCore(const std::vector<uint8_t>& eligible,
-                                         size_t k, ScoringPass* pass,
-                                         ThreadPool* pool,
-                                         bool* had_candidates) {
-  DOCS_CHECK_EQ(eligible.size(), tasks_.size());
-  std::vector<ScoredTask> scored;
-  scored.reserve(tasks_.size());
-  for (size_t i = 0; i < tasks_.size(); ++i) {
-    if (eligible[i]) scored.push_back({i, 0.0});
-  }
-  *had_candidates = !scored.empty();
-  ScoreEntries(pass, &scored, pool);
-  return SelectTopKFromScored(&scored, k);
-}
-
-std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
-    BenefitIndex* index, size_t k, ScoringPass* pass,
-    const std::function<bool(size_t)>& eligible_one, ThreadPool* pool) {
+std::vector<size_t> DocsSystem::Rank(BenefitIndex* index, size_t k,
+                                     ScoringPass* pass,
+                                     const std::vector<uint8_t>& eligible,
+                                     ThreadPool* pool) {
   const size_t n = tasks_.size();
+  DOCS_CHECK_EQ(eligible.size(), n);
   if (!index->Fresh(pass->worker_epoch, pass->generation, pass->answers, n)) {
     // Rebuilds exclude the worker's answered tasks — they can never become
     // eligible again, so indexing them would be pure waste, and as bound
@@ -349,55 +326,32 @@ std::optional<std::vector<size_t>> DocsSystem::TryRankViaIndex(
     // top and be skipped by every walk. The list only grows via her own
     // submissions, each of which moves the key. A snapshot pass reads the
     // list as of its publish (the books run ahead of it by the queue depth;
-    // the eligibility predicate skips the difference).
+    // the eligibility bitmap masks the difference).
     index->Rebuild(n, pass->worker_epoch, pass->generation, pass->answers,
                    *pass->answered,
                    [&](std::vector<BenefitIndex::Entry>* entries) {
-                     SeedEntries(pass, k, eligible_one, entries, pool);
+                     SeedEntries(pass, k, eligible, entries, pool);
                    });
     benefit_index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   }
 #if DOCS_DEBUG_CHECKS
   index->CheckInvariant();
 #endif
-  std::vector<size_t> selected;
-  uint64_t pops = 0;
-  // The frontier walk may skip ineligible entries (leased-out tasks, capped
-  // tasks, the answered set on the snapshot path); past this budget the pass
-  // is churn-bound and the O(n) scan is the better tool. Resolving a bound
-  // entry is not a skip and does not count: a cold walk resolves every
-  // entry whose bound reaches the top k, and charging that to the budget
-  // would send each cold pass to the scan.
-  const size_t budget = std::max<size_t>(64, 8 * k);
   // One allocation for the result. Capped at the index size, not k: a
   // caller may ask for more tasks than exist.
-  selected.reserve(std::min(k, index->size()));
-  const bool complete = index->TrySelect(
-      eligible_one, [&](size_t task) { return ScoreCached(pass, task); }, k,
-      budget, &selected, &pops);
-  benefit_index_pops_.fetch_add(pops, std::memory_order_relaxed);
-  if (!complete) return std::nullopt;
-  return selected;
-}
-
-std::vector<size_t> DocsSystem::RankWithIndex(
-    BenefitIndex* index, size_t k, ScoringPass* pass,
-    const std::function<bool(size_t)>& eligible_one,
-    const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
-    ThreadPool* pool) {
-  bool had_candidates = false;
   std::vector<size_t> selected;
-  if (auto ranked = TryRankViaIndex(index, k, pass, eligible_one, pool)) {
-    selected = std::move(*ranked);
-    had_candidates = index->size() > 0;
-  } else {
-    selected = RankCore(eligible_bitmap(), k, pass, pool, &had_candidates);
-  }
+  selected.reserve(std::min(k, index->size()));
+  // The walk skips ineligible entries (leased-out or capped tasks, the
+  // difference between the books and a snapshot's answered set) unscored.
+  const uint64_t pops = index->Select(
+      eligible, [&](size_t task) { return ScoreCached(pass, task); }, k,
+      &selected);
+  benefit_index_pops_.fetch_add(pops, std::memory_order_relaxed);
   PublishTally(*pass);
-  // Request-level accounting: the whole pass — rebuild and scan fallback
-  // alike — is one lookup from the serving path's point of view:
-  // fully cache-served or not.
-  if (had_candidates) {
+  // Request-level accounting: the whole pass — rebuild and walk alike — is
+  // one lookup from the serving path's point of view: fully cache-served or
+  // not.
+  if (index->size() > 0) {
     if (pass->misses > 0) {
       benefit_cache_request_misses_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -557,25 +511,13 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   // OTA over T - T(w), honoring the per-task redundancy cap if one is set.
   // Outstanding leases count as in-flight answers against the cap, so a task
   // already granted to enough workers is not over-assigned; abandoned grants
-  // come back via ExpireLeases. Eligibility is a per-task predicate on the
-  // index fast path (the frontier walk probes only the handful of tasks it
-  // visits — an O(n) bitmap build here would swamp the O(k log n) walk); the
-  // full bitmap is built lazily, only when the pass falls back to the scan.
-  auto eligible_one = [this, worker](size_t task) {
-    return !HasAnswered(worker, task) && !AtAnswerCap(task);
-  };
-  auto eligible_bitmap = [this, worker]() -> const std::vector<uint8_t>& {
-    BuildEligibilityBitmap(worker, &serve_scratch_.eligible);
-    return serve_scratch_.eligible;
-  };
-
-  // All four rules share the same shape — rank eligible tasks by score, take
-  // the top k — so they all route through RankWithIndex: the per-worker
-  // benefit index when it can serve the request (DESIGN.md §16), otherwise
-  // the deterministic parallel scan over the epoch-tagged benefit cache.
+  // come back via ExpireLeases. All four rules share the same shape — rank
+  // eligible tasks by score, take the top k — so they all route through the
+  // per-worker benefit index (DESIGN.md §16).
+  BuildEligibilityBitmap(worker, &serve_scratch_.eligible);
   ScoringPass pass = LivePass(worker, CacheRow(worker), &serve_scratch_);
-  auto selected = RankWithIndex(IndexRow(worker), k, &pass, eligible_one,
-                                eligible_bitmap, ScoringPool());
+  auto selected = Rank(IndexRow(worker), k, &pass, serve_scratch_.eligible,
+                       ScoringPool());
   GrantLeases(worker, selected);
   return selected;
 }
@@ -583,7 +525,7 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
 void DocsSystem::BuildEligibilityBitmap(size_t worker,
                                         std::vector<uint8_t>* eligible) {
   // Starts all-eligible and masks the worker's booked tasks in O(|T(w)|) —
-  // no per-task membership probes — in reusable storage so a warm scan pass
+  // no per-task membership probes — in reusable storage so a warm request
   // allocates nothing. The books run ahead of the engine in async mode, so
   // an acked-but-unapplied answer is not re-granted.
   eligible->assign(tasks_.size(), 1);
@@ -649,15 +591,8 @@ std::vector<size_t> DocsSystem::ScoreAndRank(size_t worker,
     index = view.index;
   }
   // Eligibility was frozen into the scratch bitmap under the assign lock
-  // (BeginShardedSelect); both the index walk and the scan fallback read that
-  // same frozen view, so the two paths pick from an identical candidate set.
-  auto eligible_one = [&scratch](size_t task) {
-    return scratch.eligible[task] != 0;
-  };
-  auto eligible_bitmap = [&scratch]() -> const std::vector<uint8_t>& {
-    return scratch.eligible;
-  };
-  return RankWithIndex(index, k, &pass, eligible_one, eligible_bitmap, pool);
+  // (BeginShardedSelect).
+  return Rank(index, k, &pass, scratch.eligible, pool);
 }
 
 bool DocsSystem::CommitShardedSelect(size_t worker,
@@ -693,8 +628,10 @@ std::vector<double> DocsSystem::ScoreAllTasks(size_t worker) {
   std::vector<double> scores(tasks_.size(), 0.0);
   if (worker >= workers_.size() || inference_ == nullptr) return scores;
   ScoringPass pass = LivePass(worker, CacheRow(worker), &serve_scratch_);
-  std::vector<ScoredTask> entries(tasks_.size());
-  for (size_t i = 0; i < entries.size(); ++i) entries[i].task = i;
+  std::vector<BenefitIndex::Entry> entries(tasks_.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    entries[i].task = static_cast<uint32_t>(i);
+  }
   ScoreEntries(&pass, &entries, ScoringPool());
   // Test hook, not a serving pass: row tallies only, no request-level tally.
   PublishTally(pass);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,8 +62,8 @@ struct ExpiredLease {
 
 struct DocsSystemOptions {
   nlp::EntityLinkerOptions linker;
+  /// Its quality_clamp also clamps the worker qualities OTA scores with.
   TruthInferenceOptions truth_inference;
-  TaskAssignerOptions assigner;
   /// Number of golden tasks selected after DVE (20 in the paper).
   size_t golden_count = 20;
   /// Lease duration for granted tasks, in logical ticks (each SelectTasks
@@ -313,6 +312,7 @@ class DocsSystem : public AssignmentPolicy {
 
   /// Reusable per-shard scoring buffers; guarded by the owning shard lock.
   struct ShardScratch {
+    /// The pass's eligibility bitmap (BuildEligibilityBitmap).
     std::vector<uint8_t> eligible;
     /// The flattened quality vector of the kQualityBlind rule.
     std::vector<double> quality;
@@ -388,8 +388,9 @@ class DocsSystem : public AssignmentPolicy {
   void FinishGoldenPhase(size_t worker);
 
   /// Builds the eligibility bitmap for `worker` into `*eligible` (all-open
-  /// minus her answered view minus redundancy-capped tasks). Shared by the
-  /// exclusive scan fallback and the sharded phase-1 snapshot.
+  /// minus her booked tasks minus redundancy-capped tasks): the one
+  /// eligibility form every ranking pass reads, built by SelectTasks and by
+  /// the sharded phase-1 snapshot.
   void BuildEligibilityBitmap(size_t worker, std::vector<uint8_t>* eligible);
 
   /// One scoring pass (DESIGN.md §11): where the selection rule reads
@@ -451,18 +452,12 @@ class DocsSystem : public AssignmentPolicy {
   /// pass's cache row under its key, rescoring and refreshing the entry on a
   /// miss, and tallies the probe in `*pass`.
   double ScoreCached(ScoringPass* pass, size_t task) const;
-  /// Fills the value of every entry that has a fresh cache entry under the
-  /// pass's key, tallies those hits, and returns the positions of the rest
-  /// (ascending).
-  template <typename EntryT>
-  std::vector<size_t> ProbeCache(ScoringPass* pass,
-                                 std::vector<EntryT>* entries) const;
-  /// Fills the value of every entry (distinct tasks; a ScoredTask or an
-  /// index Entry): probes the cache for all of them, then scores the misses
-  /// as one batch over `pool`. Each miss owns its entry and cache slot, so
-  /// the result is thread-count invariant.
-  template <typename EntryT>
-  void ScoreEntries(ScoringPass* pass, std::vector<EntryT>* entries,
+  /// Fills the value of every entry (distinct tasks): probes the cache for
+  /// all of them, tallying the hits, then scores the misses as one batch
+  /// over `pool`. Each miss owns its entry and cache slot, so the result is
+  /// thread-count invariant.
+  void ScoreEntries(ScoringPass* pass,
+                    std::vector<BenefitIndex::Entry>* entries,
                     ThreadPool* pool) const;
   /// The index's rebuild seed (DESIGN.md §16). Under kDomainMax and
   /// kUncertainty, which have no bounds, it scores every stale row exactly
@@ -471,45 +466,26 @@ class DocsSystem : public AssignmentPolicy {
   /// stale row with its upper bound, and keeps the k-th largest of the known
   /// lower bounds (fresh scores and closed forms) as a floor of the k-th
   /// selected score (KthLargest). Then it scores, in task order over
-  /// `pool`, the stale rows that satisfy `eligible` and whose upper bound
-  /// reaches the floor — the rows a walk for `k` would resolve, bar a few;
-  /// the rest stay bound entries. Bound entries count as neither hit nor
-  /// miss until they are scored.
+  /// `pool`, the stale rows marked in `eligible` whose upper bound reaches
+  /// the floor — the rows a walk for `k` would resolve, bar a few; the rest
+  /// stay bound entries. Bound entries count as neither hit nor miss until
+  /// they are scored.
   void SeedEntries(ScoringPass* pass, size_t k,
-                   const std::function<bool(size_t)>& eligible,
+                   const std::vector<uint8_t>& eligible,
                    std::vector<BenefitIndex::Entry>* entries,
                    ThreadPool* pool) const;
   /// Adds the pass's row-level tallies to the lifetime counters.
   void PublishTally(const ScoringPass& pass);
 
-  /// The scan ranking core: scores every eligible task in one batch (over
-  /// `pool` when non-null) and returns the ordered top-k through the shared
-  /// PICK helper. Sets `*had_candidates` when at least one task was
-  /// eligible (the request-tally gate RankWithIndex applies).
-  std::vector<size_t> RankCore(const std::vector<uint8_t>& eligible, size_t k,
-                               ScoringPass* pass, ThreadPool* pool,
-                               bool* had_candidates);
-
-  /// The index-accelerated ranking attempt (DESIGN.md §16): rebuilds
-  /// `index` (SeedEntries) unless it is fresh under the pass's (worker_epoch,
-  /// generation, answers), then reads the top-k eligible tasks off the heap,
-  /// resolving bound entries through the cache row as the walk reaches them.
-  /// nullopt when the frontier walk exceeded its skip budget; the caller
-  /// falls back to the bit-identical scan.
-  std::optional<std::vector<size_t>> TryRankViaIndex(
-      BenefitIndex* index, size_t k, ScoringPass* pass,
-      const std::function<bool(size_t)>& eligible_one, ThreadPool* pool);
-
-  /// The one ranking front door every serving path uses: tries the index,
-  /// falls back to the scan over `eligible_bitmap()` (built lazily — the
-  /// index fast path never pays the O(n) bitmap fill), then publishes the
-  /// pass's row tallies and the request-level cache counters across
-  /// whichever path served.
-  std::vector<size_t> RankWithIndex(
-      BenefitIndex* index, size_t k, ScoringPass* pass,
-      const std::function<bool(size_t)>& eligible_one,
-      const std::function<const std::vector<uint8_t>&()>& eligible_bitmap,
-      ThreadPool* pool);
+  /// The one ranking path every serving request takes (DESIGN.md §16):
+  /// rebuilds `index` (SeedEntries) unless it is fresh under the pass's
+  /// (worker_epoch, generation, answers), reads the top-k tasks marked in
+  /// `eligible` off the heap, resolving bound entries through the cache row
+  /// as the walk reaches them, then publishes the pass's row tallies and
+  /// its request-level cache tally.
+  std::vector<size_t> Rank(BenefitIndex* index, size_t k, ScoringPass* pass,
+                           const std::vector<uint8_t>& eligible,
+                           ThreadPool* pool);
 
   /// The worker's benefit-cache row, sized to the task count.
   std::vector<CachedBenefit>* CacheRow(size_t worker);

@@ -211,8 +211,8 @@ struct CachedBenefit {
   double benefit = 0.0;
 };
 
-/// One scored task, shared by every top-k selection path: the scan fallback,
-/// the PICK helper below, and the per-worker benefit index's heap order.
+/// One scored task, shared by every top-k selection path: the PICK helper
+/// below (TaskAssigner's scan) and the per-worker benefit index's heap order.
 struct ScoredTask {
   size_t task = 0;
   double value = 0.0;
@@ -220,9 +220,9 @@ struct ScoredTask {
 
 /// THE tie-break order of every selection path: value descending, task index
 /// ascending. A total order (no two distinct tasks ever compare equal), which
-/// is what lets a heap ordered by it emit entries in exactly the sequence the
-/// scan's nth_element + prefix sort produces — the bit-identity contract the
-/// benefit index rests on (DESIGN.md §16).
+/// is what lets a heap ordered by it emit entries in exactly the sequence a
+/// full sort (or PICK's nth_element + prefix sort) produces — the
+/// bit-identity contract the benefit index rests on (DESIGN.md §16).
 inline bool BetterScored(const ScoredTask& a, const ScoredTask& b) {
   if (a.value != b.value) return a.value > b.value;
   return a.task < b.task;
@@ -230,9 +230,8 @@ inline bool BetterScored(const ScoredTask& a, const ScoredTask& b) {
 
 /// PICK (shared): isolates the top `take = min(k, scored->size())` entries of
 /// `*scored` with a linear nth_element, orders that prefix by BetterScored,
-/// and returns the task indices. The scan paths in DocsSystem::RankCore and
-/// TaskAssigner::SelectTopK both route through this one helper so their
-/// tie-break order can never drift from the index's.
+/// and returns the task indices. TaskAssigner::SelectTopK routes through
+/// it, so its tie-break order can never drift from the index's.
 std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
                                          size_t k);
 
@@ -246,7 +245,7 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
 /// when it would otherwise emit it, so a cold rebuild seeds n cheap bounds
 /// and resolves the few hundred entries that can reach the top k. Every
 /// emitted entry is exact, and because bound >= exact under BetterScored the
-/// emission order equals the scan's.
+/// emission order equals a full sort's.
 ///
 /// The index caches one rebuild. It remembers the key it was built under —
 /// the worker epoch, the invalidation generation and the number of answers
@@ -260,7 +259,7 @@ std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
 class BenefitIndex {
  public:
   /// One heap entry: the task's exact score, or — while `bound` is set — an
-  /// upper bound of it that TrySelect resolves before emitting the task.
+  /// upper bound of it that Select resolves before emitting the task.
   struct Entry {
     double value = 0.0;
     uint32_t task = 0;
@@ -286,34 +285,27 @@ class BenefitIndex {
   /// ascending), an exact score where the caller has one, an upper bound
   /// otherwise; each entry is independent, so the heap contents are
   /// thread-count invariant however the batch fans out — then heapified
-  /// bottom-up in O(n). Bound entries are resolved later by TrySelect,
-  /// outside its skip budget, so seeding bounds never pushes a pass to the
-  /// scan fallback. A template over the seed, so a rebuild builds no
-  /// type-erased closure.
+  /// bottom-up in O(n). Bound entries are resolved later by Select. A
+  /// template over the seed, so a rebuild builds no type-erased closure.
   template <typename Seed>
   void Rebuild(size_t num_tasks, uint64_t worker_epoch, uint64_t generation,
                uint64_t answers, const std::vector<size_t>& exclude_sorted,
                const Seed& seed);
 
-  /// Reads the top `k` tasks satisfying `eligible` off the heap WITHOUT
-  /// popping: a candidate-frontier walk that visits nodes in exact
+  /// Reads the top `k` tasks whose `eligible` byte is set off the heap
+  /// WITHOUT popping: a candidate-frontier walk that visits nodes in exact
   /// BetterScored order (the heap order is total, so a parent strictly
   /// precedes both children). A visited bound entry that is eligible is
   /// resolved — `resolve(task)` returns its exact score, which replaces the
   /// bound and sifts down inside the slot's unvisited subtree — and the slot
   /// goes back on the frontier; an ineligible entry is skipped unresolved.
-  /// Appends the frontier pops (resolutions included) to `*pops` and fills
-  /// `*out` (cleared first). Returns false — partial `*out`, caller must
-  /// fall back to the scan — once more than `budget` nodes were emitted or
-  /// skipped (a churn-heavy pass where many top entries are ineligible).
-  /// Resolutions never count against the budget: every cold walk resolves
-  /// its way to the top k, and counting that work would send each cold pass
-  /// to the O(n) scan. Warm calls allocate nothing: the frontier scratch is
-  /// a reused member. A template over both callbacks, so a warm walk builds
-  /// no type-erased closure.
-  template <typename Eligible, typename Resolve>
-  bool TrySelect(const Eligible& eligible, const Resolve& resolve, size_t k,
-                 size_t budget, std::vector<size_t>* out, uint64_t* pops);
+  /// Fills `*out` (cleared first) and returns the frontier pops,
+  /// resolutions included. Warm calls allocate nothing: the frontier
+  /// scratch is a reused member. A template over the resolver, so a warm
+  /// walk builds no type-erased closure.
+  template <typename Resolve>
+  uint64_t Select(const std::vector<uint8_t>& eligible, const Resolve& resolve,
+                  size_t k, std::vector<size_t>* out);
 
   /// O(n) heap-property and task-range audit behind DOCS_DCHECK; call sites
   /// compile it in only under DOCS_DEBUG_CHECKS builds (scripts/ci.sh strict
@@ -330,7 +322,7 @@ class BenefitIndex {
   void Heapify(uint64_t worker_epoch, uint64_t generation, uint64_t answers);
 
   std::vector<Entry> heap_;
-  /// TrySelect's candidate frontier (heap slots), reused across calls.
+  /// Select's candidate frontier (heap slots), reused across calls.
   std::vector<uint32_t> frontier_;
   size_t num_tasks_ = 0;
   uint64_t worker_epoch_tag_ = 0;
@@ -348,12 +340,12 @@ void BenefitIndex::Rebuild(size_t num_tasks, uint64_t worker_epoch,
   Heapify(worker_epoch, generation, answers);
 }
 
-template <typename Eligible, typename Resolve>
-bool BenefitIndex::TrySelect(const Eligible& eligible, const Resolve& resolve,
-                             size_t k, size_t budget, std::vector<size_t>* out,
-                             uint64_t* pops) {
+template <typename Resolve>
+uint64_t BenefitIndex::Select(const std::vector<uint8_t>& eligible,
+                              const Resolve& resolve, size_t k,
+                              std::vector<size_t>* out) {
   out->clear();
-  if (k == 0 || heap_.empty()) return true;
+  if (k == 0 || heap_.empty()) return 0;
   // Candidate-frontier traversal: the frontier holds heap slots whose
   // parents were already visited, ordered (as a little heap of its own) by
   // the indexed entries' total order. Because BetterScored is total and the
@@ -366,8 +358,8 @@ bool BenefitIndex::TrySelect(const Eligible& eligible, const Resolve& resolve,
   // valid, and the slot (now holding its best descendant or the resolved
   // entry) goes back on it. An exact entry at the front therefore precedes
   // every other unvisited entry's bound and so its exact score: emission
-  // happens in exact global rank order, matching the scan's sorted prefix
-  // bit for bit.
+  // happens in exact global rank order, matching a full sort's prefix bit
+  // for bit.
   frontier_.clear();
   auto frontier_order = [this](uint32_t a, uint32_t b) {
     // std::push/pop_heap keep the *largest* element first under "less-than";
@@ -376,14 +368,13 @@ bool BenefitIndex::TrySelect(const Eligible& eligible, const Resolve& resolve,
   };
   frontier_.push_back(0);
   uint64_t popped = 0;
-  size_t visited = 0;
   while (!frontier_.empty()) {
     std::pop_heap(frontier_.begin(), frontier_.end(), frontier_order);
     const uint32_t slot = frontier_.back();
     frontier_.pop_back();
     ++popped;
     Entry& entry = heap_[slot];
-    const bool take = eligible(entry.task);
+    const bool take = eligible[entry.task] != 0;
     if (take && entry.bound) {
       const double exact = resolve(entry.task);
       DOCS_DCHECK(exact <= entry.value)
@@ -396,10 +387,6 @@ bool BenefitIndex::TrySelect(const Eligible& eligible, const Resolve& resolve,
       std::push_heap(frontier_.begin(), frontier_.end(), frontier_order);
       continue;
     }
-    if (++visited > budget) {
-      *pops += popped;
-      return false;
-    }
     if (take) {
       out->push_back(entry.task);
       if (out->size() == k) break;
@@ -410,8 +397,7 @@ bool BenefitIndex::TrySelect(const Eligible& eligible, const Resolve& resolve,
       std::push_heap(frontier_.begin(), frontier_.end(), frontier_order);
     }
   }
-  *pops += popped;
-  return true;
+  return popped;
 }
 
 /// The k-th largest value offered, in one pass (DESIGN.md §16): the floor

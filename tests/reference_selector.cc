@@ -38,7 +38,7 @@ std::vector<double> ReferenceScores(const core::DocsSystem& system,
       case core::SelectionRule::kQualityBlind:
         scores[i] = core::Benefit(tasks[i], engine.truth_matrix(i),
                                   engine.task_truth(i), quality,
-                                  options.assigner.quality_clamp);
+                                  options.truth_inference.quality_clamp);
         break;
     }
   }
