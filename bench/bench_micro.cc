@@ -318,8 +318,8 @@ BENCHMARK(BM_DveEndToEnd);
 //               tests/benefit_index_test.cc checks the walk's shape by
 //               counting heap nodes visited at 250/1k/4k tasks.
 //   Cold      — Warm's shape with an untimed full inference before each
-//               timed request: its generation bump stales the worker's whole
-//               cache row and index, so every request rebuilds the index
+//               timed request: its generation bump stales the worker's
+//               index, so every request rebuilds it
 //               (tests/serving_alloc_test.cc checks the rebuild and the
 //               rescored rows by counters).
 // Each reports allocs/op from the counting operator new above.
@@ -362,8 +362,7 @@ void ServeRequestTasksLoop(benchmark::State& state, size_t num_tasks,
                            bool cold) {
   auto system = MakeServingSystem(num_tasks);
   const size_t worker = system->WorkerIndex("bench_w0");
-  // One untimed request warms the cache row, the index heap, and the
-  // scratch arenas.
+  // One untimed request warms the index heap and the scratch arenas.
   benchmark::DoNotOptimize(system->SelectTasks(worker, 10));
   uint64_t allocs = 0;
   uint64_t iters = 0;
@@ -408,9 +407,9 @@ BENCHMARK(BM_ServeRequestTasksCold);
 // benchmark loads: QA-4000 (m = 26, l = 2 and 3), a settled multi-worker
 // state (8 workers' answers plus one full EM), and every task rescored
 // from live state — the work of a request whose worker epoch or generation
-// moved. An untimed full inference before each pass bumps the generation,
-// so every cache entry is stale. Reports CPU ns per scored task and the
-// task mix.
+// moved. An untimed full inference before each pass bumps the generation
+// (ScoreAllTasks scores every task regardless). Reports CPU ns per scored
+// task and the task mix.
 void BM_OtaColdPassCampaignShape(benchmark::State& state) {
   auto system = MakeServingSystem(/*num_tasks=*/4000);
   const size_t worker = system->WorkerIndex("bench_w0");
@@ -437,7 +436,7 @@ BENCHMARK(BM_OtaColdPassCampaignShape)->Unit(benchmark::kMillisecond);
 // One cold RequestTasks of the serving path as a session meets it: the
 // QA-4000 campaign shape above, and a full inference (untimed) right
 // before each request, so its generation bump
-// stales the worker's whole row and index. The request rebuilds the index
+// stales the worker's index. The request rebuilds the index
 // and ranks k = 20 (the HIT size). Reports the rows the pass rescored per
 // request.
 void BM_ServeRequestTasksColdIndexed(benchmark::State& state) {

@@ -91,7 +91,8 @@ ctest --test-dir "$PERFBENCH_BUILD" --output-on-failure --no-tests=error
 # async service; concurrency_test runs the submission-book writes and the
 # striped serve loop with them live under the sync hammer; serving_alloc_test
 # pins the warm and the cold request's heap allocations with the contracts
-# compiled in. benefit_index_test and benefit_cache_test run the
+# compiled in. benefit_index_test and benefit_cache_test (the suite of the
+# per-worker score store, which the index alone now is) run the
 # rebuild-only index's heap audit (BenefitIndex::CheckInvariant) and the
 # bound DCHECKs of the seed sweep's resolve batch and of the frontier walk
 # under both lockstep suites; benefit_index_test also holds the sweep's
@@ -126,8 +127,11 @@ echo "=== [sanitize] chaos smoke (crash_recovery under ASan) ==="
 # tests that actually exercise cross-thread execution (gateway_test runs a
 # server thread against client threads; durability_test races checkpoints
 # against submitters and restarts gateways under live clients;
-# inference_service_test races serving calls and producer threads against
-# the background inference thread and its snapshot publication;
+# inference_service_test races serving calls, producer threads and the
+# lock-free counter reads against the background inference thread and its
+# snapshot publication; benefit_cache_test and benefit_index_test rebuild
+# each worker's index under her shard stripe from reactor and facade
+# threads;
 # serving_alloc_test checks its operator new replacement coexists with the
 # TSan runtime; ota_test runs the kernel's bitwise checks, the one on the
 # engine's M^(i) arena included).

@@ -35,12 +35,12 @@ Checks, over every C++ file in src/, tests/, bench/ and examples/:
   8. The engine's invalidation counters (task_epoch_, generation_) and the
      per-task inputs of the benefit bounds (truth_entropy_, and
      answers_of_task_, whose emptiness is the "has no answers" input) may
-     only be mutated inside src/core/incremental_ti.{h,cc}. The benefit
-     cache and index (DESIGN.md §11/§16) key their freshness on the
-     counters and seed their bound entries from the inputs; a write
-     anywhere else would invalidate (or worse, fail to invalidate) cached
-     state, or desynchronize a bound from the posterior it bounds, behind
-     the engine's back.
+     only be mutated inside src/core/incremental_ti.{h,cc}. The task and
+     worker epochs key the snapshot's copy-on-write sharing (DESIGN.md
+     §15), the generation keys both that and the benefit index (§16), and
+     the index seeds its bound entries from the inputs; a write anywhere
+     else would share (or index) stale posteriors, or desynchronize a bound
+     from the posterior it bounds, behind the engine's back.
 
 Exit status is the number of findings (0 = clean). Run from anywhere:
 
@@ -90,12 +90,12 @@ TI_MUTATORS_RE = re.compile(
     r"(?:OnAnswer|RunFullInference|SetWorkerQuality|EnsureWorker)\s*\(")
 
 # Epoch/generation mutation discipline (docstring item 8). The engine owns
-# the invalidation counters the benefit cache and index key on; only it may
-# move them. The header is in the allowed list for the member initializers
-# (`uint64_t generation_ = 1;`). The `(?!\w)` lookaheads keep longer
-# identifiers (generation_tag_, for one) out of scope; branch one catches
-# prefix ++/--, branch two catches postfix, assignment, and compound
-# assignment.
+# the invalidation counters that key the snapshot's copy-on-write sharing
+# and the benefit index; only it may move them. The header is in the
+# allowed list for the member initializers (`uint64_t generation_ = 1;`).
+# The `(?!\w)` lookaheads keep longer identifiers (generation_tag_, for
+# one) out of scope; branch one catches prefix ++/--, branch two catches
+# postfix, assignment, and compound assignment.
 # The bound inputs ride on the same rule: branch three catches container
 # mutators (push_back, assign, ...) on either array or one of its rows.
 EPOCH_MUTATION_ALLOWED_FILES = (
@@ -256,10 +256,10 @@ def lint_file(root, rel, findings):
                 (rel, i + 1,
                  "task_epoch_/generation_ or a benefit-bound input "
                  "(truth_entropy_/answers_of_task_) mutated outside the "
-                 "inference engine: the benefit cache and index key their "
-                 "freshness on these counters and seed their bounds from "
-                 "these inputs, so only incremental_ti.{h,cc} may move them "
-                 "(DESIGN.md §16)"))
+                 "inference engine: snapshot copy-on-write and the benefit "
+                 "index key their freshness on these counters and the index "
+                 "seeds its bounds from these inputs, so only "
+                 "incremental_ti.{h,cc} may move them (DESIGN.md §15/§16)"))
 
     if is_header:
         check_header_guard(rel, lines, findings)

@@ -104,13 +104,13 @@ std::vector<size_t> ConcurrentDocsSystem::RequestTasks(
     }
   }
   // Slow path, one in both modes: first contact, golden probes, or a worker
-  // whose cache row is not yet sized (sync) or published (async). Exclusive
-  // over state — serialized against the apply thread — plus her shard stripe
-  // (a concurrent snapshot pass for the same worker writes her cache row
-  // under it), the assign lock (books and leases), and the pool lock
-  // (striped scorers try-lock it). The eligibility re-check happens inside
-  // SelectTasks, so losing a race since the probe above costs a detour,
-  // never correctness.
+  // whose index row does not exist yet (sync) or is not yet published
+  // (async). Exclusive over state — serialized against the apply thread —
+  // plus her shard stripe (a concurrent snapshot pass for the same worker
+  // rebuilds her index under it), the assign lock (books and leases), and
+  // the pool lock (striped scorers try-lock it). The eligibility re-check
+  // happens inside SelectTasks, so losing a race since the probe above
+  // costs a detour, never correctness.
   for (;;) {
     if (std::optional<std::vector<size_t>> granted =
             ServeExclusive(worker_id, k)) {
@@ -146,7 +146,7 @@ size_t ConcurrentDocsSystem::RegisterWorkerLocked(const std::string& worker_id) 
 std::vector<size_t> ConcurrentDocsSystem::ServeStriped(
     size_t worker, size_t k, const InferenceSnapshot* snap) {
   WorkerShard& shard = shards_[worker % kNumShards];
-  // The shard lock serializes same-row cache access and hands this request
+  // The shard lock serializes same-worker index access and hands this request
   // exclusive use of the shard's scoring scratch.
   MutexLock shard_lock(&shard.mutex);
   for (int attempt = 0;; ++attempt) {
@@ -309,34 +309,24 @@ std::vector<std::string> ConcurrentDocsSystem::WorkerIds() {
   return StripedSystem().WorkerIds();
 }
 
-uint64_t ConcurrentDocsSystem::benefit_cache_hits() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_cache_hits();
-}
-
 uint64_t ConcurrentDocsSystem::benefit_cache_misses() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_cache_misses();
+  return StripedSystem().benefit_cache_misses();
 }
 
 uint64_t ConcurrentDocsSystem::benefit_cache_request_hits() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_cache_request_hits();
+  return StripedSystem().benefit_cache_request_hits();
 }
 
 uint64_t ConcurrentDocsSystem::benefit_cache_request_misses() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_cache_request_misses();
+  return StripedSystem().benefit_cache_request_misses();
 }
 
 uint64_t ConcurrentDocsSystem::benefit_index_pops() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_index_pops();
+  return StripedSystem().benefit_index_pops();
 }
 
 uint64_t ConcurrentDocsSystem::benefit_index_rebuilds() {
-  ReaderLock state(&state_mutex_);
-  return system_.benefit_index_rebuilds();
+  return StripedSystem().benefit_index_rebuilds();
 }
 
 uint64_t ConcurrentDocsSystem::benefit_index_generation_invalidations() {

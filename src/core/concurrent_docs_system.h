@@ -40,11 +40,11 @@ struct AsyncInferenceStats {
 /// Striped serving (DESIGN.md §13): steady-state RequestTasks — a returning,
 /// golden-complete worker asking for her next HIT — is the hot path, and its
 /// scoring pass only *reads* the inference posteriors while writing nothing
-/// shared beyond her own benefit-cache row and the lease books. One loop,
+/// shared beyond her own benefit index and the lease books. One loop,
 /// ServeStriped, serves it in both modes (eligibility snapshot → score →
 /// commit), with the writes funneled through two narrow mutexes:
 ///  - a per-worker shard lock (worker index mod kNumShards) guarding her
-///    cache row and reusable scoring scratch, so concurrent requests from
+///    benefit index and reusable scoring scratch, so concurrent requests from
 ///    different workers score genuinely in parallel;
 ///  - one assign lock, held only for the O(n) eligibility snapshot and the
 ///    O(k) grant commit.
@@ -136,17 +136,19 @@ class ConcurrentDocsSystem {
   /// Registered worker ids in registration order.
   std::vector<std::string> WorkerIds() DOCS_EXCLUDES(assign_mutex_);
 
-  /// Row- and request-level benefit-cache counters; see DocsSystem for the
-  /// distinction (rows are the wrong unit for a hit-rate).
-  uint64_t benefit_cache_hits() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_cache_misses() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_cache_request_hits() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_cache_request_misses() DOCS_EXCLUDES(state_mutex_);
+  /// Rows scored and request-level hits and misses; see DocsSystem for the
+  /// meanings (rows are the wrong unit for a hit-rate). Lock-free: relaxed
+  /// atomic loads through StripedSystem(), so an observer never waits out
+  /// an apply batch or an EM pass.
+  uint64_t benefit_cache_misses();
+  uint64_t benefit_cache_request_hits();
+  uint64_t benefit_cache_request_misses();
 
-  /// Benefit-index effectiveness counters (DESIGN.md §16): heap pops served,
-  /// full rebuilds, and O(1) generation invalidations.
-  uint64_t benefit_index_pops() DOCS_EXCLUDES(state_mutex_);
-  uint64_t benefit_index_rebuilds() DOCS_EXCLUDES(state_mutex_);
+  /// Benefit-index effectiveness counters (DESIGN.md §16): heap pops served
+  /// and full rebuilds (lock-free, as above), and O(1) generation
+  /// invalidations, which read the engine under the shared state lock.
+  uint64_t benefit_index_pops();
+  uint64_t benefit_index_rebuilds();
   uint64_t benefit_index_generation_invalidations() DOCS_EXCLUDES(state_mutex_);
 
   [[nodiscard]] Status SaveCheckpoint(const std::string& path)
@@ -203,8 +205,8 @@ class ConcurrentDocsSystem {
   /// reactor count, so concurrent requests rarely collide on a shard.
   static constexpr size_t kNumShards = 16;
 
-  /// One lock stripe: guards the scoring scratch below and the benefit-cache
-  /// rows of every worker hashing to this shard. Cache-line aligned so two
+  /// One lock stripe: guards the scoring scratch below and the benefit
+  /// indexes of every worker hashing to this shard. Cache-line aligned so two
   /// reactors hammering adjacent shards do not false-share.
   struct alignas(64) WorkerShard {
     Mutex mutex;
@@ -267,11 +269,12 @@ class ConcurrentDocsSystem {
   /// Narrow, documented escape hatch from system_'s GUARDED_BY(state_mutex_)
   /// for the striped loop (which holds the state lock shared in sync mode and
   /// not at all in async mode) and for the paths that by design run under
-  /// the assign lock alone. Every member they reach is protected by a finer
-  /// lock the caller holds (assign for the worker table, books and leases;
-  /// the shard stripe for cache rows), is immutable after ingest (tasks,
-  /// options), or is read from a published snapshot — see the locking notes
-  /// on DocsSystem's answer-acceptance and striped-serving methods.
+  /// the assign lock alone, and for the lock-free counter reads. Every
+  /// member they reach is protected by a finer lock the caller holds (assign
+  /// for the worker table, books and leases; the shard stripe for benefit
+  /// indexes), is immutable after ingest (tasks, options), is read from a
+  /// published snapshot, or is a relaxed atomic counter — see the locking
+  /// notes on DocsSystem's answer-acceptance and striped-serving methods.
   DocsSystem& StripedSystem() DOCS_NO_THREAD_SAFETY_ANALYSIS { return system_; }
 
   /// Top of the hierarchy: every other lock here is acquired strictly after

@@ -35,28 +35,16 @@ ThreadPool* DocsSystem::ScoringPool() {
   return pool_.get();
 }
 
-std::vector<CachedBenefit>* DocsSystem::CacheRow(size_t worker) {
-  if (benefit_cache_.size() <= worker) benefit_cache_.resize(worker + 1);
-  std::vector<CachedBenefit>* row = &benefit_cache_[worker];
-  // Zero-initialized entries carry epoch 0, which live epochs (starting at
-  // 1) never match — a freshly sized row reads as "never scored".
-  if (row->size() != tasks_.size()) row->resize(tasks_.size());
-  return row;
-}
-
 BenefitIndex* DocsSystem::IndexRow(size_t worker) {
   if (benefit_index_.size() <= worker) benefit_index_.resize(worker + 1);
   return &benefit_index_[worker];
 }
 
-DocsSystem::ScoringPass DocsSystem::LivePass(
-    size_t worker, std::vector<CachedBenefit>* cache,
-    ShardScratch* scratch) const {
+DocsSystem::ScoringPass DocsSystem::LivePass(size_t worker,
+                                             ShardScratch* scratch) const {
   ScoringPass pass;
   pass.scratch = scratch;
-  pass.cache = cache;
   pass.worker_epoch = inference_->worker_epoch(worker);
-  pass.task_epochs = inference_->task_epochs().data();
   pass.generation = inference_->generation();
   pass.answers = inference_->num_answers();
   pass.answered = &inference_->answered_tasks(worker);
@@ -67,16 +55,13 @@ DocsSystem::ScoringPass DocsSystem::LivePass(
 DocsSystem::ScoringPass DocsSystem::SnapshotPass(
     const InferenceSnapshot& snap, const WorkerSnapshot& view,
     ShardScratch* scratch) const {
-  // The cache keys on the snapshot-copied epochs: epochs are monotonic, so
-  // an entry written against a newer snapshot (or by the exclusive path)
-  // self-invalidates here, and a hit always reproduces the score this
-  // snapshot's posteriors would yield.
+  // The index key of a snapshot pass is the one its publish copied: a live
+  // engine and a snapshot under the same key describe one state, so an
+  // index built from either serves both (DESIGN.md §16).
   ScoringPass pass;
   pass.snap = &snap;
   pass.scratch = scratch;
-  pass.cache = view.cache_row;
   pass.worker_epoch = view.epoch;
-  pass.task_epochs = snap.task_epochs.data();
   pass.generation = snap.generation;
   pass.answers = snap.answers_applied;
   pass.answered = &view.answered;
@@ -155,7 +140,6 @@ void DocsSystem::Prefetch(const ScoringPass& pass, size_t task) const {
   const size_t nnz = support_.support_size(task);
   PrefetchBytes(support_.domains(task), nnz * sizeof(uint32_t));
   PrefetchBytes(support_.weights(task), nnz * sizeof(double));
-  PrefetchBytes(&(*pass.cache)[task], sizeof(CachedBenefit));
   // A snapshot's M^(i) sits behind a per-task pointer; the arena's address
   // is plain arithmetic.
   if (pass.snap == nullptr) {
@@ -177,149 +161,85 @@ BenefitBounds DocsSystem::Bounds(const ScoringPass& pass, size_t task) const {
                          answered);
 }
 
-namespace {
-
-bool EntryFresh(const CachedBenefit& entry, uint64_t task_epoch,
-                uint64_t worker_epoch, uint64_t generation) {
-  return entry.task_epoch == task_epoch && entry.worker_epoch == worker_epoch &&
-         entry.generation == generation;
-}
-
-}  // namespace
-
-double DocsSystem::ScoreCached(ScoringPass* pass, size_t task) const {
-  CachedBenefit& entry = (*pass->cache)[task];
-  const uint64_t task_epoch = pass->task_epochs[task];
-  if (EntryFresh(entry, task_epoch, pass->worker_epoch, pass->generation)) {
-    ++pass->hits;
-    return entry.benefit;
-  }
-  const double value = Score(*pass, task);
-  entry = {task_epoch, pass->worker_epoch, pass->generation, value};
-  ++pass->misses;
-  return value;
-}
-
-void DocsSystem::ScoreEntries(ScoringPass* pass,
+void DocsSystem::ScoreEntries(const ScoringPass& pass,
                               std::vector<BenefitIndex::Entry>* entries,
                               ThreadPool* pool) const {
   std::vector<BenefitIndex::Entry>& scored = *entries;
-  std::vector<CachedBenefit>& cache = *pass->cache;
-  const ScoringPass& key = *pass;
-  std::vector<size_t> misses;
-  for (size_t s = 0; s < scored.size(); ++s) {
-    BenefitIndex::Entry& slot = scored[s];
-    const CachedBenefit& entry = cache[slot.task];
-    if (EntryFresh(entry, key.task_epochs[slot.task], key.worker_epoch,
-                   key.generation)) {
-      slot.value = entry.benefit;
-    } else {
-      misses.push_back(s);
-    }
-  }
-  ParallelFor(pool, misses.size(), [&](size_t x) {
-    BenefitIndex::Entry& slot = scored[misses[x]];
-    slot.value = Score(key, slot.task);
-    cache[slot.task] = {key.task_epochs[slot.task], key.worker_epoch,
-                        key.generation, slot.value};
+  ParallelFor(pool, scored.size(), [&](size_t s) {
+    scored[s].value = Score(pass, scored[s].task);
   });
-  pass->hits += scored.size() - misses.size();
-  pass->misses += misses.size();
 }
 
-void DocsSystem::SeedEntries(ScoringPass* pass, size_t k,
-                             const std::vector<uint8_t>& eligible,
-                             std::vector<BenefitIndex::Entry>* entries,
-                             ThreadPool* pool) const {
-  if (pass->factors == nullptr) {
+size_t DocsSystem::SeedEntries(const ScoringPass& pass, size_t k,
+                               const std::vector<uint8_t>& eligible,
+                               std::vector<BenefitIndex::Entry>* entries,
+                               ThreadPool* pool) const {
+  if (pass.factors == nullptr) {
     // No bounds for this rule: exact entries.
     ScoreEntries(pass, entries, pool);
-    return;
+    return entries->size();
   }
   std::vector<BenefitIndex::Entry>& seeded = *entries;
-  std::vector<CachedBenefit>& cache = *pass->cache;
-  const ScoringPass& key = *pass;
-  // One sweep: the cache probe, the bound of each stale row and the floor.
-  // The floor is the k-th largest known lower bound (fresh exact scores and
-  // closed forms): at most the k-th selected score whenever those k tasks
-  // are eligible (the common case: only leases and caps make an unanswered
-  // task ineligible). A stale row whose upper bound reaches it is one the
-  // walk would resolve, bar the few between the floor and the k-th score,
-  // so it is scored below, in task order, rather than one cache-cold row at
-  // a time in the walk. It exists for the weak-bound regime: many answered
-  // tasks whose s_i stays near uniform (answers from near-random workers),
-  // whose H(s_i) bounds all reach the top k and would otherwise each be
-  // resolved by the walk at 2-3x a batch score. A floor that overshoots
-  // costs speed only: the walk resolves what it still needs.
+  // One sweep: the bound of each row and the floor. The floor is the k-th
+  // largest lower bound (the closed forms of unanswered tasks): at most the
+  // k-th selected score whenever those k tasks are eligible (the common
+  // case: only leases and caps make an unanswered task ineligible). A row
+  // whose upper bound reaches it is one the walk would resolve, bar the few
+  // between the floor and the k-th score, so it is scored below, in task
+  // order, rather than one CPU-cache-cold row at a time in the walk. It
+  // exists for the weak-bound regime: many answered tasks whose s_i stays
+  // near uniform (answers from near-random workers), whose H(s_i) bounds all
+  // reach the top k and would otherwise each be resolved by the walk at 2-3x
+  // a batch score. A floor that overshoots costs speed only: the walk
+  // resolves what it still needs.
   //
   // The scratch is sized once, for the largest batch a rebuild can hold, so
   // a cold request grows nothing after the worker's first one.
-  std::vector<double>& top = pass->scratch->seed_floor;
-  std::vector<uint32_t>& resolve = pass->scratch->resolve;
+  std::vector<double>& top = pass.scratch->seed_floor;
+  std::vector<uint32_t>& resolve = pass.scratch->resolve;
   top.reserve(std::min(k, seeded.size()));
   resolve.reserve(seeded.size());
   KthLargest floor(k, &top);
-  uint64_t hits = 0;
   for (BenefitIndex::Entry& slot : seeded) {
-    const CachedBenefit& entry = cache[slot.task];
-    if (EntryFresh(entry, key.task_epochs[slot.task], key.worker_epoch,
-                   key.generation)) {
-      slot.value = entry.benefit;
-      ++hits;
-      floor.Offer(slot.value);
-    } else {
-      const BenefitBounds bounds = Bounds(key, slot.task);
-      slot.value = bounds.upper;
-      slot.bound = true;
-      floor.Offer(bounds.lower);
-    }
+    const BenefitBounds bounds = Bounds(pass, slot.task);
+    slot.value = bounds.upper;
+    slot.bound = true;
+    floor.Offer(bounds.lower);
   }
-  pass->hits += hits;
   const double threshold = floor.value();
   resolve.clear();
   for (size_t s = 0; s < seeded.size(); ++s) {
-    if (seeded[s].bound && seeded[s].value >= threshold &&
-        eligible[seeded[s].task] != 0) {
+    if (seeded[s].value >= threshold && eligible[seeded[s].task] != 0) {
       resolve.push_back(static_cast<uint32_t>(s));
     }
   }
-  // Scoring a row mostly waits on memory: its M^(i) block, CSR row and
-  // cache entry. Their addresses are plain arithmetic, so the rows a few
-  // places ahead are requested while this one is scored.
+  // Scoring a row mostly waits on memory: its M^(i) block and CSR row.
+  // Their addresses are plain arithmetic, so the rows a few places ahead
+  // are requested while this one is scored.
   constexpr size_t kPrefetchAhead = 4;
   ParallelFor(pool, resolve.size(), [&](size_t x) {
     if (x + kPrefetchAhead < resolve.size()) {
-      Prefetch(key, seeded[resolve[x + kPrefetchAhead]].task);
+      Prefetch(pass, seeded[resolve[x + kPrefetchAhead]].task);
     }
     BenefitIndex::Entry& slot = seeded[resolve[x]];
-    const double exact = Score(key, slot.task);
+    const double exact = Score(pass, slot.task);
     DOCS_DCHECK(exact <= slot.value)
         << "benefit bound " << slot.value << " below the exact score "
         << exact << " of task " << slot.task;
-    cache[slot.task] = {key.task_epochs[slot.task], key.worker_epoch,
-                        key.generation, exact};
     slot.value = exact;
     slot.bound = false;
   });
-  pass->misses += resolve.size();
-}
-
-void DocsSystem::PublishTally(const ScoringPass& pass) {
-  if (pass.hits > 0) {
-    benefit_cache_hits_.fetch_add(pass.hits, std::memory_order_relaxed);
-  }
-  if (pass.misses > 0) {
-    benefit_cache_misses_.fetch_add(pass.misses, std::memory_order_relaxed);
-  }
+  return resolve.size();
 }
 
 std::vector<size_t> DocsSystem::Rank(BenefitIndex* index, size_t k,
-                                     ScoringPass* pass,
+                                     const ScoringPass& pass,
                                      const std::vector<uint8_t>& eligible,
                                      ThreadPool* pool) {
   const size_t n = tasks_.size();
   DOCS_CHECK_EQ(eligible.size(), n);
-  if (!index->Fresh(pass->worker_epoch, pass->generation, pass->answers, n)) {
+  uint64_t rows_scored = 0;
+  if (!index->Fresh(pass.worker_epoch, pass.generation, pass.answers, n)) {
     // Rebuilds exclude the worker's answered tasks — they can never become
     // eligible again, so indexing them would be pure waste, and as bound
     // entries (an answered task's bound is H(s_i)) they would sit near the
@@ -327,10 +247,11 @@ std::vector<size_t> DocsSystem::Rank(BenefitIndex* index, size_t k,
     // submissions, each of which moves the key. A snapshot pass reads the
     // list as of its publish (the books run ahead of it by the queue depth;
     // the eligibility bitmap masks the difference).
-    index->Rebuild(n, pass->worker_epoch, pass->generation, pass->answers,
-                   *pass->answered,
+    index->Rebuild(n, pass.worker_epoch, pass.generation, pass.answers,
+                   *pass.answered,
                    [&](std::vector<BenefitIndex::Entry>* entries) {
-                     SeedEntries(pass, k, eligible, entries, pool);
+                     rows_scored =
+                         SeedEntries(pass, k, eligible, entries, pool);
                    });
     benefit_index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -344,15 +265,21 @@ std::vector<size_t> DocsSystem::Rank(BenefitIndex* index, size_t k,
   // The walk skips ineligible entries (leased-out or capped tasks, the
   // difference between the books and a snapshot's answered set) unscored.
   const uint64_t pops = index->Select(
-      eligible, [&](size_t task) { return ScoreCached(pass, task); }, k,
-      &selected);
+      eligible,
+      [&](size_t task) {
+        ++rows_scored;
+        return Score(pass, task);
+      },
+      k, &selected);
   benefit_index_pops_.fetch_add(pops, std::memory_order_relaxed);
-  PublishTally(*pass);
+  if (rows_scored > 0) {
+    benefit_cache_misses_.fetch_add(rows_scored, std::memory_order_relaxed);
+  }
   // Request-level accounting: the whole pass — rebuild and walk alike — is
-  // one lookup from the serving path's point of view: fully cache-served or
-  // not.
+  // one lookup from the serving path's point of view: served entirely from
+  // the index or not.
   if (index->size() > 0) {
-    if (pass->misses > 0) {
+    if (rows_scored > 0) {
       benefit_cache_request_misses_.fetch_add(1, std::memory_order_relaxed);
     } else {
       benefit_cache_request_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -515,8 +442,8 @@ std::vector<size_t> DocsSystem::SelectTasks(size_t worker, size_t k) {
   // eligible tasks by score, take the top k — so they all route through the
   // per-worker benefit index (DESIGN.md §16).
   BuildEligibilityBitmap(worker, &serve_scratch_.eligible);
-  ScoringPass pass = LivePass(worker, CacheRow(worker), &serve_scratch_);
-  auto selected = Rank(IndexRow(worker), k, &pass, serve_scratch_.eligible,
+  const ScoringPass pass = LivePass(worker, &serve_scratch_);
+  auto selected = Rank(IndexRow(worker), k, pass, serve_scratch_.eligible,
                        ScoringPool());
   GrantLeases(worker, selected);
   return selected;
@@ -554,14 +481,10 @@ bool DocsSystem::CanServeSharded(size_t worker) const {
   // The golden probe mutates worker profiles and (on completion) seeds the
   // quality vector — exclusive-path work.
   if (!workers_[worker].golden_done) return false;
-  // Row sizing mutates shared structure (deque growth, row allocation);
-  // only the exclusive path may do it — sharded serving needs the row ready.
-  // The index row, like the cache row, is allocated (deque growth) only on
-  // the exclusive path; the sharded path may mutate its contents under the
-  // worker's stripe but never the container.
-  return benefit_cache_.size() > worker &&
-         benefit_cache_[worker].size() == tasks_.size() &&
-         benefit_index_.size() > worker;
+  // The index row is allocated (deque growth) only on the exclusive path;
+  // the sharded path may mutate its contents under the worker's stripe but
+  // never the container.
+  return benefit_index_.size() > worker;
 }
 
 void DocsSystem::BeginShardedSelect(size_t worker,
@@ -576,14 +499,14 @@ std::vector<size_t> DocsSystem::ScoreAndRank(size_t worker,
                                              ShardScratch& scratch, size_t k,
                                              ThreadPool* pool,
                                              const InferenceSnapshot* snap) {
-  // The rows are already sized (CanServeSharded, or BuildSnapshot for a
-  // published worker); no CacheRow/IndexRow here — those may resize, which
-  // only the exclusive lock permits. A snapshot pass reaches the rows
-  // through the pointers its publish carries.
+  // The index row already exists (CanServeSharded, or BuildSnapshot for a
+  // published worker); no IndexRow here — it may grow the container, which
+  // only the exclusive lock permits. A snapshot pass reaches the index
+  // through the pointer its publish carries.
   ScoringPass pass;
   BenefitIndex* index = nullptr;
   if (snap == nullptr) {
-    pass = LivePass(worker, &benefit_cache_[worker], &scratch);
+    pass = LivePass(worker, &scratch);
     index = &benefit_index_[worker];
   } else {
     const WorkerSnapshot& view = *snap->workers[worker];
@@ -592,7 +515,7 @@ std::vector<size_t> DocsSystem::ScoreAndRank(size_t worker,
   }
   // Eligibility was frozen into the scratch bitmap under the assign lock
   // (BeginShardedSelect).
-  return Rank(index, k, &pass, scratch.eligible, pool);
+  return Rank(index, k, pass, scratch.eligible, pool);
 }
 
 bool DocsSystem::CommitShardedSelect(size_t worker,
@@ -627,14 +550,13 @@ bool DocsSystem::CommitShardedSelect(size_t worker,
 std::vector<double> DocsSystem::ScoreAllTasks(size_t worker) {
   std::vector<double> scores(tasks_.size(), 0.0);
   if (worker >= workers_.size() || inference_ == nullptr) return scores;
-  ScoringPass pass = LivePass(worker, CacheRow(worker), &serve_scratch_);
+  ShardScratch scratch;
+  const ScoringPass pass = LivePass(worker, &scratch);
   std::vector<BenefitIndex::Entry> entries(tasks_.size());
   for (size_t i = 0; i < entries.size(); ++i) {
     entries[i].task = static_cast<uint32_t>(i);
   }
-  ScoreEntries(&pass, &entries, ScoringPool());
-  // Test hook, not a serving pass: row tallies only, no request-level tally.
-  PublishTally(pass);
+  ScoreEntries(pass, &entries, ScoringPool());
   for (size_t i = 0; i < entries.size(); ++i) scores[i] = entries[i].value;
   return scores;
 }
@@ -852,24 +774,22 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
     }
     auto task_snap = std::make_shared<TaskPosteriorSnapshot>();
     task_snap->truth_matrix = Matrix(inference_->truth_matrix(i));
-    task_snap->truth = inference_->task_truth(i);
     snap->tasks[i] = std::move(task_snap);
   }
 
   snap->workers.resize(workers_.size());
   for (size_t w = 0; w < workers_.size(); ++w) {
-    // CacheRow/IndexRow size the rows under the exclusive lock held here, so
-    // the snapshot path never has to (row growth is exclusive-path work,
-    // exactly as on the sharded sync path). The row objects' addresses are
-    // stable for the system's lifetime (deque) — safe to publish.
-    std::vector<CachedBenefit>* row = CacheRow(w);
+    // IndexRow creates the row under the exclusive lock held here, so the
+    // snapshot path never has to (row growth is exclusive-path work, exactly
+    // as on the sharded sync path). The index's address is stable for the
+    // system's lifetime (deque) — safe to publish, and the same in every
+    // view of this worker.
     BenefitIndex* index = IndexRow(w);
     const uint64_t epoch = inference_->worker_epoch(w);
     const bool servable = workers_[w].golden_done;
     if (same_generation && w < prev->workers.size() &&
         prev->workers[w] != nullptr && prev->workers[w]->epoch == epoch &&
-        prev->workers[w]->servable == servable &&
-        prev->workers[w]->cache_row == row && prev->workers[w]->index == index) {
+        prev->workers[w]->servable == servable) {
       snap->workers[w] = prev->workers[w];
       continue;
     }
@@ -878,7 +798,6 @@ std::shared_ptr<const InferenceSnapshot> DocsSystem::BuildSnapshot(
     view->answered = inference_->answered_tasks(w);
     view->epoch = epoch;
     view->servable = servable;
-    view->cache_row = row;
     view->index = index;
     snap->workers[w] = std::move(view);
   }

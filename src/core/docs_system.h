@@ -231,22 +231,18 @@ class DocsSystem : public AssignmentPolicy {
   uint64_t lease_clock() const { return lease_clock_; }
   size_t outstanding_leases() const { return leases_.size(); }
 
-  /// Benefit-cache effectiveness counters, at row granularity: individual
-  /// (worker, task) scores answered from a still-valid cache entry vs.
-  /// recomputed. One serving request touches O(n) rows, so these are the
-  /// wrong unit for a hit-*rate* — use the request-level counters below for
-  /// that. Monotonic over the system's lifetime.
-  uint64_t benefit_cache_hits() const {
-    return benefit_cache_hits_.load(std::memory_order_relaxed);
-  }
+  /// Rows scored: (worker, task) scores computed by serving passes, by an
+  /// index rebuild's seed or by the walk resolving a bound entry. The
+  /// historical name is kept: each is a score the worker's index did not
+  /// hold. Monotonic over the system's lifetime.
   uint64_t benefit_cache_misses() const {
     return benefit_cache_misses_.load(std::memory_order_relaxed);
   }
 
-  /// Request-level cache counters: one count per serving scoring pass (a
-  /// SelectTasks call that reached OTA ranking). A pass that recomputed
-  /// nothing — every eligible task served from the cache — is a request
-  /// hit; a pass that recomputed at least one score is a request miss.
+  /// Request-level counters: one count per serving ranking pass (a
+  /// SelectTasks call that reached OTA ranking over a non-empty index). A
+  /// pass that scored no row — served entirely from the worker's index — is
+  /// a request hit; a pass that scored at least one row is a request miss.
   /// hit / (hit + miss) is the hit-rate a dashboard should display.
   /// Golden-phase grants and the ScoreAllTasks test hook do not count.
   /// Monotonic.
@@ -268,17 +264,17 @@ class DocsSystem : public AssignmentPolicy {
     return benefit_index_rebuilds_.load(std::memory_order_relaxed);
   }
   /// O(1) invalidation events: full re-inference runs that staled every
-  /// cache row and index with one generation bump (the engine's generation
+  /// worker's index with one generation bump (the engine's generation
   /// starts at 1, so this is generation - 1). 0 before ingest.
   uint64_t benefit_index_generation_invalidations() const {
     return inference_ != nullptr ? inference_->generation() - 1 : 0;
   }
 
   /// Scores every task for `worker` under the configured selection rule
-  /// through her cache row and returns the raw scores (ignoring
-  /// eligibility): fresh entries are read back, stale ones rescored from
-  /// live inference state and refreshed. Test hook: the lockstep suites
-  /// compare it with the reference scores of tests/reference_selector.h.
+  /// from the live engine and returns the raw scores (ignoring
+  /// eligibility). Writes no index and counts nothing. Test hook: the
+  /// lockstep suites compare it with the reference scores of
+  /// tests/reference_selector.h.
   std::vector<double> ScoreAllTasks(size_t worker);
 
   /// Re-runs the full iterative inference over all stored answers, restarting
@@ -301,8 +297,8 @@ class DocsSystem : public AssignmentPolicy {
   // snapshot with no state lock in async mode.
   // Locking contract (enforced by the facade, not checked here):
   //  - CanServeSharded: shared state lock held.
-  //  - ScoreAndRank: the worker's shard lock (the pass reads and refreshes
-  //    her cache row and index), plus the shared state lock on a live pass.
+  //  - ScoreAndRank: the worker's shard lock (the pass reads and rebuilds
+  //    her index), plus the shared state lock on a live pass.
   //  - BeginShardedSelect / CommitShardedSelect: the facade's assign lock
   //    (they touch the books, the lease books and the clock), on top of the
   //    shared state lock in sync mode.
@@ -325,9 +321,9 @@ class DocsSystem : public AssignmentPolicy {
   };
 
   /// True when `worker` can be served without the exclusive lock: she is
-  /// registered, past the golden phase, and her cache and index rows
-  /// already exist — first contact, golden probes, and row growth all mutate
-  /// shared structure and take the exclusive path.
+  /// registered, past the golden phase, and her index row already exists —
+  /// first contact, golden probes, and row growth all mutate shared
+  /// structure and take the exclusive path.
   bool CanServeSharded(size_t worker) const;
 
   /// Phase 1: advances the lease clock and snapshots the worker's
@@ -361,9 +357,9 @@ class DocsSystem : public AssignmentPolicy {
 
   /// Builds the next snapshot copy-on-write against `prev`: tasks and
   /// workers whose inference epochs are unchanged share the previous
-  /// snapshot's immutable pieces. Also sizes every registered worker's
-  /// benefit-cache row so the snapshot path can serve her. Exclusive state
-  /// lock held.
+  /// snapshot's immutable pieces. Also creates every registered worker's
+  /// index row so the snapshot path can serve her. Exclusive state lock
+  /// held.
   std::shared_ptr<const InferenceSnapshot> BuildSnapshot(
       const InferenceSnapshot* prev);
 
@@ -394,10 +390,8 @@ class DocsSystem : public AssignmentPolicy {
   void BuildEligibilityBitmap(size_t worker, std::vector<uint8_t>* eligible);
 
   /// One scoring pass (DESIGN.md §11): where the selection rule reads
-  /// M^(i) and s_i (live engine or a published snapshot), the worker's
-  /// staged quality and hoisted benefit factors, the cache row with its key,
-  /// and the pass's row-level hit/miss tallies — counted locally and
-  /// published with one atomic add each when the pass ends (PublishTally).
+  /// M^(i) and H(s_i) (live engine or a published snapshot), the worker's
+  /// staged quality and hoisted benefit factors, and the index key.
   struct ScoringPass {
     /// nullptr: score against the live engine.
     const InferenceSnapshot* snap = nullptr;
@@ -411,25 +405,19 @@ class DocsSystem : public AssignmentPolicy {
     /// The shard scratch the pass stages into; its seed buffers serve a
     /// cold index rebuild.
     ShardScratch* scratch = nullptr;
-    /// The worker's cache row, sized to the task count.
-    std::vector<CachedBenefit>* cache = nullptr;
+    /// The benefit index's key (DESIGN.md §16): the worker's epoch, the
+    /// invalidation generation and the answers the source had absorbed.
     uint64_t worker_epoch = 0;
-    const uint64_t* task_epochs = nullptr;
     uint64_t generation = 0;
-    /// Answers the source had absorbed; with worker_epoch and generation
-    /// the benefit index's key (DESIGN.md §16).
     uint64_t answers = 0;
     /// The worker's answered tasks in the source, ascending: the tasks an
     /// index rebuild leaves out.
     const std::vector<size_t>* answered = nullptr;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
   };
 
   /// Opens a pass over live inference state for `worker`, staging into
-  /// `scratch` (which must outlive the pass). `cache` is her row.
-  ScoringPass LivePass(size_t worker, std::vector<CachedBenefit>* cache,
-                       ShardScratch* scratch) const;
+  /// `scratch` (which must outlive the pass).
+  ScoringPass LivePass(size_t worker, ShardScratch* scratch) const;
   /// Opens a pass over the published snapshot `snap` for the worker `view`.
   ScoringPass SnapshotPass(const InferenceSnapshot& snap,
                            const WorkerSnapshot& view,
@@ -439,56 +427,44 @@ class DocsSystem : public AssignmentPolicy {
   void StageWorker(const std::vector<double>& worker_quality,
                    ScoringPass* pass, ShardScratch* scratch) const;
 
-  /// The selection rule's score of `task`, uncached.
+  /// The selection rule's score of `task`.
   double Score(const ScoringPass& pass, size_t task) const;
   /// Hints the cache lines a benefit Score of `task` reads — its CSR
-  /// domains and weights, its cache entry and, on a live pass, its M^(i)
-  /// block — so a batch can request them a few rows ahead.
+  /// domains and weights and, on a live pass, its M^(i) block — so a batch
+  /// can request them a few rows ahead.
   void Prefetch(const ScoringPass& pass, size_t task) const;
   /// BenefitBoundsOf `task` for a benefit-rule pass (pass.factors set),
   /// from the bound inputs of the pass's source (engine or snapshot).
   BenefitBounds Bounds(const ScoringPass& pass, size_t task) const;
-  /// One cached score for an index bound resolution: probes the
-  /// pass's cache row under its key, rescoring and refreshing the entry on a
-  /// miss, and tallies the probe in `*pass`.
-  double ScoreCached(ScoringPass* pass, size_t task) const;
-  /// Fills the value of every entry (distinct tasks): probes the cache for
-  /// all of them, tallying the hits, then scores the misses as one batch
-  /// over `pool`. Each miss owns its entry and cache slot, so the result is
-  /// thread-count invariant.
-  void ScoreEntries(ScoringPass* pass,
+  /// Scores every entry (distinct tasks) exactly, as one batch over `pool`.
+  /// Each entry owns its slot, so the result is thread-count invariant.
+  void ScoreEntries(const ScoringPass& pass,
                     std::vector<BenefitIndex::Entry>* entries,
                     ThreadPool* pool) const;
   /// The index's rebuild seed (DESIGN.md §16). Under kDomainMax and
-  /// kUncertainty, which have no bounds, it scores every stale row exactly
+  /// kUncertainty, which have no bounds, it scores every entry exactly
   /// (ScoreEntries). Under the benefit rules one sweep over the entries
-  /// probes the cache (a fresh score becomes an exact entry), seeds each
-  /// stale row with its upper bound, and keeps the k-th largest of the known
-  /// lower bounds (fresh scores and closed forms) as a floor of the k-th
-  /// selected score (KthLargest). Then it scores, in task order over
-  /// `pool`, the stale rows marked in `eligible` whose upper bound reaches
-  /// the floor — the rows a walk for `k` would resolve, bar a few; the rest
-  /// stay bound entries. Bound entries count as neither hit nor miss until
-  /// they are scored.
-  void SeedEntries(ScoringPass* pass, size_t k,
-                   const std::vector<uint8_t>& eligible,
-                   std::vector<BenefitIndex::Entry>* entries,
-                   ThreadPool* pool) const;
-  /// Adds the pass's row-level tallies to the lifetime counters.
-  void PublishTally(const ScoringPass& pass);
+  /// seeds each with its upper bound and keeps the k-th largest lower bound
+  /// (closed forms) as a floor of the k-th selected score (KthLargest).
+  /// Then it scores, in task order over `pool`, the entries marked in
+  /// `eligible` whose upper bound reaches the floor — the rows a walk for
+  /// `k` would resolve, bar a few; the rest stay bound entries. Returns
+  /// the number of rows it scored.
+  size_t SeedEntries(const ScoringPass& pass, size_t k,
+                     const std::vector<uint8_t>& eligible,
+                     std::vector<BenefitIndex::Entry>* entries,
+                     ThreadPool* pool) const;
 
   /// The one ranking path every serving request takes (DESIGN.md §16):
   /// rebuilds `index` (SeedEntries) unless it is fresh under the pass's
   /// (worker_epoch, generation, answers), reads the top-k tasks marked in
-  /// `eligible` off the heap, resolving bound entries through the cache row
-  /// as the walk reaches them, then publishes the pass's row tallies and
-  /// its request-level cache tally.
-  std::vector<size_t> Rank(BenefitIndex* index, size_t k, ScoringPass* pass,
+  /// `eligible` off the heap, scoring bound entries as the walk reaches
+  /// them, then publishes the rows scored (one atomic add) and the pass's
+  /// request-level tally.
+  std::vector<size_t> Rank(BenefitIndex* index, size_t k,
+                           const ScoringPass& pass,
                            const std::vector<uint8_t>& eligible,
                            ThreadPool* pool);
-
-  /// The worker's benefit-cache row, sized to the task count.
-  std::vector<CachedBenefit>* CacheRow(size_t worker);
 
   /// The worker's benefit index, growing the container as needed (exclusive
   /// path only — sharded and snapshot paths reach the index through
@@ -535,19 +511,12 @@ class DocsSystem : public AssignmentPolicy {
   /// Outstanding leases per task (kept in sync with leases_).
   std::vector<uint32_t> lease_count_;
   std::unique_ptr<ThreadPool> pool_;  // see ScoringPool()
-  /// Per-worker rows of the epoch-tagged benefit cache, lazily sized on the
-  /// worker's first scoring pass (DESIGN.md §11). Entries self-invalidate by
-  /// epoch mismatch; nothing is ever erased. A deque (not a vector) so a row
-  /// keeps its address when later workers register — published snapshots
-  /// carry raw row pointers (DESIGN.md §15) and must never dangle.
-  std::deque<std::vector<CachedBenefit>> benefit_cache_;
-  /// Per-worker benefit indexes over the cache rows (DESIGN.md §16), same
-  /// container discipline as benefit_cache_: a deque so an index keeps its
-  /// address when later workers register — published snapshots carry raw
-  /// index pointers and must never dangle. Grown on the exclusive path only
-  /// (IndexRow); contents guarded by the worker's shard stripe.
+  /// Per-worker benefit indexes (DESIGN.md §16), the only per-worker score
+  /// store. A deque so an index keeps its address when later workers
+  /// register — published snapshots carry raw index pointers and must never
+  /// dangle. Grown on the exclusive path only (IndexRow); contents guarded
+  /// by the worker's shard stripe.
   std::deque<BenefitIndex> benefit_index_;
-  std::atomic<uint64_t> benefit_cache_hits_{0};
   std::atomic<uint64_t> benefit_cache_misses_{0};
   std::atomic<uint64_t> benefit_cache_request_hits_{0};
   std::atomic<uint64_t> benefit_cache_request_misses_{0};

@@ -196,9 +196,10 @@ Status IncrementalTruthInference::OnAnswer(size_t worker, size_t task,
   answered.insert(std::lower_bound(answered.begin(), answered.end(), task),
                   task);
 
-  // Epoch bumps for the benefit cache: this task's inference state moved
-  // (step 1), and so did the quality vector of the submitting worker and of
-  // every retro-updated prior worker (step 2). The prior list names each
+  // Epoch bumps: this task's inference state moved (step 1), and so did the
+  // quality vector of the submitting worker and of every retro-updated prior
+  // worker (step 2); the worker epochs key the benefit indexes and both key
+  // the snapshot's copy-on-write sharing. The prior list names each
   // worker at most once (one answer per (worker, task)), so nobody is bumped
   // twice for one submission. The answer count moved too, which stales
   // every benefit index (DESIGN.md §16).
@@ -238,12 +239,12 @@ void IncrementalTruthInference::RunFullInference(ThreadPool* pool) {
   // O(1) invalidation: the batch re-run replaces every quality vector and
   // every posterior at once, so instead of walking all task and worker
   // epochs (the pre-§16 behavior) a single generation bump stales every
-  // cached (task, worker) benefit and every benefit index.
+  // benefit index and every shared snapshot piece.
   ++generation_;
   // Rebuild M̂, M and s of every task from the converged qualities so later
   // OnAnswer calls continue from that state: one more step-1 pass of the
   // shared kernel. No epoch bump: the generation bump above already stales
-  // every cached score in O(1). An unanswered task's state depends only on
+  // every index in O(1). An unanswered task's state depends only on
   // r_i and l_i, and a task never loses its answers, so after the first
   // pass has written them (the constructor's rows are 1/l, not the
   // kernel's softmax of zeros) later passes refresh the answered tasks only.

@@ -104,17 +104,17 @@ class IncrementalTruthInference {
   const std::vector<size_t>& answered_tasks(size_t worker) const;
 
   /// Version tag of task `task`'s inference state (M^(i), s_i). Bumped by
-  /// OnAnswer only; starts at 1. Together with worker_epoch AND generation()
-  /// it keys the OTA benefit cache (DESIGN.md §11/§16): a cached benefit is
-  /// valid exactly while all three are unchanged. The batch re-run
+  /// OnAnswer only; starts at 1. With generation() it keys the snapshot's
+  /// copy-on-write sharing of the task's posterior (DESIGN.md §15): a task's
+  /// state is unchanged exactly while both are. The batch re-run
   /// (RunFullInference) replaces every posterior WITHOUT walking the epoch
   /// arrays — it bumps the generation instead, which invalidates everything
   /// in O(1).
   uint64_t task_epoch(size_t task) const { return task_epoch_[task]; }
 
   /// The full per-task epoch array (indexed by task); snapshot publication
-  /// copies it wholesale so the async serving path keys the benefit cache
-  /// without touching live engine state.
+  /// copies it wholesale, so the next publish compares epochs without
+  /// touching the previous engine state.
   const std::vector<uint64_t>& task_epochs() const { return task_epoch_; }
 
   /// Version tag of `worker`'s quality vector; starts at 1. Bumped whenever
@@ -126,8 +126,8 @@ class IncrementalTruthInference {
   /// Global invalidation generation; starts at 1. Bumped once — a single
   /// counter increment, not a per-task or per-worker walk — by every
   /// RunFullInference, which replaces all posteriors and all quality vectors
-  /// at once. Cache entries and benefit indexes carry the generation they
-  /// were built under and go stale the moment it moves (DESIGN.md §16).
+  /// at once. Benefit indexes carry the generation they were built under
+  /// and go stale the moment it moves (DESIGN.md §16).
   uint64_t generation() const { return generation_; }
 
   /// argmax_j s_{i,j} for every task.

@@ -15,39 +15,34 @@
 namespace docs::core {
 
 /// Immutable posterior of one task as of a snapshot publish: the normalized
-/// truth matrix M^(i) and the probabilistic truth s_i, copied verbatim from
-/// the live engine. Shared (by shared_ptr) between consecutive snapshots
-/// while the task's inference epoch is unchanged, so a publish copies only
-/// the tasks an apply batch actually moved.
+/// truth matrix M^(i), copied verbatim from the live engine (snapshot
+/// scoring reads it and the flat InferenceSnapshot::truth_entropy). Shared
+/// (by shared_ptr) between consecutive snapshots while the task's inference
+/// epoch is unchanged, so a publish copies only the tasks an apply batch
+/// actually moved.
 struct TaskPosteriorSnapshot {
   Matrix truth_matrix;
-  std::vector<double> truth;
 };
 
-/// One worker's serving view as of a publish. `cache_row` points at the
-/// worker's live benefit-cache row — the row's *address* is publish-stable
-/// (rows are never moved or resized once sized; DESIGN.md §15) and access to
-/// its contents stays guarded by the worker's shard stripe, exactly as on
-/// the sync sharded path.
+/// One worker's serving view as of a publish.
 struct WorkerSnapshot {
   std::vector<double> quality;
   /// The tasks the worker had answered in the engine at publish time,
   /// ascending. Covered by `epoch`: each of her answers bumps it.
   std::vector<size_t> answered;
-  /// The worker's inference epoch at publish time; cache entries written by
-  /// the snapshot scoring path carry it, so they self-invalidate the moment
-  /// a newer snapshot (or the exclusive path) observes a later epoch.
+  /// The worker's inference epoch at publish time: the worker half of her
+  /// benefit index key on the snapshot path, and (with the generation) what
+  /// lets the next publish share this view copy-on-write.
   uint64_t epoch = 0;
   /// True when the striped loop may serve this worker from the snapshot: she
-  /// is past the golden probe. (BuildSnapshot sizes her cache and index rows
-  /// at every publish, so unlike CanServeSharded it need not check them.)
+  /// is past the golden probe. (BuildSnapshot sizes her index row at every
+  /// publish, so unlike CanServeSharded it need not check it.)
   bool servable = false;
-  std::vector<CachedBenefit>* cache_row = nullptr;
-  /// The worker's live benefit index (DESIGN.md §16), published by pointer
-  /// for the same reason as cache_row: the object's address is stable (deque
-  /// row) and its contents stay guarded by the worker's shard stripe.
-  /// Indexing the owner's container from the lock-free snapshot path would
-  /// race container growth; the pointer cannot.
+  /// The worker's live benefit index (DESIGN.md §16), published by pointer:
+  /// the object's address is stable (deque row) and its contents stay
+  /// guarded by the worker's shard stripe, exactly as on the sync sharded
+  /// path. Indexing the owner's container from the lock-free snapshot path
+  /// would race container growth; the pointer cannot.
   BenefitIndex* index = nullptr;
 };
 
@@ -65,8 +60,8 @@ struct InferenceSnapshot {
   /// With `generation` it is the benefit index key's engine half, as
   /// IncrementalTruthInference::num_answers (DESIGN.md §16).
   uint64_t answers_applied = 0;
-  /// Per-task inference epochs at publish time; keys the benefit cache on
-  /// the snapshot scoring path (DESIGN.md §11 semantics, snapshot edition).
+  /// Per-task inference epochs at publish time; the next publish shares a
+  /// task's posterior copy-on-write while its epoch is unchanged.
   std::vector<uint64_t> task_epochs;
   /// Per-task benefit bound inputs at publish time (DESIGN.md §16), as
   /// IncrementalTruthInference::truth_entropy and task_answered. Flat, like
@@ -76,8 +71,8 @@ struct InferenceSnapshot {
   std::vector<uint8_t> answered;
   /// The engine's invalidation generation at publish time (DESIGN.md §16):
   /// a full re-inference replaces every posterior without bumping the task
-  /// epochs, so both the copy-on-write sharing below and the cache/index
-  /// keys on the serving path must compare the generation too.
+  /// epochs, so both the copy-on-write sharing below and the index key on
+  /// the serving path must compare the generation too.
   uint64_t generation = 0;
   std::vector<std::shared_ptr<const TaskPosteriorSnapshot>> tasks;
   std::vector<std::shared_ptr<const WorkerSnapshot>> workers;

@@ -386,20 +386,6 @@ double BenefitOfSetBruteForce(const std::vector<Task>& tasks,
   return expected_benefit;
 }
 
-std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
-                                         size_t k) {
-  const size_t take = std::min(k, scored->size());
-  if (take == 0) return {};
-  // Linear selection of the top-k (PICK), then order the selected few.
-  std::nth_element(scored->begin(), scored->begin() + (take - 1), scored->end(),
-                   BetterScored);
-  std::sort(scored->begin(), scored->begin() + take, BetterScored);
-  std::vector<size_t> selected;
-  selected.reserve(take);
-  for (size_t i = 0; i < take; ++i) selected.push_back((*scored)[i].task);
-  return selected;
-}
-
 void BenefitIndex::SiftDown(size_t slot) {
   Entry entry = heap_[slot];
   const size_t n = heap_.size();
@@ -485,7 +471,16 @@ std::vector<size_t> TaskAssigner::SelectTopK(
                 // (strict weak ordering) below.
                 DOCS_DCHECK_FINITE(scored[s].value, "task benefit (Eq. 8)");
               });
-  return SelectTopKFromScored(&scored, k);
+  const size_t take = std::min(k, scored.size());
+  if (take == 0) return {};
+  // Linear selection of the top-k (PICK), then order the selected few.
+  std::nth_element(scored.begin(), scored.begin() + (take - 1), scored.end(),
+                   BetterScored);
+  std::sort(scored.begin(), scored.begin() + take, BetterScored);
+  std::vector<size_t> selected;
+  selected.reserve(take);
+  for (size_t i = 0; i < take; ++i) selected.push_back(scored[i].task);
+  return selected;
 }
 
 }  // namespace docs::core

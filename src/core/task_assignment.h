@@ -195,24 +195,8 @@ double BenefitOfSetBruteForce(const std::vector<Task>& tasks,
                               const std::vector<double>& worker_quality,
                               double quality_clamp = 0.01);
 
-/// One memoized benefit score of the epoch-tagged benefit cache. A task's
-/// benefit for a given worker depends only on the task's inference state
-/// (truth matrix + truth vector, versioned by a task epoch) and the worker's
-/// quality vector (versioned by a worker epoch), so a cached score is valid
-/// exactly while both epochs — and the engine's global invalidation
-/// generation, which a full re-inference bumps instead of walking the epoch
-/// arrays — still match. Live epochs start at 1; the zero-initialized entry
-/// therefore never matches and reads as "never scored". Invalidation rules
-/// are documented in DESIGN.md §11 and §16.
-struct CachedBenefit {
-  uint64_t task_epoch = 0;
-  uint64_t worker_epoch = 0;
-  uint64_t generation = 0;
-  double benefit = 0.0;
-};
-
-/// One scored task, shared by every top-k selection path: the PICK helper
-/// below (TaskAssigner's scan) and the per-worker benefit index's heap order.
+/// One scored task: TaskAssigner::SelectTopK's selection unit and, through
+/// BetterScored, the benefit index's heap order.
 struct ScoredTask {
   size_t task = 0;
   double value = 0.0;
@@ -228,17 +212,12 @@ inline bool BetterScored(const ScoredTask& a, const ScoredTask& b) {
   return a.task < b.task;
 }
 
-/// PICK (shared): isolates the top `take = min(k, scored->size())` entries of
-/// `*scored` with a linear nth_element, orders that prefix by BetterScored,
-/// and returns the task indices. TaskAssigner::SelectTopK routes through
-/// it, so its tie-break order can never drift from the index's.
-std::vector<size_t> SelectTopKFromScored(std::vector<ScoredTask>* scored,
-                                         size_t k);
-
 /// Per-worker ordered benefit index (DESIGN.md §16): a binary max-heap over
-/// the worker's benefit scores, ordered by BetterScored. A RequestTasks reads
-/// the top k eligible tasks off the heap with a frontier walk instead of
-/// scanning and nth_element-ing all n scores.
+/// the worker's benefit scores, ordered by BetterScored, and the only store
+/// of those scores — its exact entries are the scores, its key their one
+/// freshness rule. A RequestTasks reads the top k eligible tasks off the
+/// heap with a frontier walk instead of scanning and nth_element-ing all n
+/// scores.
 ///
 /// The heap is lazy: an entry holds either the task's exact score or an
 /// upper bound of it (a *bound entry*). The walk scores a bound entry only

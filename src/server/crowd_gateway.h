@@ -58,7 +58,7 @@ struct CrowdGatewayOptions {
 
 /// The gateway's own monotonic counters plus the durable layer's, exposed
 /// for tests, the load generator, and the wire Stats response. The wrapped
-/// facade's counters (benefit cache and index, async inference) are read
+/// facade's counters (benefit index, async inference) are read
 /// from ConcurrentDocsSystem itself. Snapshot semantics: each value is an
 /// independent atomic load (the struct is not a consistent cross-counter
 /// snapshot); stats() aggregates across reactors, reactor_stats() keeps

@@ -1,21 +1,21 @@
 // Equivalence suite for the per-worker ordered benefit index (DESIGN.md §16).
 //
-// The index is a max-heap over the epoch-tagged benefit cache rows, rebuilt
-// whenever its key (worker epoch, generation, answers absorbed) moves; a
-// warm RequestTasks reads the top-k eligible tasks off it in O(k log n)
-// instead of scanning all n cached scores. The contract is that an
-// index-served selection is BITWISE identical to the reference selector
-// (tests/reference_selector.h: every eligible task scored from scratch with
-// the reference kernel, then sorted) — after every mutation class: answer
-// submissions (including the §4.2 retro-update fan-out, which stales the
-// indexes of uninvolved workers), lease expiry (which must invalidate
-// nothing), the periodic
-// full re-inference (which must invalidate everything with ONE generation
-// bump, never an O(n) epoch walk), mid-campaign WorkerStore reseeds, and
-// redundancy-cap churn that the heap walk skips through. Every comparison
-// is exact (operator== on doubles), not a
-// tolerance check. scripts/ci.sh additionally runs this binary under TSan
-// and under DOCS_DEBUG_CHECKS (which compiles in the O(n) heap audit).
+// The index is a max-heap over the worker's benefit scores (exact entries)
+// and their upper bounds, rebuilt whenever its key (worker epoch,
+// generation, answers absorbed) moves; a warm RequestTasks reads the top-k
+// eligible tasks off it in O(k log n) instead of scanning all n scores. The
+// contract is that an index-served selection is BITWISE identical to the
+// reference selector (tests/reference_selector.h: every eligible task
+// scored from scratch with the reference kernel, then sorted) — after every
+// mutation class: answer submissions (including the §4.2 retro-update
+// fan-out, which stales the indexes of uninvolved workers), lease expiry
+// (which must invalidate nothing), the periodic full re-inference (which
+// must invalidate everything with ONE generation bump, never an O(n) epoch
+// walk), mid-campaign WorkerStore reseeds, and redundancy-cap churn that
+// the heap walk skips through. Every comparison is exact (operator== on
+// doubles), not a tolerance check. scripts/ci.sh additionally runs this
+// binary under TSan and under DOCS_DEBUG_CHECKS (which compiles in the O(n)
+// heap audit).
 
 #include <gtest/gtest.h>
 
@@ -342,7 +342,7 @@ TEST_F(BenefitIndexTest, GatewayServingIsBitIdenticalAcrossReactorsAndModes) {
 }
 
 /// The O(1)-invalidation regression: RunFullInference must stale every
-/// cached score and every index with a single generation bump — the
+/// index with a single generation bump — the
 /// per-task and per-worker epoch arrays must not move (the seed-era
 /// implementation walked them, which is exactly the O(n) cost the
 /// generation counter removes). The next serving pass rebuilds the index
@@ -595,15 +595,13 @@ TEST_F(BenefitIndexTest, CapChurnIsServedByTheWalkBitIdentically) {
   // skips them on the still-fresh index and still matches the reference bit
   // for bit.
   const uint64_t rebuilds_before = system.benefit_index_rebuilds();
-  const uint64_t row_traffic_before =
-      system.benefit_cache_hits() + system.benefit_cache_misses();
+  const uint64_t rows_scored_before = system.benefit_cache_misses();
   const uint64_t pops_before = system.benefit_index_pops();
   const auto churned = step("w", 1);
   ASSERT_EQ(churned.size(), 1u);
   EXPECT_NE(churned, top);
   EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds_before);
-  EXPECT_EQ(system.benefit_cache_hits() + system.benefit_cache_misses(),
-            row_traffic_before);
+  EXPECT_EQ(system.benefit_cache_misses(), rows_scored_before);
   EXPECT_EQ(system.benefit_index_pops() - pops_before, 81u + 1u);
 }
 
@@ -754,9 +752,8 @@ TEST_F(BenefitIndexTest, ColdPassWithKBeyondTheTaskCountSelectsEveryTask) {
 /// least the k-th largest lower bound) and whatever else the walk reaches
 /// (upper bound ahead of the k-th selection in BetterScored order); the
 /// test derives both sets from the public bounds. No ineligible row is
-/// scored, so the pass's cache misses equal the size of their union. The
-/// scored rows are then reused: a warm repeat rescores nothing, and exactly
-/// those rows are fresh in the cache.
+/// scored, so the pass's rows scored equal the size of their union. The
+/// scored rows are then reused: a warm repeat rescores nothing.
 TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
   const std::vector<TaskInput> inputs = QaInputs(*kb_, 80, 11);
   constexpr size_t kK = 4;
@@ -844,21 +841,12 @@ TEST_F(BenefitIndexTest, ColdPassResolvesOnlyEligibleRowsThatReachTheTopK) {
       EXPECT_GE(resolved, expected.walk_needed);
       EXPECT_LT(resolved, 80u - 12u);  // the pass pruned
 
-      // Reuse: a warm repeat rescores nothing and is a request-level hit ...
+      // Reuse: a warm repeat rescores nothing and is a request-level hit.
       const uint64_t request_hits = system.benefit_cache_request_hits();
       const uint64_t misses_warm = system.benefit_cache_misses();
       EXPECT_EQ(request("w", kK), selected);
       EXPECT_EQ(system.benefit_cache_misses(), misses_warm);
       EXPECT_EQ(system.benefit_cache_request_hits(), request_hits + 1);
-      // ... and the rows the cold pass resolved are exactly the fresh rows
-      // of the worker's cache.
-      system.Drain();
-      const uint64_t hits_before = system.benefit_cache_hits();
-      system.WithLocked([](DocsSystem& s) {
-        (void)s.ScoreAllTasks(*s.FindWorker("w"));
-        return 0;
-      });
-      EXPECT_EQ(system.benefit_cache_hits() - hits_before, resolved);
     }
   }
 }
@@ -920,14 +908,15 @@ TEST(SeedFloorTest, KthLargestMatchesTheNthElementDefinition) {
   }
 }
 
-/// A cold pass scores, before its walk, exactly the eligible stale rows
-/// whose upper bound reaches the floor, and the walk then resolves nothing
-/// more: with no leases and no cap every indexed task is eligible, so the k
-/// tasks behind the floor are eligible too and every bound entry the walk
-/// pops was already scored. Checked on the cache-miss counter against a
-/// reference built from the public bounds, once with every row stale (after
-/// a full inference) and once with fresh exact rows mixed in (after another
-/// worker's answers stale only the tasks they touch).
+/// A cold pass scores, before its walk, exactly the eligible rows whose
+/// upper bound reaches the floor, and the walk then resolves nothing more:
+/// with no leases and no cap every indexed task is eligible, so the k tasks
+/// behind the floor are eligible too and every bound entry the walk pops
+/// was already scored. Checked on the rows-scored counter against a
+/// reference built from the public bounds, once after a full inference (a
+/// generation move) and once after another worker's answers (an answer-count
+/// move that leaves w's epoch alone): the index is the only score store, so
+/// either rebuild starts from bounds alone.
 TEST_F(BenefitIndexTest, ColdPassScoresExactlyTheEligibleStaleRowsAboveTheFloor) {
   const auto dataset = datasets::MakeQaDataset(*kb_, 240, 13);
   std::vector<TaskInput> inputs;
@@ -954,12 +943,9 @@ TEST_F(BenefitIndexTest, ColdPassScoresExactlyTheEligibleStaleRowsAboveTheFloor)
     }
     const size_t w = system.WorkerIndex("v0");
 
-    // `fresh[t]`: the worker's cache row for t is fresh, with the reference
-    // score. The expected misses of a cold SelectTasks(w, k).
-    auto expected_misses = [&](const std::vector<uint8_t>& fresh, size_t k) {
+    // The expected rows scored by a cold SelectTasks(w, k).
+    auto expected_rows = [&](size_t k) {
       const IncrementalTruthInference& engine = system.inference();
-      const std::vector<double> exact =
-          testing::ReferenceScores(system, options, w);
       const BenefitSupport support(system.tasks());
       WorkerBenefitFactors factors;
       factors.Hoist(engine.worker_quality(w).quality,
@@ -970,10 +956,6 @@ TEST_F(BenefitIndexTest, ColdPassScoresExactlyTheEligibleStaleRowsAboveTheFloor)
       std::vector<double> uppers(n, 0.0);
       for (size_t t = 0; t < n; ++t) {
         if (engine.HasAnswered(w, t)) continue;  // not indexed
-        if (fresh[t]) {
-          lowers.push_back(exact[t]);
-          continue;
-        }
         const BenefitBounds bounds =
             BenefitBoundsOf(support, t, factors, engine.truth_entropy(t),
                             engine.task_answered(t));
@@ -981,54 +963,48 @@ TEST_F(BenefitIndexTest, ColdPassScoresExactlyTheEligibleStaleRowsAboveTheFloor)
         uppers[t] = bounds.upper;
       }
       const double floor = NthElementFloor(lowers, k);
-      uint64_t misses = 0;
+      uint64_t rows = 0;
       for (size_t t = 0; t < n; ++t) {
-        misses += !engine.HasAnswered(w, t) && !fresh[t] && uppers[t] >= floor;
+        rows += !engine.HasAnswered(w, t) && uppers[t] >= floor;
       }
-      return misses;
+      return rows;
     };
     auto cold_request = [&](size_t k) {
       const uint64_t rebuilds = system.benefit_index_rebuilds();
-      const uint64_t misses = system.benefit_cache_misses();
+      const uint64_t rows = system.benefit_cache_misses();
       EXPECT_EQ(system.SelectTasks(w, k),
                 testing::ReferenceSelect(system, options, w, k));
       EXPECT_EQ(system.benefit_index_rebuilds(), rebuilds + 1);
-      return system.benefit_cache_misses() - misses;
+      return system.benefit_cache_misses() - rows;
     };
 
-    // Every row stale: the full inference bumped the generation.
+    // A generation move: the full inference.
     system.RunFullInference();
-    const uint64_t all_stale = expected_misses(std::vector<uint8_t>(n, 0), 10);
-    EXPECT_GT(all_stale, 10u);
-    EXPECT_LT(all_stale, n - system.inference().answered_tasks(w).size())
+    const uint64_t after_inference = expected_rows(10);
+    EXPECT_GT(after_inference, 10u);
+    EXPECT_LT(after_inference,
+              n - system.inference().answered_tasks(w).size())
         << "premise: the floor prunes";
-    EXPECT_EQ(cold_request(10), all_stale);
+    EXPECT_EQ(cold_request(10), after_inference);
 
-    // Fresh rows mixed in: score every row, then let another worker answer
-    // tasks w has not answered. Only those tasks' epochs move (w shares
-    // none of them, so her epoch stays), and the moved answer count stales
-    // her index.
-    (void)system.ScoreAllTasks(w);
-    std::vector<uint8_t> fresh(n, 1);
+    // Answer-count moves: another worker answers tasks w has not answered,
+    // so w's epoch stays and only the engine's answer count stales her
+    // index, once before each k.
     const size_t v = system.WorkerIndex("late");
-    for (size_t t = 1; t < n; t += 9) {
-      if (system.inference().HasAnswered(w, t)) continue;
-      ASSERT_TRUE(system.SubmitAnswer(v, t, 0).ok());
-      fresh[t] = 0;
-    }
+    size_t next = 1;
+    auto late_answer = [&] {
+      while (system.inference().HasAnswered(w, next)) ++next;
+      ASSERT_TRUE(system.SubmitAnswer(v, next, 0).ok());
+      next += 9;
+    };
     for (size_t k : {size_t{5}, size_t{0}}) {
       SCOPED_TRACE("k " + std::to_string(k));
-      const uint64_t mixed = expected_misses(fresh, k);
+      late_answer();
+      const uint64_t rows = expected_rows(k);
       if (k > 0) {
-        EXPECT_GT(mixed, 0u);
+        EXPECT_GT(rows, 0u);
       }
-      EXPECT_EQ(cold_request(k), mixed);
-      // Stale the index again for the next k without touching the rows.
-      const size_t t = std::find(fresh.begin(), fresh.end(), 1) -
-                       fresh.begin();
-      ASSERT_FALSE(system.inference().HasAnswered(v, t));
-      ASSERT_TRUE(system.SubmitAnswer(v, t, 0).ok());
-      fresh[t] = 0;
+      EXPECT_EQ(cold_request(k), rows);
     }
   }
 }

@@ -319,7 +319,7 @@ TEST_F(ConcurrencyTest, ShardedServingPathHammeredByRequestersAndMutators) {
   }
 
   // Sequential priming: two 4-task rounds put every worker past golden and
-  // size its benefit-cache row, making the sharded fast path reachable.
+  // create its benefit index row, making the sharded fast path reachable.
   std::atomic<size_t> answers{0};
   for (const auto& id : ids) {
     for (int round = 0; round < 2; ++round) {

@@ -299,7 +299,7 @@ TEST_F(DocsSystemDeterminismTest, AddTasksSweepIsByteIdentical) {
 /// worker qualities. Requests are driven sequentially (one at a time, rotating
 /// over 12 connections that round-robin across the reactors), so the answer
 /// order is fixed and any divergence isolates a reactor- or thread-dependent
-/// code path — hand-off, sharded scoring, per-shard cache rows, pool fallback.
+/// code path — hand-off, sharded scoring, per-shard indexes, pool fallback.
 /// The baseline run (1 reactor, 1 thread) also checks every grant against
 /// the reference selector.
 TEST_F(DocsSystemDeterminismTest, GatewayServingSweepIsIdenticalAcrossReactors) {

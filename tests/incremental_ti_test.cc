@@ -378,9 +378,10 @@ TEST(IncrementalTiTest, AnsweredTasksIsSortedRegardlessOfSubmissionOrder) {
 }
 
 TEST(IncrementalTiTest, OnAnswerBumpsTaskSubmitterAndRetroWorkers) {
-  // The benefit cache keys on these epochs, so every quality/truth movement
-  // must be visible: an answer touches its task, the submitting worker, and
-  // (via the step-2 retro update) every prior answerer of the same task.
+  // The benefit index and the snapshot's copy-on-write sharing key on these
+  // epochs, so every quality/truth movement must be visible: an answer
+  // touches its task, the submitting worker, and (via the step-2 retro
+  // update) every prior answerer of the same task.
   IncrementalTruthInference engine(TwoDomainTasks(3));
   engine.EnsureWorker(0);
   engine.EnsureWorker(1);
@@ -430,7 +431,7 @@ TEST(IncrementalTiTest, QualitySeedBumpsEpochAndFullInferenceBumpsGeneration) {
   EXPECT_EQ(generation, 1u);  // starts live, like the epochs
 
   // The full re-run replaces every task's and worker's parameters behind ONE
-  // generation bump — O(1) invalidation of all cached benefits. The per-item
+  // generation bump — O(1) invalidation of every benefit index. The per-item
   // epochs must NOT move: walking every task and worker to bump them is
   // exactly the O(n) cost the generation exists to avoid.
   engine.RunFullInference();

@@ -182,13 +182,13 @@ TEST_F(InferenceServiceTest, DrainedAsyncIsBitIdenticalToSyncAcrossRulesAndThrea
 }
 
 /// The three serving paths share one benefit scorer that differs only in
-/// where it reads M^(i) and s_i: the exclusive SelectTasks path and the
+/// where it reads M^(i) and H(s_i): the exclusive SelectTasks path and the
 /// sharded sync path read the live engine, the async path a published
-/// snapshot. After a lockstep campaign and Drain(), each path refreshes
-/// every worker's cache row with one more request; ScoreAllTasks then reads
-/// those rows (cache hits written by that path's scorer) and must equal the
-/// reference scores (tests/reference_selector.h), exactly, under every
-/// selection rule.
+/// snapshot. After a lockstep campaign and Drain(), each path ranks every
+/// task for every worker (k = n), which orders all of that path's scores,
+/// and must equal the reference selector's full ranking
+/// (tests/reference_selector.h) under every selection rule; ScoreAllTasks
+/// must equal the reference scores exactly.
 TEST_F(InferenceServiceTest, ScoresAreIdenticalAcrossServingPathsAfterDrain) {
   const auto dataset = datasets::MakeItemDataset(*kb_);
   const auto truths = dataset.Truths();
@@ -241,20 +241,20 @@ TEST_F(InferenceServiceTest, ScoresAreIdenticalAcrossServingPathsAfterDrain) {
       }
     }
     async_system.Drain();
-    // One answer-free request per worker and path refills her cache row
-    // from that path's scorer against the drained state.
-    for (const std::string& id : ids) {
-      const auto selected =
-          exclusive.SelectTasks(exclusive.WorkerIndex(id), 4);
-      ASSERT_EQ(sharded.RequestTasks(id, 4), selected);
-      ASSERT_EQ(async_system.RequestTasks(id, 4), selected);
-    }
-
-    const uint64_t async_hits_before = async_system.WithLocked(
-        [](DocsSystem& s) { return s.benefit_cache_hits(); });
+    // One answer-free full ranking per worker and path against the drained
+    // state. No leases are granted (lease_duration 0), so the three systems
+    // stay in lockstep.
+    const size_t n = exclusive.tasks().size();
     for (const std::string& id : ids) {
       SCOPED_TRACE("worker " + id);
       const size_t w = exclusive.WorkerIndex(id);
+      const auto expected = testing::ReferenceSelect(exclusive, options, w, n);
+      ASSERT_EQ(expected.size(),
+                n - exclusive.inference().answered_tasks(w).size());
+      EXPECT_EQ(exclusive.SelectTasks(w, n), expected);
+      EXPECT_EQ(sharded.RequestTasks(id, n), expected);
+      EXPECT_EQ(async_system.RequestTasks(id, n), expected);
+
       const auto reference = testing::ReferenceScores(exclusive, options, w);
       EXPECT_EQ(exclusive.ScoreAllTasks(w), reference);
       EXPECT_EQ(sharded.WithLocked(
@@ -264,11 +264,6 @@ TEST_F(InferenceServiceTest, ScoresAreIdenticalAcrossServingPathsAfterDrain) {
                     [&](DocsSystem& s) { return s.ScoreAllTasks(w); }),
                 reference);
     }
-    // The async rows were filled by the snapshot scorer; reading them back
-    // as hits is what makes the comparison above cover that scorer.
-    EXPECT_GT(async_system.WithLocked(
-                  [](DocsSystem& s) { return s.benefit_cache_hits(); }),
-              async_hits_before);
   }
 }
 
@@ -642,6 +637,76 @@ TEST_F(InferenceServiceTest, ServingNeverBlocksOnSlowApply) {
   gate.store(false, std::memory_order_release);
   system.Drain();
   EXPECT_GT(system.async_stats().service.snapshot_epoch, epoch_before);
+  EXPECT_EQ(system.num_answers(), 2u);
+}
+
+/// An observer's counter reads never wait on the apply thread: with the
+/// apply parked mid-batch (holding the state lock exclusively, as an EM pass
+/// does), the five lock-free counters each return within the deadline. The
+/// reads run on their own thread so a read that blocks fails the test
+/// instead of hanging it; the gate opens afterwards either way.
+TEST_F(InferenceServiceTest, CounterReadsNeverBlockOnSlowApply) {
+  const std::vector<TaskInput> inputs = [&] {
+    const auto dataset = datasets::MakeQaDataset(*kb_, 60, 11);
+    std::vector<TaskInput> out;
+    for (const auto& task : dataset.tasks) {
+      out.push_back({task.text, task.num_choices()});
+    }
+    return out;
+  }();
+  DocsSystemOptions options;
+  options.golden_count = 0;
+  options.reinfer_every = 1;
+  options.num_threads = 1;
+  options.async_inference = true;
+  ConcurrentDocsSystem system(&kb_->knowledge_base, options);
+  std::atomic<bool> gate{false};
+  std::atomic<bool> parked{false};
+  system.SetAsyncApplyHookForTest([&](const PendingAnswer&) {
+    if (!gate.load(std::memory_order_acquire)) return;
+    parked.store(true, std::memory_order_release);
+    while (gate.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  ASSERT_TRUE(system.AddTasks(inputs).ok());
+  const auto first = system.RequestTasks("w", 2);
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_TRUE(system.SubmitAnswer("w", first[0], 0).ok());
+  system.Drain();
+
+  gate.store(true, std::memory_order_release);
+  ASSERT_TRUE(system.SubmitAnswer("w", first[1], 0).ok());
+  while (!parked.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::atomic<int> reads_done{0};
+  std::thread observer([&] {
+    (void)system.benefit_cache_misses();
+    reads_done.fetch_add(1, std::memory_order_release);
+    (void)system.benefit_cache_request_hits();
+    reads_done.fetch_add(1, std::memory_order_release);
+    (void)system.benefit_cache_request_misses();
+    reads_done.fetch_add(1, std::memory_order_release);
+    (void)system.benefit_index_pops();
+    reads_done.fetch_add(1, std::memory_order_release);
+    (void)system.benefit_index_rebuilds();
+    reads_done.fetch_add(1, std::memory_order_release);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (reads_done.load(std::memory_order_acquire) < 5 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(reads_done.load(std::memory_order_acquire), 5)
+      << "a counter read waited on the parked apply";
+  EXPECT_TRUE(parked.load(std::memory_order_acquire));
+
+  gate.store(false, std::memory_order_release);
+  observer.join();
+  system.Drain();
   EXPECT_EQ(system.num_answers(), 2u);
 }
 
